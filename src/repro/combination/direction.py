@@ -19,7 +19,9 @@ of selected ``(source path, target path, similarity)`` triples.
 from __future__ import annotations
 
 import abc
-from typing import List, Set, Tuple
+from typing import Iterator, List, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.exceptions import CombinationError
 from repro.combination.matrix import SimilarityMatrix
@@ -30,28 +32,49 @@ from repro.model.path import SchemaPath
 SelectedPair = Tuple[SchemaPath, SchemaPath, float]
 
 
+def _selected_cells(
+    values: np.ndarray, candidates: Sequence[SchemaPath], selection: SelectionStrategy
+) -> Iterator[Tuple[int, int, float]]:
+    """The ``(row, candidate, similarity)`` cells ``selection`` keeps in ``values``.
+
+    Cells come in ranking order: rows in axis order, each row's candidates by
+    descending similarity, ties by candidate name and then position -- the
+    order of :meth:`SimilarityMatrix.ranked_targets`.  Callers insert them
+    into a set in this order, so the set (and the order of equal-name pairs
+    after sorting) is the same as when every row was ranked on its own.
+    """
+    order = np.array(
+        sorted(range(len(candidates)), key=lambda j: candidates[j].names), dtype=np.intp
+    )
+    rank = np.argsort(order)
+    rows, columns = np.nonzero(selection.mask(values, order))
+    similarities = values[rows, columns]
+    sequence = np.lexsort((rank[columns], -similarities, rows))
+    return zip(
+        rows[sequence].tolist(), columns[sequence].tolist(), similarities[sequence].tolist()
+    )
+
+
 def _select_source_to_target(
     matrix: SimilarityMatrix, selection: SelectionStrategy
 ) -> Set[SelectedPair]:
     """For each source (row) element, select candidates among the targets."""
-    pairs: Set[SelectedPair] = set()
-    for source in matrix.source_paths:
-        ranked = matrix.ranked_targets(source)
-        for target, similarity in selection.select(ranked):
-            pairs.add((source, target, similarity))
-    return pairs
+    sources, targets = matrix.source_paths, matrix.target_paths
+    return {
+        (sources[i], targets[j], similarity)
+        for i, j, similarity in _selected_cells(matrix.values, targets, selection)
+    }
 
 
 def _select_target_to_source(
     matrix: SimilarityMatrix, selection: SelectionStrategy
 ) -> Set[SelectedPair]:
     """For each target (column) element, select candidates among the sources."""
-    pairs: Set[SelectedPair] = set()
-    for target in matrix.target_paths:
-        ranked = matrix.ranked_sources(target)
-        for source, similarity in selection.select(ranked):
-            pairs.add((source, target, similarity))
-    return pairs
+    sources, targets = matrix.source_paths, matrix.target_paths
+    return {
+        (sources[i], targets[j], similarity)
+        for j, i, similarity in _selected_cells(matrix.values.T, sources, selection)
+    }
 
 
 class DirectionStrategy(abc.ABC):

@@ -1,4 +1,4 @@
-"""Selection of match candidates from a ranked candidate list (Section 6.2).
+"""Selection of match candidates (Section 6.2).
 
 Given the similarity matrix, the candidates for one element are ranked in
 descending order of similarity and a *selection strategy* decides which of
@@ -8,7 +8,8 @@ them to keep:
   natural choice for 1:1 correspondences),
 * ``MaxDelta`` -- the best candidate plus every candidate whose similarity
   differs from the best by at most a tolerance ``d`` (absolute or relative),
-* ``Threshold`` -- every candidate whose similarity exceeds a threshold ``t``,
+* ``Threshold`` -- every candidate whose similarity is at least a threshold
+  ``t``,
 * combinations of the above (e.g. ``Threshold(0.5) + Delta(0.02)``), realised
   by :class:`CombinedSelection`, which keeps only candidates accepted by every
   constituent strategy.
@@ -16,12 +17,20 @@ them to keep:
 Candidates with similarity ``0`` are never selected: a zero similarity means
 "strong dissimilarity" (Section 3) and must not become a match candidate just
 because a row of the matrix happens to be all zeros.
+
+Each strategy is one array rule, :meth:`SelectionStrategy.mask`, applied to
+every element at once: a dense ``rows x candidates`` array in, a boolean
+array of kept candidates out.  Ties in the ranking are broken by candidate
+name (then position), which only ``MaxN`` depends on; the name order is
+passed in as an index permutation.
 """
 
 from __future__ import annotations
 
 import abc
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import CombinationError
 from repro.model.path import SchemaPath
@@ -36,12 +45,45 @@ class SelectionStrategy(abc.ABC):
     name: str = "selection"
 
     @abc.abstractmethod
-    def select(self, ranked: Sequence[RankedCandidate]) -> List[RankedCandidate]:
-        """Choose match candidates from a descending-ranked candidate list."""
+    def mask(self, values: np.ndarray, order: np.ndarray) -> np.ndarray:
+        """The candidates kept for every row of ``values``.
 
-    @staticmethod
-    def _positive(ranked: Sequence[RankedCandidate]) -> List[RankedCandidate]:
-        return [(path, sim) for path, sim in ranked if sim > 0.0]
+        Parameters
+        ----------
+        values:
+            A ``rows x candidates`` similarity array: one row per element,
+            one column per match candidate.
+        order:
+            The candidate (column) indices in name order; candidates of equal
+            similarity rank in this order.
+
+        Returns
+        -------
+        numpy.ndarray
+            A boolean array shaped like ``values``; true cells are kept.
+
+        Examples
+        --------
+        Candidates 1 and 2 tie at 0.9; candidate 2's name sorts first, so
+        ``MaxN(1)`` keeps it:
+
+        >>> values = np.array([[0.5, 0.9, 0.9]])
+        >>> MaxN(1).mask(values, order=np.array([2, 1, 0]))
+        array([[False, False,  True]])
+        >>> Threshold(0.5).mask(values, order=np.array([2, 1, 0]))
+        array([[ True,  True,  True]])
+        """
+
+    def select(self, ranked: Sequence[RankedCandidate]) -> List[RankedCandidate]:
+        """Choose match candidates from a descending-ranked candidate list.
+
+        The list is one row for :meth:`mask`, already in rank order.
+        """
+        if not ranked:
+            return []
+        values = np.array([[similarity for _, similarity in ranked]], dtype=float)
+        kept = self.mask(values, np.arange(len(ranked)))[0]
+        return [candidate for candidate, keep in zip(ranked, kept.tolist()) if keep]
 
     def __call__(self, ranked: Sequence[RankedCandidate]) -> List[RankedCandidate]:
         return self.select(ranked)
@@ -75,8 +117,13 @@ class MaxN(SelectionStrategy):
         self.n = int(n)
         self.name = f"MaxN({self.n})"
 
-    def select(self, ranked: Sequence[RankedCandidate]) -> List[RankedCandidate]:
-        return self._positive(ranked)[: self.n]
+    def mask(self, values: np.ndarray, order: np.ndarray) -> np.ndarray:
+        # A stable sort of the name-ordered candidates ranks equal values by
+        # name; the first n of each row are kept.
+        best = order[np.argsort(-values[:, order], axis=1, kind="stable")[:, : self.n]]
+        kept = np.zeros(values.shape, dtype=bool)
+        np.put_along_axis(kept, best, True, axis=1)
+        return kept & (values > 0.0)
 
 
 class MaxDelta(SelectionStrategy):
@@ -95,14 +142,10 @@ class MaxDelta(SelectionStrategy):
         kind = "rel" if self.relative else "abs"
         self.name = f"Delta({self.delta:g},{kind})"
 
-    def select(self, ranked: Sequence[RankedCandidate]) -> List[RankedCandidate]:
-        positive = self._positive(ranked)
-        if not positive:
-            return []
-        best = positive[0][1]
+    def mask(self, values: np.ndarray, order: np.ndarray) -> np.ndarray:
+        best = values.max(axis=1, keepdims=True)
         tolerance = best * self.delta if self.relative else self.delta
-        floor = best - tolerance
-        return [(path, sim) for path, sim in positive if sim >= floor]
+        return (values > 0.0) & (values >= best - tolerance)
 
 
 class Threshold(SelectionStrategy):
@@ -114,8 +157,8 @@ class Threshold(SelectionStrategy):
         self.threshold = float(threshold)
         self.name = f"Thr({self.threshold:g})"
 
-    def select(self, ranked: Sequence[RankedCandidate]) -> List[RankedCandidate]:
-        return [(path, sim) for path, sim in self._positive(ranked) if sim >= self.threshold]
+    def mask(self, values: np.ndarray, order: np.ndarray) -> np.ndarray:
+        return (values > 0.0) & (values >= self.threshold)
 
 
 class CombinedSelection(SelectionStrategy):
@@ -137,12 +180,11 @@ class CombinedSelection(SelectionStrategy):
         self.strategies: Tuple[SelectionStrategy, ...] = tuple(flattened)
         self.name = "+".join(str(s) for s in self.strategies)
 
-    def select(self, ranked: Sequence[RankedCandidate]) -> List[RankedCandidate]:
-        accepted_sets = []
-        for strategy in self.strategies:
-            accepted_sets.append({path for path, _ in strategy.select(ranked)})
-        common = set.intersection(*accepted_sets) if accepted_sets else set()
-        return [(path, sim) for path, sim in self._positive(ranked) if path in common]
+    def mask(self, values: np.ndarray, order: np.ndarray) -> np.ndarray:
+        kept = self.strategies[0].mask(values, order)
+        for strategy in self.strategies[1:]:
+            kept &= strategy.mask(values, order)
+        return kept
 
 
 #: The paper's default selection: Threshold(0.5) combined with Delta(0.02).

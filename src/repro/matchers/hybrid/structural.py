@@ -108,11 +108,15 @@ class _StructuralMatcherBase(Matcher):
         target_paths: Sequence[SchemaPath],
         context: MatchContext,
     ) -> SimilarityMatrix:
-        """Batch variant: the (dominant) leaf matrix runs through the batch path.
+        """Batch variant: the leaf matrix runs through the batch path.
 
         The structural recursion over component sets is identical to the
-        pairwise path -- it is memoised per element pair and cheap compared to
-        the leaf-level similarity computation it consumes.
+        pairwise path and memoised per element pair.  It is not cheap: traced
+        on generated pairs of 15-108 paths per side (2-vCPU x86 host),
+        Children and Leaves spend 80-90 ms of a ~110 ms mean cold default
+        match in their own code, i.e. in this recursion, while the leaf-level
+        similarities it consumes take ~15 ms (TypeName ~0.9 ms itself, the
+        rest in Name, its set similarity and the string kernels).
         """
         leaf_matrix = self._leaf_matcher.compute_batch(
             context.source_schema.paths(), context.target_schema.paths(), context

@@ -31,8 +31,9 @@ tier with a single-threaded ``asyncio`` server (stdlib only) while keeping
   be admitted (executing or waiting for an executor thread) at once; the
   next request is answered ``429 Too Many Requests`` with a ``Retry-After``
   header *immediately* -- the event loop never queues unbounded work.
-  During graceful drain every new request gets ``503`` + ``Connection:
-  close`` while in-flight work runs to completion.
+  During graceful drain idle keep-alive connections are closed at once,
+  in-flight work runs to completion, and a request that still arrives gets
+  ``503`` + ``Connection: close``.
 
 * **Streaming jobs.**  ``GET /jobs/<id>/events`` responses are chunked
   NDJSON tails of a background job's event log
@@ -166,6 +167,7 @@ class AsyncMatchServiceServer:
         self._rejected_503 = 0
         self._requests_served = 0
         self._connections: set = set()
+        self._answering: set = set()  # connections with an admitted request
         self._draining = False
         self._stop_event: Optional[asyncio.Event] = None
         self._startup_error: Optional[BaseException] = None
@@ -221,16 +223,18 @@ class AsyncMatchServiceServer:
     async def close(self, drain_timeout: float = DEFAULT_DRAIN_TIMEOUT) -> None:
         """Graceful shutdown: drain in-flight work, then release everything.
 
-        New connections are refused (listener closed) and requests arriving
-        on live keep-alive connections are answered 503 while every already
-        admitted request runs to completion (bounded by ``drain_timeout``);
-        then the dispatch pool and the service's persistent resources are
-        closed.
+        New connections are refused (listener closed) and idle keep-alive
+        connections are closed at once.  Every already admitted request runs
+        to completion (bounded by ``drain_timeout``), and its connection
+        closes after the response.  A request on a connection accepted just
+        before the listener closed is answered 503.  Then the dispatch pool
+        and the service's persistent resources are closed.
         """
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        for task in self._connections - self._answering:
+            task.cancel()  # waiting for a next request: nothing to drain
         pending = {task for task in self._connections if not task.done()}
         if pending:
             done, still_running = await asyncio.wait(pending, timeout=drain_timeout)
@@ -238,6 +242,10 @@ class AsyncMatchServiceServer:
                 task.cancel()
             if still_running:
                 await asyncio.wait(still_running, timeout=1.0)
+        if self._server is not None:
+            # From Python 3.12.1 this also waits for open connections, which
+            # is why idle ones are closed first.
+            await self._server.wait_closed()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
         if self.service.frontend_stats == self.frontend_stats:
@@ -325,8 +333,13 @@ class AsyncMatchServiceServer:
                 continue
             if request is None:  # clean EOF between requests
                 return
-            keep_alive = await self._answer(reader, writer, request)
-            if not keep_alive:
+            task = asyncio.current_task()
+            self._answering.add(task)
+            try:
+                keep_alive = await self._answer(reader, writer, request)
+            finally:
+                self._answering.discard(task)
+            if not keep_alive or self._draining:
                 return
 
     async def _read_request(
@@ -500,9 +513,10 @@ class AsyncMatchServiceServer:
         if isinstance(response, JobEventStream):
             await self._stream_events(reader, writer, response)
             return False  # event streams always close (tail semantics)
-        await self._write_json(writer, status, response,
-                               keep_alive=request.keep_alive)
-        return request.keep_alive
+        # A shutdown that began meanwhile closes the connection after this.
+        keep_alive = request.keep_alive and not self._draining
+        await self._write_json(writer, status, response, keep_alive=keep_alive)
+        return keep_alive
 
     async def _write_json(
         self,

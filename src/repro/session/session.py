@@ -55,6 +55,7 @@ equals the number of cacheable executions.
 
 from __future__ import annotations
 
+import ctypes
 import threading
 import weakref
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union, TYPE_CHECKING
@@ -103,6 +104,21 @@ _CACHEABLE_KINDS = frozenset({"simple", "hybrid"})
 
 #: Sentinel distinguishing "no feedback override" from "explicitly no store".
 _UNSET = object()
+
+
+def _resolve_malloc_trim():
+    """glibc's ``malloc_trim(pad)``, or a no-op where the C library lacks it."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return lambda pad: 0
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+#: Returns freed heap pages to the OS after cube evictions (see _trim_caches).
+_malloc_trim = _resolve_malloc_trim()
 
 
 class _GuardedDict(dict):
@@ -1628,10 +1644,12 @@ class MatchSession:
         the ``next(iter(...))`` walk cannot race with concurrent inserts
         (which take the same lock through the guarded cache dicts).
         """
+        evicted_cube = False
         with self._lock:
             if self._max_cached_cubes is not None:
                 while len(self._cube_cache) > self._max_cached_cubes:
                     self._cube_cache.pop(next(iter(self._cube_cache)))
+                    evicted_cube = True
             if self._max_cached_profiles is not None:
                 while len(self._profile_cache) > self._max_cached_profiles:
                     self._profile_cache.pop(next(iter(self._profile_cache)))
@@ -1641,6 +1659,14 @@ class MatchSession:
             if len(self._token_memo) > self.MAX_TOKEN_MEMO_ENTRIES:
                 self._token_memo.clear()
                 self._token_watermark = 0
+        if evicted_cube:
+            # Cube layers are a few hundred KB and change size as schemas
+            # evolve.  glibc serves them from the brk heap once earlier large
+            # temporaries have raised its mmap threshold, and the holes
+            # evicted layers leave fragment it, so RSS grows with every
+            # eviction while live memory stays flat.  Handing the free pages
+            # back keeps a long-running session's RSS flat.
+            _malloc_trim(0)
 
     def cache_info(self) -> Dict[str, int]:
         """Cache occupancy and hit counters.

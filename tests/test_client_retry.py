@@ -248,6 +248,7 @@ class _SaturatedAsyncServer:
         self.server.service.handle_request = self._original
         self.server.request_shutdown()
         self.thread.join(timeout=10)
+        assert not self.thread.is_alive()
 
 
 class TestRetryAfterBackoff:

@@ -1,0 +1,283 @@
+"""The array selection kernel against the per-row selection it replaced.
+
+Direction and selection used to run one Python sort per row and per column
+of the aggregated matrix.  That code is kept below as the oracle: a ranked
+candidate list per element, the list-based strategy rules, and a set of
+selected triples per direction.  The kernel must agree with it exactly --
+the same triples in the same order (including pairs whose name tuples are
+equal, which only the set's iteration order separates), the same float bits
+and the same combined similarity.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import List, Sequence, Set
+
+import numpy as np
+import pytest
+
+from repro.combination import (
+    AVERAGE_COMBINED,
+    BOTH,
+    DICE_COMBINED,
+    LARGE_SMALL,
+    SMALL_LARGE,
+    Both,
+    CombinedSelection,
+    LargeSmall,
+    MaxDelta,
+    MaxN,
+    SelectedPair,
+    SelectionStrategy,
+    SimilarityMatrix,
+    SmallLarge,
+    Threshold,
+)
+from repro.datasets.figure1 import load_po1, load_po2
+from repro.datasets.generators import generate_pair
+from repro.model.element import SchemaElement
+from repro.model.path import SchemaPath
+from repro.session import MatchSession
+
+# -- the oracle: per-row ranking and list-based rules -------------------------
+
+
+def _positive(ranked):
+    return [(path, sim) for path, sim in ranked if sim > 0.0]
+
+
+def oracle_select(selection: SelectionStrategy, ranked):
+    """The list-based rule of ``selection`` over one descending-ranked list."""
+    if isinstance(selection, MaxN):
+        return _positive(ranked)[: selection.n]
+    if isinstance(selection, MaxDelta):
+        positive = _positive(ranked)
+        if not positive:
+            return []
+        best = positive[0][1]
+        tolerance = best * selection.delta if selection.relative else selection.delta
+        floor = best - tolerance
+        return [(path, sim) for path, sim in positive if sim >= floor]
+    if isinstance(selection, Threshold):
+        return [(path, sim) for path, sim in _positive(ranked) if sim >= selection.threshold]
+    if isinstance(selection, CombinedSelection):
+        accepted = [
+            {path for path, _ in oracle_select(strategy, ranked)}
+            for strategy in selection.strategies
+        ]
+        common = set.intersection(*accepted)
+        return [(path, sim) for path, sim in _positive(ranked) if path in common]
+    raise TypeError(f"no oracle rule for {selection!r}")
+
+
+def _oracle_source_to_target(matrix: SimilarityMatrix, selection) -> Set[SelectedPair]:
+    pairs: Set[SelectedPair] = set()
+    for source in matrix.source_paths:
+        for target, similarity in oracle_select(selection, matrix.ranked_targets(source)):
+            pairs.add((source, target, similarity))
+    return pairs
+
+
+def _oracle_target_to_source(matrix: SimilarityMatrix, selection) -> Set[SelectedPair]:
+    pairs: Set[SelectedPair] = set()
+    for target in matrix.target_paths:
+        for source, similarity in oracle_select(selection, matrix.ranked_sources(target)):
+            pairs.add((source, target, similarity))
+    return pairs
+
+
+def oracle_select_pairs(direction, matrix: SimilarityMatrix, selection) -> List[SelectedPair]:
+    """``direction.select_pairs(matrix, selection)`` the per-row way."""
+    rows, columns = matrix.shape
+    if isinstance(direction, Both):
+        pairs = _oracle_source_to_target(matrix, selection) & _oracle_target_to_source(
+            matrix, selection
+        )
+    elif isinstance(direction, LargeSmall):
+        pairs = (
+            _oracle_target_to_source(matrix, selection)
+            if rows >= columns
+            else _oracle_source_to_target(matrix, selection)
+        )
+    elif isinstance(direction, SmallLarge):
+        pairs = (
+            _oracle_source_to_target(matrix, selection)
+            if rows >= columns
+            else _oracle_target_to_source(matrix, selection)
+        )
+    else:
+        raise TypeError(f"no oracle for {direction!r}")
+    return sorted(pairs, key=lambda p: (p[0].names, p[1].names))
+
+
+# -- comparison helpers ----------------------------------------------------------
+
+
+def _bits(pairs: Sequence[SelectedPair]) -> list:
+    return [(source, target, similarity.hex()) for source, target, similarity in pairs]
+
+
+def _assert_same_selection(direction, matrix, selection) -> List[SelectedPair]:
+    expected = oracle_select_pairs(direction, matrix, selection)
+    actual = direction.select_pairs(matrix, selection)
+    assert actual == expected, f"{direction} / {selection} on {matrix.values!r}"
+    assert _bits(actual) == _bits(expected)
+    rows, columns = matrix.shape
+    for combined in (AVERAGE_COMBINED, DICE_COMBINED):
+        assert combined.combine(actual, rows, columns).hex() == combined.combine(
+            expected, rows, columns
+        ).hex()
+    return actual
+
+
+# -- seeded tie-heavy matrices ----------------------------------------------------
+
+#: Cell values: exact ties, a tie broken in the last bit, and values on the
+#: Thr(0.5) / Delta floors.
+VALUES = (0.0, 0.25, 0.5, 0.5 + 1e-12, 0.51, 0.98, 1.0)
+
+SELECTIONS = (
+    MaxN(1),
+    MaxN(2),
+    MaxN(3),
+    MaxDelta(0.02),
+    MaxDelta(0.5),
+    MaxDelta(0.01, relative=False),
+    MaxDelta(0.49, relative=False),
+    Threshold(0.5),
+    Threshold(0.51),
+    Threshold(0.5) + MaxDelta(0.02),
+    Threshold(0.5) + MaxN(1),
+    MaxN(2) + MaxDelta(0.02, relative=False),
+    Threshold(0.5) + MaxN(2) + MaxDelta(0.5),
+)
+
+DIRECTIONS = (LARGE_SMALL, SMALL_LARGE, BOTH)
+
+#: Few distinct names per axis, so equal name tuples are common.
+NAMES = ("A", "B", "C")
+
+
+def _paths(rng: random.Random, root: str, count: int) -> List[SchemaPath]:
+    parent = SchemaElement(root)
+    return [SchemaPath([parent, SchemaElement(rng.choice(NAMES))]) for _ in range(count)]
+
+
+def _shape(rng: random.Random, case: int) -> tuple:
+    if case % 4 == 0:
+        return 1, rng.randint(1, 8)
+    if case % 4 == 1:
+        return rng.randint(1, 8), 1
+    return rng.randint(1, 8), rng.randint(1, 8)
+
+
+def _random_matrix(rng: random.Random, case: int) -> SimilarityMatrix:
+    rows, columns = _shape(rng, case)
+    values = np.array(
+        [[rng.choice(VALUES) for _ in range(columns)] for _ in range(rows)], dtype=float
+    )
+    if rng.random() < 0.3:
+        values[rng.randrange(rows), :] = 0.0
+    if rng.random() < 0.3:
+        values[:, rng.randrange(columns)] = 0.0
+    return SimilarityMatrix(_paths(rng, "S", rows), _paths(rng, "T", columns), values)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_matches_the_per_row_oracle_on_tie_heavy_matrices(seed):
+    rng = random.Random(seed)
+    for case in range(40):
+        matrix = _random_matrix(rng, case)
+        for direction in DIRECTIONS:
+            for selection in SELECTIONS:
+                _assert_same_selection(direction, matrix, selection)
+
+
+def test_equal_name_pairs_keep_the_oracle_order():
+    """Four cells share one name-tuple pair; only insertion order separates them."""
+    source_root, target_root = SchemaElement("S"), SchemaElement("T")
+    sources = [SchemaPath([source_root, SchemaElement("Comment")]) for _ in range(2)]
+    targets = [SchemaPath([target_root, SchemaElement("Note")]) for _ in range(2)]
+    matrix = SimilarityMatrix(sources, targets, np.full((2, 2), 0.75))
+    for direction in DIRECTIONS:
+        for selection in (Threshold(0.5), MaxN(2), MaxDelta(0.02)):
+            selected = _assert_same_selection(direction, matrix, selection)
+            assert len(selected) == 4
+
+
+def test_all_zero_matrix_selects_nothing():
+    rng = random.Random(0)
+    matrix = SimilarityMatrix(_paths(rng, "S", 3), _paths(rng, "T", 4))
+    for direction in DIRECTIONS:
+        for selection in SELECTIONS:
+            assert _assert_same_selection(direction, matrix, selection) == []
+
+
+@pytest.mark.parametrize("selection", SELECTIONS, ids=str)
+def test_select_adapter_matches_the_list_rules(selection):
+    rng = random.Random(str(selection))
+    paths = _paths(rng, "T", 6)
+    for _ in range(50):
+        ranked = sorted(
+            ((path, rng.choice(VALUES)) for path in rng.sample(paths, rng.randint(0, 6))),
+            key=lambda candidate: (-candidate[1], candidate[0].names),
+        )
+        assert selection.select(ranked) == oracle_select(selection, ranked)
+
+
+# -- generated pairs at the benchmark's sizes -----------------------------------------
+
+#: The benchmark's request-mix strategies.
+WARM_SPECS = (
+    "All(Average,Both,Thr(0.5)+Delta(0.02),Average)",
+    "All(Max,Both,Thr(0.5)+MaxN(1),Average)",
+    "All(Average,Both,Thr(0.6),Dice)",
+)
+
+#: (sections, fields per section): the cold and warm workload sizes, 15-108
+#: paths per side.
+PAIR_SIZES = ((3, 4), (5, 6), (6, 8), (8, 5), (9, 7), (11, 6), (12, 8), (13, 7), (14, 6))
+
+
+def _oracle_directions(monkeypatch) -> None:
+    """Route every direction strategy (the structural matchers' too) to the oracle."""
+    for direction_class in (LargeSmall, SmallLarge, Both):
+        monkeypatch.setattr(
+            direction_class,
+            "select_pairs",
+            lambda self, matrix, selection: oracle_select_pairs(self, matrix, selection),
+        )
+
+
+def _outcomes(source, target) -> list:
+    session = MatchSession()
+    return [session.match(source, target, strategy=spec) for spec in WARM_SPECS]
+
+
+def _fingerprint(outcome) -> tuple:
+    return (
+        outcome.cube.as_array().tobytes(),
+        outcome.aggregated.values.tobytes(),
+        [(s, t, float(sim).hex()) for s, t, sim in outcome.result.as_tuples()],
+        outcome.schema_similarity.hex(),
+    )
+
+
+@pytest.mark.parametrize("sections,fields", PAIR_SIZES)
+def test_generated_pairs_match_the_oracle_under_the_warm_specs(sections, fields, monkeypatch):
+    pair = generate_pair(sections, fields, overlap=0.7, seed=100 + sections)
+    kernel = _outcomes(pair.source, pair.target)
+    for outcome in kernel:
+        combination = outcome.strategy.combination
+        _assert_same_selection(combination.direction, outcome.aggregated, combination.selection)
+    _oracle_directions(monkeypatch)
+    oracle = _outcomes(pair.source, pair.target)
+    assert [_fingerprint(o) for o in kernel] == [_fingerprint(o) for o in oracle]
+
+
+def test_figure1_pair_matches_the_oracle(monkeypatch):
+    kernel = _outcomes(load_po1(), load_po2())
+    _oracle_directions(monkeypatch)
+    oracle = _outcomes(load_po1(), load_po2())
+    assert [_fingerprint(o) for o in kernel] == [_fingerprint(o) for o in oracle]

@@ -132,8 +132,10 @@ def _run_script(client: ServiceClient):
     step("job-invalid-batch", _call(client, "POST", "/jobs", {
         "requests": [{"source": "PO1", "target": "NOPE"}, {"source": "PO1"}]}))
 
+    # Long enough (a warm PO1/PO2 match is well under a millisecond) that
+    # the DELETE below always lands while the job is still running.
     cancelled = _call(client, "POST", "/jobs", {
-        "requests": [{"source": "PO1", "target": "PO2"}] * 64,
+        "requests": [{"source": "PO1", "target": "PO2"}] * 1024,
         "chunk_size": 1, "cancel_on_disconnect": True})
     step("job-submit-2", cancelled)
     step("job-cancel", _call(client, "DELETE", f"/jobs/{cancelled[1]['job']}"))
@@ -196,9 +198,11 @@ def test_front_ends_serve_sha256_identical_transcripts(backend, pool_size):
     finally:
         sync_server.shutdown()
         sync_thread.join(timeout=10)
+        assert not sync_thread.is_alive()
         sync_server.server_close()
         async_server.request_shutdown()
         async_thread.join(timeout=10)
+        assert not async_thread.is_alive()
 
 
 def test_event_stream_lines_are_byte_identical_across_front_ends():
@@ -237,6 +241,8 @@ def test_event_stream_lines_are_byte_identical_across_front_ends():
     finally:
         sync_server.shutdown()
         sync_thread.join(timeout=10)
+        assert not sync_thread.is_alive()
         sync_server.server_close()
         async_server.request_shutdown()
         async_thread.join(timeout=10)
+        assert not async_thread.is_alive()

@@ -254,6 +254,52 @@ class TestBackpressure:
             _stop(server, thread)
 
 
+class TestGracefulShutdown:
+    def test_idle_keep_alive_client_does_not_delay_shutdown(self):
+        server, thread = _start(pool_size=1)
+        client = ServiceClient(server.url)
+        assert client.health()["status"] == "ok"  # its connection stays open, idle
+        start = time.monotonic()
+        server.request_shutdown()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert time.monotonic() - start < 2.0
+        client.close()
+
+    def test_admitted_request_is_drained_then_its_connection_closes(self):
+        server, thread = _start(pool_size=1)
+        release = threading.Event()
+        original = server.service.handle_request
+
+        def blocking(method, path, payload=None):
+            if path.rstrip("/") == "/block":
+                release.wait(timeout=30)
+                return 200, {"blocked": True}
+            return original(method, path, payload)
+
+        server.service.handle_request = blocking
+        sock = _connect(server.port)
+        try:
+            sock.sendall(b"GET /block HTTP/1.1\r\n\r\n")
+            deadline = time.monotonic() + 10
+            while server._in_flight < 1:
+                assert time.monotonic() < deadline, "the request was never admitted"
+                time.sleep(0.01)
+            server.request_shutdown()
+            threading.Timer(0.5, release.set).start()
+            status, headers, body = _read_response(sock)
+            assert status == 200 and json.loads(body)["blocked"]
+            assert headers["Connection"] == "close"
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        finally:
+            release.set()
+            sock.close()
+            server.service.handle_request = original
+            if thread.is_alive():
+                _stop(server, thread)
+
+
 class TestPipelining:
     def test_pipelined_requests_are_answered_strictly_in_order(self):
         server, thread = _start(pool_size=2)

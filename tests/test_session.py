@@ -14,6 +14,7 @@ from repro.exceptions import SessionError
 from repro.matchers.hybrid import NameMatcher
 from repro.repository.repository import Repository
 from repro.session import MatchSession, default_session, reset_default_session
+from repro.session import session as session_module
 
 
 def _rows(outcome):
@@ -155,6 +156,17 @@ class TestCubeCache:
         cached.clear_caches()
         assert cached.cache_info()["cubes"] == 0
         assert cached.cache_info()["profiles"] == 0
+
+    def test_cube_eviction_hands_freed_heap_back(self, po1, po2, monkeypatch):
+        assert isinstance(session_module._malloc_trim(0), int)
+        calls = []
+        monkeypatch.setattr(session_module, "_malloc_trim", calls.append)
+        session = MatchSession(max_cached_cubes=1)
+        session.match(po1, po2)
+        session.match(po1, po2, strategy="All(Max,Both,MaxN(1),Average)")
+        assert calls == []  # a miss that fits and a hit: nothing evicted
+        session.match(po2, po1)  # the reversed pair evicts the first cube
+        assert calls == [0]
 
 
 class TestIterate:
