@@ -10,9 +10,11 @@ pipeline with a three-stage batch scheme:
    entry point, which evaluates unique cache keys only and scatters results
    into the full matrix with numpy fancy indexing;
 3. the engine stacks the per-matcher layers into the
-   :class:`~repro.combination.cube.SimilarityCube` (optionally computing the
-   layers on a thread pool -- the heavy kernels are numpy operations that
-   release the GIL).
+   :class:`~repro.combination.cube.SimilarityCube`.  Within one execution,
+   matrices requested more than once -- the Name matrix by the Name layer
+   and by TypeName, the TypeName matrix by its layer and as the leaf matrix
+   of Children and Leaves -- are computed once
+   (:func:`~repro.matchers.base.layer_memo`).
 
 ``MatchEngine(use_batch=False)`` runs the original pairwise reference
 implementation through the same interface, which is how the equivalence tests
@@ -28,11 +30,11 @@ converge on one profile instance per schema.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.combination.cube import SimilarityCube
 from repro.combination.matrix import SimilarityMatrix
+from repro.matchers.base import layer_memo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.matchers.base import MatchContext, Matcher
@@ -48,28 +50,15 @@ class MatchEngine:
         When True (the default) every matcher runs through its vectorized
         ``compute_batch`` entry point; when False the original pairwise
         ``compute`` path is used.  Both produce numerically identical cubes.
-    max_workers:
-        When set (> 1), the matcher layers of one operation are computed on a
-        thread pool of this size; layer order in the resulting cube is
-        preserved regardless.
-
-    Raises
-    ------
-    ValueError
-        If ``max_workers`` is given and below 1.
 
     Examples
     --------
-    >>> engine = MatchEngine()
-    >>> engine.use_batch, engine.max_workers
-    (True, None)
+    >>> MatchEngine().use_batch
+    True
     """
 
-    def __init__(self, use_batch: bool = True, max_workers: Optional[int] = None):
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    def __init__(self, use_batch: bool = True):
         self._use_batch = bool(use_batch)
-        self._max_workers = max_workers
 
     # -- configuration ---------------------------------------------------------
 
@@ -83,17 +72,6 @@ class MatchEngine:
         False
         """
         return self._use_batch
-
-    @property
-    def max_workers(self) -> Optional[int]:
-        """The thread-pool size (``None`` = sequential execution).
-
-        Examples
-        --------
-        >>> MatchEngine(max_workers=4).max_workers
-        4
-        """
-        return self._max_workers
 
     # -- execution -------------------------------------------------------------
 
@@ -134,7 +112,7 @@ class MatchEngine:
         True
         """
         if self._use_batch:
-            return matcher.compute_batch(source_paths, target_paths, context)
+            return matcher.compute_shared(source_paths, target_paths, context)
         return matcher.compute(source_paths, target_paths, context)
 
     def execute(
@@ -182,7 +160,11 @@ class MatchEngine:
         targets = (
             tuple(target_paths) if target_paths is not None else context.target_schema.paths()
         )
-        layers = self._compute_layers(matchers, sources, targets, context)
+        with layer_memo(context):
+            layers = [
+                (matcher.name, self.compute_matrix(matcher, sources, targets, context))
+                for matcher in matchers
+            ]
         return SimilarityCube.from_layers(sources, targets, layers)
 
     def execute_partial(
@@ -198,10 +180,12 @@ class MatchEngine:
         (or columns) an edit touched and copies every other cell from the
         previous cube.  That splice is sound because per-cell values are
         independent of which subset is requested: batch matchers evaluate
-        unique cache-key pairs and scatter, and the structural matchers
-        derive their leaf matrices from the context's *full* schemas
-        regardless of the requested paths, so a cell computed in a partial
-        execution is bitwise identical to the same cell of a full one.
+        unique cache-key pairs and scatter, and the structural kernel reads
+        a leaf matrix over the context's *full* schemas but evaluates only
+        the requested rows and columns (plus, for Children, the paths
+        beneath them).  A partial execution therefore costs what it asks
+        for, and each of its cells is bitwise identical to the same cell of
+        a full one.
 
         Parameters
         ----------
@@ -240,34 +224,6 @@ class MatchEngine:
         return self.execute(
             matchers, context, source_paths=source_rows, target_paths=target_columns
         )
-
-    def _compute_layers(
-        self,
-        matchers: Sequence["Matcher"],
-        source_paths: Sequence["SchemaPath"],
-        target_paths: Sequence["SchemaPath"],
-        context: "MatchContext",
-    ) -> List[Tuple[str, SimilarityMatrix]]:
-        if self._max_workers is not None and self._max_workers > 1 and len(matchers) > 1:
-            # Warm the shared profile caches before fanning out, so concurrent
-            # matchers read the finished profiles instead of racing to build them.
-            if self._use_batch:
-                context.profiles(source_paths)
-                context.profiles(target_paths)
-            with ThreadPoolExecutor(max_workers=self._max_workers) as pool:
-                matrices = list(
-                    pool.map(
-                        lambda matcher: self.compute_matrix(
-                            matcher, source_paths, target_paths, context
-                        ),
-                        matchers,
-                    )
-                )
-            return [(matcher.name, matrix) for matcher, matrix in zip(matchers, matrices)]
-        return [
-            (matcher.name, self.compute_matrix(matcher, source_paths, target_paths, context))
-            for matcher in matchers
-        ]
 
 
 #: The engine used by default throughout the system (vectorized, sequential).

@@ -68,6 +68,75 @@ class TokenProfile:
         self.unique_keys, self.inverse = unique_index(self.keys)
 
 
+class PathTree:
+    """The containment tree of a schema's paths, indexed in DFS preorder.
+
+    ``paths`` is ``schema.paths()``, so the subtree of path ``i`` is the
+    preorder window ``i .. end[i] - 1`` (the pre/post encoding of
+    :mod:`repro.search.intervals`).  ``children`` and ``leaves`` hold every
+    path's child paths and leaf paths (empty for a leaf), each set ordered
+    by name tuple, ties by position.  ``dense`` ranks the paths by name
+    tuple, equal tuples sharing a rank.
+    """
+
+    def __init__(self, paths: Sequence[SchemaPath]):
+        self.paths = paths
+        count = len(paths)
+        depths = [len(path) for path in paths]
+        parent = [-1] * count
+        end = [count] * count
+        chain: List[int] = []
+        for index, depth in enumerate(depths):
+            while chain and depths[chain[-1]] >= depth:
+                end[chain.pop()] = index
+            parent[index] = chain[-1] if chain else -1
+            chain.append(index)
+        self.end = np.array(end, dtype=np.intp)
+        self.leaf = self.end == np.arange(1, count + 1)
+        height = [0] * count
+        children: List[List[int]] = [[] for _ in range(count)]
+        for index in range(count - 1, -1, -1):
+            up = parent[index]
+            if up >= 0:
+                children[up].append(index)
+                height[up] = max(height[up], height[index] + 1)
+        self.height = np.array(height, dtype=np.intp)
+
+        names = [path.names for path in paths]
+        order = sorted(range(count), key=names.__getitem__)
+        rank = [0] * count
+        dense = [0] * count
+        previous, current = None, -1
+        for position, index in enumerate(order):
+            rank[index] = position
+            if names[index] != previous:
+                previous, current = names[index], current + 1
+            dense[index] = current
+        self.dense = np.array(dense, dtype=np.intp)
+
+        by_rank = rank.__getitem__
+        self.children = [sorted(group, key=by_rank) for group in children]
+        leaves = np.flatnonzero(self.leaf)
+        low = np.searchsorted(leaves, np.arange(1, count + 1)).tolist()
+        high = np.searchsorted(leaves, self.end).tolist()
+        leaves = leaves.tolist()
+        self.leaves = [sorted(leaves[start:stop], key=by_rank) for start, stop in zip(low, high)]
+
+    def index_of(self, paths: Sequence[SchemaPath]) -> np.ndarray:
+        """Positions of ``paths`` in the preorder."""
+        if paths is self.paths or tuple(paths) == self.paths:
+            return np.arange(len(self.paths))
+        position = {path: index for index, path in enumerate(self.paths)}
+        return np.array([position[path] for path in paths], dtype=np.intp)
+
+    def with_descendants(self, nodes: np.ndarray) -> np.ndarray:
+        """``nodes`` plus every path beneath them, in preorder."""
+        cover = np.zeros(len(self.paths) + 1, dtype=np.intp)
+        np.add.at(cover, nodes, 1)
+        np.add.at(cover, self.end[nodes], -1)
+        return np.flatnonzero(np.cumsum(cover[:-1]))
+
+
 class PathSetProfile:
     """Everything matchers repeatedly derive per path, computed once.
 
@@ -110,6 +179,7 @@ class PathSetProfile:
         self._token_profiles: Dict[str, TokenProfile] = {}
         self._ngram_sets: Dict[Tuple[int, bool], List[FrozenSet[str]]] = {}
         self._soundex_codes: Dict[int, List[str]] = {}
+        self._tree: Optional[PathTree] = None
 
     # -- token lists ---------------------------------------------------------
 
@@ -184,6 +254,19 @@ class PathSetProfile:
                     codes = [soundex_code(name, length) for name in self.unique_names]
                     self._soundex_codes[length] = codes
         return codes
+
+    # -- containment structure ---------------------------------------------------
+
+    def path_tree(self) -> PathTree:
+        """The preorder index of this path set (Children and Leaves).
+
+        The paths must be a whole schema's ``paths()``.
+        """
+        if self._tree is None:
+            with self._lock:
+                if self._tree is None:
+                    self._tree = PathTree(self.paths)
+        return self._tree
 
     # -- misc ------------------------------------------------------------------
 

@@ -31,8 +31,10 @@ implementation.
 from __future__ import annotations
 
 import abc
+import contextlib
+import contextvars
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -190,6 +192,28 @@ class StringMatcher(abc.ABC):
         return f"{type(self).__name__}()"
 
 
+#: The layer memo of the engine execution running in this thread (or task):
+#: its context and a dict of matrices keyed by matcher configuration + paths.
+_LAYER_MEMO: contextvars.ContextVar[Optional[Tuple["MatchContext", dict]]] = (
+    contextvars.ContextVar("repro_layer_memo", default=None)
+)
+
+
+@contextlib.contextmanager
+def layer_memo(context: MatchContext) -> Iterator[None]:
+    """Share batch matrices between the matchers of one execution over ``context``.
+
+    Inside the block, :meth:`Matcher.compute_shared` computes each matrix
+    once per (matcher configuration, source paths, target paths).  The memo
+    is dropped on exit, so nothing the block returns keeps it alive.
+    """
+    token = _LAYER_MEMO.set((context, {}))
+    try:
+        yield
+    finally:
+        _LAYER_MEMO.reset(token)
+
+
 class Matcher(abc.ABC):
     """A matcher producing a similarity matrix over two path sets."""
 
@@ -220,6 +244,35 @@ class Matcher(abc.ABC):
         points always produce the same matrix.
         """
         return self.compute(source_paths, target_paths, context)
+
+    def memo_key(self) -> Optional[tuple]:
+        """Hashable matcher identity + configuration for the layer memo.
+
+        Matchers returning a key have their :meth:`compute_shared` results
+        shared within one engine execution: the default strategy's Name
+        layer is also TypeName's name matrix, and the TypeName layer is the
+        leaf matrix of Children and Leaves.  Equal keys must mean equal
+        matrices over the same context, so a subclass adding configuration
+        must extend its parent's key.  The default (``None``) opts out.
+        """
+        return None
+
+    def compute_shared(
+        self,
+        source_paths: Sequence[SchemaPath],
+        target_paths: Sequence[SchemaPath],
+        context: MatchContext,
+    ) -> SimilarityMatrix:
+        """:meth:`compute_batch`, computed once per :func:`layer_memo` block."""
+        memo = _LAYER_MEMO.get()
+        key = self.memo_key()
+        if memo is None or memo[0] is not context or key is None:
+            return self.compute_batch(source_paths, target_paths, context)
+        key = (key, tuple(source_paths), tuple(target_paths))
+        matrix = memo[1].get(key)
+        if matrix is None:
+            matrix = memo[1][key] = self.compute_batch(source_paths, target_paths, context)
+        return matrix
 
     def match_schemas(self, context: MatchContext) -> SimilarityMatrix:
         """Convenience: compute over all paths of the context's schemas."""

@@ -31,9 +31,13 @@ from repro.matchers.string.synonym import SynonymStringMatcher
 from repro.model.path import SchemaPath
 
 
+#: Shared by every default Name matcher, so their memo keys are equal.
+_DEFAULT_CONSTITUENTS: Tuple[StringMatcher, ...] = (TrigramMatcher(), SynonymStringMatcher())
+
+
 def default_name_constituents() -> List[StringMatcher]:
     """The default constituent string matchers of the Name matcher (Table 4)."""
-    return [TrigramMatcher(), SynonymStringMatcher()]
+    return list(_DEFAULT_CONSTITUENTS)
 
 
 class NameMatcher(PairwiseMatcher):
@@ -82,6 +86,10 @@ class NameMatcher(PairwiseMatcher):
             aggregation=self._aggregation,
             combined_similarity=combined_similarity,
         )
+
+    def memo_key(self) -> Optional[tuple]:
+        # Constituents compare by identity; the default ones are shared.
+        return (type(self), self._constituents, self._aggregation, self._combined)
 
     # -- token extraction ----------------------------------------------------------
 
@@ -256,6 +264,9 @@ class NamePathMatcher(NameMatcher):
             combined_similarity=combined_similarity,
             include_schema_root=self._include_schema_root,
         )
+
+    def memo_key(self) -> Optional[tuple]:
+        return super().memo_key() + (self._include_schema_root,)
 
     def tokens_for(self, path: SchemaPath, context: MatchContext) -> Tuple[str, ...]:
         names = path.names if self._include_schema_root else path.names[1:] or path.names

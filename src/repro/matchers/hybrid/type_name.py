@@ -77,6 +77,13 @@ class TypeNameMatcher(Matcher):
             type_weight=self._type_weight,
         )
 
+    def memo_key(self) -> Optional[tuple]:
+        name_key = self._name_matcher.memo_key()
+        type_key = self._datatype_matcher.memo_key()
+        if name_key is None or type_key is None:
+            return None
+        return (type(self), name_key, type_key, self._name_weight, self._type_weight)
+
     # -- computation ---------------------------------------------------------------------
 
     def compute(
@@ -98,9 +105,13 @@ class TypeNameMatcher(Matcher):
         target_paths: Sequence[SchemaPath],
         context: MatchContext,
     ) -> SimilarityMatrix:
-        """Batch variant: both constituents run through their batch paths."""
-        name_matrix = self._name_matcher.compute_batch(source_paths, target_paths, context)
-        type_matrix = self._datatype_matcher.compute_batch(source_paths, target_paths, context)
+        """Batch variant: both constituents come through the layer memo.
+
+        Within one engine execution the default name matrix is the Name
+        layer itself.
+        """
+        name_matrix = self._name_matcher.compute_shared(source_paths, target_paths, context)
+        type_matrix = self._datatype_matcher.compute_shared(source_paths, target_paths, context)
         combined = (
             self._name_weight * name_matrix.values + self._type_weight * type_matrix.values
         )

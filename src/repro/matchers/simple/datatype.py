@@ -31,6 +31,9 @@ class DataTypeMatcher(PairwiseMatcher):
     def __init__(self, table: Optional[TypeCompatibilityTable] = None):
         self._table = table
 
+    def memo_key(self) -> Optional[tuple]:
+        return (type(self), self._table)
+
     def _table_for(self, context: MatchContext) -> TypeCompatibilityTable:
         return self._table if self._table is not None else context.type_compatibility
 

@@ -17,9 +17,10 @@ threaded server process.  When a persistent
 worker opens its own connection to the shared file and starts warm from cubes
 any earlier process stored.
 
-Scheduling mirrors the thread pool: free workers live on a LIFO free-list
-behind a condition variable, an acquirer takes *any* free worker, and a
-worker is held exclusively for one round trip (pipes are not multiplexed).
+Scheduling: free workers live on a LIFO free-list behind a condition
+variable, an acquirer takes *any* free worker (the most recently released),
+and a worker is held exclusively for one round trip (pipes are not
+multiplexed).
 
 Failure handling (PR 9) layers three defences over that scheduling:
 

@@ -4,10 +4,11 @@ The service keeps a small fixed pool of warm sessions instead of a single
 shared one.  A request acquires one shard exclusively for the duration of its
 match operation, so a session never executes two operations at the same time
 -- its FIFO caches fill in a deterministic per-shard order and lock
-contention inside the session is zero.  Free shards live on a LIFO free-list
-behind a condition variable: with more concurrent requests than shards,
-surplus requests block until *any* shard is released (never on one specific
-shard, which would convoy under load).
+contention inside the session is zero.  Free shards live on a FIFO free-list
+behind a condition variable: back-to-back requests rotate over the shards,
+so every shard warms up even when requests never overlap, and with more
+concurrent requests than shards, surplus requests block until *any* shard
+is released (never on one specific shard, which would convoy under load).
 
 :class:`MatchSession` is itself thread-safe, so sharding is a *throughput*
 choice, not a correctness requirement: one shard per expected concurrent
@@ -67,9 +68,9 @@ class SessionPool:
             raise ServiceError(f"a session pool needs size >= 1, got {size}")
         factory = session_factory if session_factory is not None else MatchSession
         self._sessions: List[MatchSession] = [factory() for _ in range(size)]
-        # LIFO free-list guarded by a condition: an acquirer takes *any* free
-        # shard or waits until one is released (never on a specific shard --
-        # waiting on one shard while others free up convoys under load).
+        # FIFO free-list guarded by a condition: an acquirer takes the shard
+        # idle longest or waits until one is released (never on a specific
+        # shard -- waiting on one shard while others free up convoys).
         self._free: List[int] = list(range(size))
         self._condition = threading.Condition()
 
@@ -98,14 +99,15 @@ class SessionPool:
     def session(self) -> Iterator[MatchSession]:
         """Acquire one shard exclusively for the duration of the ``with`` block.
 
-        Takes any free shard (most-recently-released first, which keeps a
-        lightly loaded pool on few, warm shards); when every shard is busy
-        the caller blocks until the next release, whichever shard that is.
+        Takes the free shard idle longest, so requests that never overlap
+        still rotate over -- and warm -- every shard; when every shard is
+        busy the caller blocks until the next release, whichever shard that
+        is.
         """
         with self._condition:
             while not self._free:
                 self._condition.wait()
-            index = self._free.pop()
+            index = self._free.pop(0)
         try:
             yield self._sessions[index]
         finally:

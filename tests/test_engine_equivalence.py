@@ -93,16 +93,6 @@ def test_execute_matchers_same_cube_for_both_engines(po1, po2):
     np.testing.assert_allclose(batch.as_array(), reference.as_array(), atol=1e-9, rtol=0.0)
 
 
-def test_threaded_engine_matches_sequential(po1, po2):
-    matchers = default_strategy().resolve_matchers(None)
-    threaded = MatchEngine(max_workers=4).execute(matchers, build_context(po1, po2))
-    sequential = BATCH_ENGINE.execute(matchers, build_context(po1, po2))
-    assert threaded.matcher_names == sequential.matcher_names
-    np.testing.assert_allclose(
-        threaded.as_array(), sequential.as_array(), atol=1e-9, rtol=0.0
-    )
-
-
 def test_match_accepts_engine_override(po1, po2):
     batch = match(po1, po2)
     reference = match(po1, po2, engine=PAIRWISE_ENGINE)

@@ -1,16 +1,15 @@
-"""Differential harness: serial vs thread-pool vs process-pool execution.
+"""Differential harness: serial vs process-pool execution.
 
 VOODB-style methodology: a parallel execution backend is only trustworthy
 when validated against a serial reference.  These tests generate schema
 pairs (fixed sweep + hypothesis-driven shapes), match each pair through
 
-* the **serial** reference (a plain :class:`MatchSession`),
-* the **thread pool** (a session on ``MatchEngine(max_workers=2)``), and
+* the **serial** reference (a plain :class:`MatchSession`) and
 * the **process pool** (``match_many(..., process_pool=...)`` over spawned
   workers),
 
 and assert *byte identity*: sha256-identical serialized ``MatchResult``s and
-bit-identical cube / aggregated-matrix floats across all three backends.
+bit-identical cube / aggregated-matrix floats across both backends.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.datasets.generators import generate_pair
-from repro.engine.engine import MatchEngine
 from repro.exceptions import SessionError
 from repro.parallel import ProcessSessionPool
 from repro.session import MatchSession
@@ -103,9 +101,9 @@ def _pair_sweep():
 
 
 class TestHundredPairSweep:
-    """The acceptance sweep: >= 100 generated pairs, three backends, one truth."""
+    """The acceptance sweep: >= 100 generated pairs, two backends, one truth."""
 
-    def test_serial_thread_and_process_agree_on_104_pairs(self, process_pool):
+    def test_serial_and_process_agree_on_104_pairs(self, process_pool):
         pairs = _pair_sweep()
         assert len(pairs) >= 100
         requests = [
@@ -113,13 +111,9 @@ class TestHundredPairSweep:
             for index, pair in enumerate(pairs)
         ]
         serial = MatchSession().match_many(requests)
-        threaded = MatchSession(engine=MatchEngine(max_workers=2)).match_many(requests)
         processed = MatchSession().match_many(requests, process_pool=process_pool)
-        assert len(serial) == len(threaded) == len(processed) == len(requests)
-        for reference, thread_outcome, process_outcome in zip(
-            serial, threaded, processed
-        ):
-            assert_byte_identical(reference, thread_outcome, "thread pool")
+        assert len(serial) == len(processed) == len(requests)
+        for reference, process_outcome in zip(serial, processed):
             assert_byte_identical(reference, process_outcome, "process pool")
 
 

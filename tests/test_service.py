@@ -57,6 +57,15 @@ class TestSessionPool:
             with pool.session() as second:
                 assert first is not second  # busy shard is skipped
 
+    def test_back_to_back_requests_rotate_over_shards(self):
+        # Requests that never overlap still reach, and warm, every shard.
+        pool = SessionPool(size=2)
+        with pool.session() as first:
+            pass
+        with pool.session() as second:
+            pass
+        assert first is not second
+
     def test_size_validation(self):
         with pytest.raises(ServiceError):
             SessionPool(size=0)
