@@ -16,7 +16,9 @@ The evaluation's hand-built synonym file is reproduced by
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 class TermRelationship(enum.Enum):
@@ -102,6 +104,43 @@ class SynonymDictionary:
         if relationship is None:
             return 0.0
         return self._similarity[relationship]
+
+    def similarity_many(self, sources: Sequence[str], targets: Sequence[str]) -> np.ndarray:
+        """The ``len(sources) x len(targets)`` matrix of :meth:`similarity` values.
+
+        Every word is normalised once.  Each source word then visits only its
+        own normalised form, which scores as synonymy over any stored
+        relationship, as in :meth:`relationship`, and its stored partners.
+        Relationship similarities are read at call time.
+
+        Examples
+        --------
+        >>> dictionary = default_purchase_order_synonyms()
+        >>> dictionary.similarity_many(["Ship", "surname", ""], ["deliver", "name", "", "ship "])
+        array([[1. , 0. , 0. , 1. ],
+               [0. , 0.8, 0. , 0. ],
+               [0. , 0. , 1. , 0. ]])
+        """
+        columns: Dict[str, List[int]] = {}
+        for j, word in enumerate(targets):
+            columns.setdefault(word.strip().lower(), []).append(j)
+        # Self-pairs are left out: an equal form is synonymy anyway.
+        partners: Dict[str, List[Tuple[str, TermRelationship]]] = {}
+        for (first, second), relationship in self._pairs.items():
+            if first != second:
+                partners.setdefault(first, []).append((second, relationship))
+                partners.setdefault(second, []).append((first, relationship))
+        similarity = self._similarity
+        values = np.zeros((len(sources), len(targets)))
+        for i, word in enumerate(sources):
+            form = word.strip().lower()
+            row = values[i]
+            for j in columns.get(form, ()):
+                row[j] = similarity[TermRelationship.SYNONYM]
+            for partner, relationship in partners.get(form, ()):
+                for j in columns.get(partner, ()):
+                    row[j] = similarity[relationship]
+        return values
 
     def merged_with(self, other: "SynonymDictionary") -> "SynonymDictionary":
         """A new dictionary combining both; entries of ``other`` win on conflict."""

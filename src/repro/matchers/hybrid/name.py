@@ -177,11 +177,14 @@ class NameMatcher(PairwiseMatcher):
     ) -> SimilarityMatrix:
         """Vectorized name matching over a shared token vocabulary.
 
-        The constituent string matchers are evaluated once over the union
-        token vocabulary of both sides (the Trigram constituent as a single
-        gram-incidence matrix product), aggregated, and the Both/Max1 +
-        Average/Dice combination runs as one padded array operation over all
-        unique token-set pairs; the result is scattered to the full matrix.
+        The constituent string matchers are evaluated once over the token
+        vocabularies of the two sides (Trigram as one gram-incidence matrix
+        product, Synonym as one dictionary pass) and aggregated.
+        :func:`batch_set_similarity` then runs Both/Max1 + Average/Dice over
+        all unique token-set pairs from two side tables -- the best target
+        token per (source token, target set) and the best source token per
+        (source set, target token) -- and the result is scattered to the full
+        matrix.
         """
         unique_a, inverse_a = self._batch_token_keys(source_paths, context)
         unique_b, inverse_b = self._batch_token_keys(target_paths, context)
@@ -213,14 +216,8 @@ class NameMatcher(PairwiseMatcher):
         )
         aggregated = _aggregate_layers(layers, self._aggregation)
 
-        index_sets_a = [
-            np.array([vocabulary_a[token] for token in dict.fromkeys(key)], dtype=np.intp)
-            for key in unique_a
-        ]
-        index_sets_b = [
-            np.array([vocabulary_b[token] for token in dict.fromkeys(key)], dtype=np.intp)
-            for key in unique_b
-        ]
+        index_sets_a = [[vocabulary_a[token] for token in dict.fromkeys(key)] for key in unique_a]
+        index_sets_b = [[vocabulary_b[token] for token in dict.fromkeys(key)] for key in unique_b]
         unique_values = batch_set_similarity(
             aggregated, index_sets_a, index_sets_b, self._combined
         )

@@ -34,9 +34,10 @@ Properties:
 
 Matchers opt in by returning a hashable configuration key from
 :meth:`~repro.matchers.base.StringMatcher.memo_key`; matchers whose kernel is
-already a cheap vectorized array operation (the n-gram matmul) or a plain dict
-lookup (Synonym) stay opted out, because a per-pair dict probe would cost as
-much as the kernel itself.
+already a cheap bulk operation stay opted out, because a per-pair dict probe
+would cost more than the kernel itself: the n-gram matmul, and Synonym, whose
+bulk lookup visits only each source word's stored partners
+(:meth:`~repro.auxiliary.synonyms.SynonymDictionary.similarity_many`).
 """
 
 from __future__ import annotations

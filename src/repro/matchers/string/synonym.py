@@ -13,7 +13,9 @@ may be constructed either with an explicit dictionary or bound to one later.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.auxiliary.synonyms import SynonymDictionary
 from repro.exceptions import MatcherError
@@ -37,12 +39,26 @@ class SynonymStringMatcher(StringMatcher):
         """A copy of this matcher bound to ``dictionary``."""
         return SynonymStringMatcher(dictionary)
 
-    def similarity(self, a: str, b: str) -> float:
+    def _bound_dictionary(self) -> SynonymDictionary:
         if self._dictionary is None:
             raise MatcherError(
                 "SynonymStringMatcher has no dictionary; construct it with one or "
                 "use bound_to() before calling similarity()"
             )
+        return self._dictionary
+
+    def similarity(self, a: str, b: str) -> float:
+        dictionary = self._bound_dictionary()
         if not a or not b:
             return 0.0
-        return self._dictionary.similarity(a, b)
+        return dictionary.similarity(a, b)
+
+    def similarity_many(self, sources: Sequence[str], targets: Sequence[str]) -> np.ndarray:
+        """All pairs at once through :meth:`SynonymDictionary.similarity_many`.
+
+        Rows and columns of raw-empty words are 0, as in :meth:`similarity`.
+        """
+        values = self._bound_dictionary().similarity_many(sources, targets)
+        values[[i for i, word in enumerate(sources) if not word]] = 0.0
+        values[:, [j for j, word in enumerate(targets) if not word]] = 0.0
+        return values

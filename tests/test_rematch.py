@@ -9,6 +9,7 @@ sha256 of a canonical serialization with ``float.hex`` similarities plus raw
 
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -283,6 +284,65 @@ class TestRematchByteIdentity:
         assert info["rematch_reused_rows"] >= len(old.paths()) - 2
         cold = MatchSession().match(new, target)
         assert_outcomes_identical(spliced, cold, "renamed upload")
+
+
+#: CamelCase words with trigram and synonym overlap, so token sets keep many
+#: mutual-best pairs.
+WIDE_WORDS = ("Street", "Streets", "Address", "Addr", "Line", "Lines", "City",
+              "Town", "Postal", "Code", "Ship", "Bill", "Name", "Number")
+
+
+def _wide_schema(name, seed, rename_at=None, new_name=None):
+    """Sections of multi-word leaves plus a 4-level chain of 3-word names.
+
+    The chain's deepest path has up to 12 NamePath tokens, more than any
+    section leaf.  Returns the schema and its number of section leaves;
+    ``rename_at`` renames the section leaf with that index.
+    """
+    rng = random.Random(seed)
+
+    def camel(low, high):
+        return "".join(rng.choice(WIDE_WORDS) for _ in range(rng.randint(low, high)))
+
+    schema = Schema(name)
+    leaves = 0
+    for index in range(rng.randint(2, 4)):
+        section = schema.add_element(camel(2, 3) + str(index), kind=ElementKind.ELEMENT)
+        for field in range(rng.randint(2, 4)):
+            leaf = camel(2, 4) + str(field)
+            if leaves == rename_at:
+                leaf = new_name
+            schema.add_element(leaf, parent=section, kind=ElementKind.ELEMENT,
+                               source_type="VARCHAR(20)")
+            leaves += 1
+    chain = None
+    for level in range(4):
+        chain = schema.add_element(camel(3, 3), parent=chain, kind=ElementKind.ELEMENT,
+                                   source_type="VARCHAR(20)" if level == 3 else None)
+    return schema, leaves
+
+
+class TestWideNamePathRematch:
+    """A rematch requests only the renamed row, whose NamePath set is narrower
+    than the chain's 12 tokens in the cold match.  Cells must not depend on
+    the widest requested set (seeds 170 and 214 differed by 1 ulp while the
+    token-set kernel summed with numpy's pairwise ``sum``)."""
+
+    @pytest.mark.parametrize("seed", [170, 214, 0, 1, 2, 3])
+    def test_depth_two_rename_equals_cold_match(self, seed):
+        old, leaves = _wide_schema("Src", seed)
+        target, _ = _wide_schema("Tgt", seed + 10_000)
+        rng = random.Random(seed * 7 + 1)
+        at = rng.randrange(leaves)
+        new_name = "".join(rng.choice(WIDE_WORDS) for _ in range(rng.randint(2, 4))) + "X"
+        new, _ = _wide_schema("Src", seed, rename_at=at, new_name=new_name)
+
+        session = MatchSession()
+        previous = session.match(old, target)
+        spliced = session.rematch(old, new, previous, target=target)
+        assert session.cache_info()["rematch_spliced"] == 1
+        cold = MatchSession().match(new, target)
+        assert_outcomes_identical(spliced, cold, f"wide NamePath rename, seed {seed}")
 
 
 class TestRematchProcessBackend:
