@@ -69,10 +69,12 @@ class TokenProfile:
 
 
 class PathTree:
-    """The containment tree of a schema's paths, indexed in DFS preorder.
+    """The containment tree of whole schemas' paths, indexed in DFS preorder.
 
-    ``paths`` is ``schema.paths()``, so the subtree of path ``i`` is the
-    preorder window ``i .. end[i] - 1`` (the pre/post encoding of
+    ``paths`` is ``schema.paths()``, or the ``paths()`` of several schemas
+    concatenated (a batched execution's target side): each schema's
+    top-level paths open new trees, so the subtree of path ``i`` is the
+    preorder window ``i .. end[i] - 1`` either way (the pre/post encoding of
     :mod:`repro.search.intervals`).  ``children`` and ``leaves`` hold every
     path's child paths and leaf paths (empty for a leaf), each set ordered
     by name tuple, ties by position.  ``dense`` ranks the paths by name
@@ -163,11 +165,6 @@ class PathSetProfile:
         types = [path.generic_type for path in self.paths]
         self.unique_types, self.type_inverse = unique_index(types)
 
-        # -- lazy caches --
-        # Profiles are shared across matchers and (through a session) across
-        # threads; the lock makes each lazy derivation below compute-once
-        # under concurrency instead of racing to duplicate the work.
-        self._lock = threading.Lock()
         # The name-token memo may be handed in (a session-shared dict, itself
         # possibly seeded from a persistent store): tokenization then happens
         # once per name per memo lifetime instead of once per profile.
@@ -176,6 +173,13 @@ class PathSetProfile:
         self._name_tokens: Dict[str, Tuple[str, ...]] = (
             token_memo if token_memo is not None else {}
         )
+        self._init_lazy_caches()
+
+    def _init_lazy_caches(self) -> None:
+        # Profiles are shared across matchers and (through a session) across
+        # threads; the lock makes each lazy derivation below compute-once
+        # under concurrency instead of racing to duplicate the work.
+        self._lock = threading.Lock()
         self._token_profiles: Dict[str, TokenProfile] = {}
         self._ngram_sets: Dict[Tuple[int, bool], List[FrozenSet[str]]] = {}
         self._soundex_codes: Dict[int, List[str]] = {}
@@ -205,23 +209,26 @@ class PathSetProfile:
             profile = self._token_profiles.get(mode)
             if profile is not None:
                 return profile
-            if mode == TOKEN_MODE_NAME:
-                keys = [self._tokens_of_name(path.name) for path in self.paths]
-            elif mode in (TOKEN_MODE_PATH, TOKEN_MODE_PATH_WITH_ROOT):
-                keys = []
-                for path in self.paths:
-                    names = path.names
-                    if mode == TOKEN_MODE_PATH:
-                        names = names[1:] or names
-                    tokens: List[str] = []
-                    for name in names:
-                        tokens.extend(self._tokens_of_name(name))
-                    keys.append(tuple(tokens))
-            else:
-                raise ValueError(f"unknown token mode {mode!r}")
-            profile = TokenProfile(keys)
+            profile = TokenProfile(self._token_keys(mode))
             self._token_profiles[mode] = profile
             return profile
+
+    def _token_keys(self, mode: str) -> List[Tuple[str, ...]]:
+        """Every path's token tuple under ``mode``."""
+        if mode == TOKEN_MODE_NAME:
+            return [self._tokens_of_name(path.name) for path in self.paths]
+        if mode not in (TOKEN_MODE_PATH, TOKEN_MODE_PATH_WITH_ROOT):
+            raise ValueError(f"unknown token mode {mode!r}")
+        keys = []
+        for path in self.paths:
+            names = path.names
+            if mode == TOKEN_MODE_PATH:
+                names = names[1:] or names
+            tokens: List[str] = []
+            for name in names:
+                tokens.extend(self._tokens_of_name(name))
+            keys.append(tuple(tokens))
+        return keys
 
     # -- n-gram sets ----------------------------------------------------------
 
@@ -230,15 +237,17 @@ class PathSetProfile:
         key = (int(n), bool(case_sensitive))
         sets = self._ngram_sets.get(key)
         if sets is None:
-            from repro.matchers.string.ngram import ngrams
-
             with self._lock:
                 sets = self._ngram_sets.get(key)
                 if sets is None:
-                    words = self.unique_names if case_sensitive else self.lowered_names
-                    sets = [ngrams(word, n) for word in words]
-                    self._ngram_sets[key] = sets
+                    sets = self._ngram_sets[key] = self._derive_ngram_sets(*key)
         return sets
+
+    def _derive_ngram_sets(self, n: int, case_sensitive: bool) -> List[FrozenSet[str]]:
+        from repro.matchers.string.ngram import ngrams
+
+        words = self.unique_names if case_sensitive else self.lowered_names
+        return [ngrams(word, n) for word in words]
 
     # -- soundex codes ---------------------------------------------------------
 
@@ -246,21 +255,23 @@ class PathSetProfile:
         """Soundex codes of the unique names (cached per code length)."""
         codes = self._soundex_codes.get(length)
         if codes is None:
-            from repro.matchers.string.soundex import soundex_code
-
             with self._lock:
                 codes = self._soundex_codes.get(length)
                 if codes is None:
-                    codes = [soundex_code(name, length) for name in self.unique_names]
-                    self._soundex_codes[length] = codes
+                    codes = self._soundex_codes[length] = self._derive_soundex_codes(length)
         return codes
+
+    def _derive_soundex_codes(self, length: int) -> List[str]:
+        from repro.matchers.string.soundex import soundex_code
+
+        return [soundex_code(name, length) for name in self.unique_names]
 
     # -- containment structure ---------------------------------------------------
 
     def path_tree(self) -> PathTree:
         """The preorder index of this path set (Children and Leaves).
 
-        The paths must be a whole schema's ``paths()``.
+        The paths must be whole schemas' ``paths()`` (see :class:`PathTree`).
         """
         if self._tree is None:
             with self._lock:
@@ -282,3 +293,68 @@ class PathSetProfile:
             f"PathSetProfile(paths={len(self.paths)}, "
             f"unique_names={len(self.unique_names)})"
         )
+
+
+def _concatenate_unique(
+    uniques: Sequence[Sequence[KeyT]], inverses: Sequence[np.ndarray]
+) -> Tuple[List[KeyT], np.ndarray, List[Tuple[int, int]]]:
+    """:func:`unique_index` of several item lists concatenated, from theirs.
+
+    Each part is given as its ``(unique, inverse)`` pair.  Returns the
+    distinct items (first-occurrence order over the concatenation), each
+    concatenated item's index, and per distinct item the ``(part, index)``
+    it first occurs at.
+    """
+    position: Dict[KeyT, int] = {}
+    origin: List[Tuple[int, int]] = []
+    parts_inverse = []
+    for part, (unique, inverse) in enumerate(zip(uniques, inverses)):
+        local = np.empty(len(unique), dtype=np.intp)
+        for index, item in enumerate(unique):
+            at = position.get(item)
+            if at is None:
+                at = position[item] = len(origin)
+                origin.append((part, index))
+            local[index] = at
+        parts_inverse.append(local[inverse])
+    return list(position), np.concatenate(parts_inverse), origin
+
+
+class ForestProfile(PathSetProfile):
+    """The profile of several whole schemas' paths, concatenated, composed from theirs.
+
+    A batched execution (:meth:`~repro.session.session.MatchSession.match_many`)
+    matches one source against the concatenated paths of many targets.  Every
+    derived value of a path -- token tuples, n-gram sets, soundex codes,
+    generic types -- is read from its own schema's profile, so a name is
+    tokenized, n-grammed and soundexed once however many batches its schema
+    joins.  Only the unique indices over the concatenation and the
+    :class:`PathTree` are rebuilt.
+    """
+
+    def __init__(self, parts: Sequence[PathSetProfile]):
+        self._parts = tuple(parts)
+        self.paths = tuple(path for part in self._parts for path in part.paths)
+        self.unique_names, self.name_inverse, self._name_origin = _concatenate_unique(
+            [part.unique_names for part in self._parts],
+            [part.name_inverse for part in self._parts],
+        )
+        self.lowered_names = self._from_parts([part.lowered_names for part in self._parts])
+        self.unique_types, self.type_inverse, _ = _concatenate_unique(
+            [part.unique_types for part in self._parts],
+            [part.type_inverse for part in self._parts],
+        )
+        self._init_lazy_caches()
+
+    def _from_parts(self, per_part: Sequence[Sequence[KeyT]]) -> List[KeyT]:
+        """Per unique name, its value in the part it first occurs in."""
+        return [per_part[part][index] for part, index in self._name_origin]
+
+    def _token_keys(self, mode: str) -> List[Tuple[str, ...]]:
+        return [key for part in self._parts for key in part.token_profile(mode).keys]
+
+    def _derive_ngram_sets(self, n: int, case_sensitive: bool) -> List[FrozenSet[str]]:
+        return self._from_parts([part.ngram_sets(n, case_sensitive) for part in self._parts])
+
+    def _derive_soundex_codes(self, length: int) -> List[str]:
+        return self._from_parts([part.soundex_codes(length) for part in self._parts])

@@ -11,7 +11,9 @@ small SQLite database holding three indexed structures:
   name *tokens*, lower-cased character *n-grams* and *soundex* codes.  Each
   (kind, term) row carries its document frequency, so candidate ranking is a
   cheap idf-weighted set-overlap computed with numpy over the posting lists
-  (see :meth:`SchemaCorpus.rank`);
+  (see :meth:`SchemaCorpus.rank`).  Each handle ranks from an in-memory copy
+  of these tables, loaded at its first ranking and kept current by its own
+  writes; ``PRAGMA data_version`` tells it when another connection wrote;
 * a **node interval table**: the pre/post-order encoding of each schema's
   path tree (:mod:`repro.search.intervals`), so structural filtering --
   "schemas containing a subtree labelled like X with roughly this many
@@ -34,13 +36,13 @@ silently producing disjoint query/index vocabularies.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import dataclasses
-import json
-import os
+import itertools
 import sqlite3
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -180,6 +182,82 @@ def _chunks(items: Sequence, size: int = _SQL_CHUNK) -> Iterable[Sequence]:
         yield items[start : start + size]
 
 
+class _RankIndex:
+    """The in-memory copy of the tables :meth:`SchemaCorpus.rank` reads.
+
+    ``version`` is the connection's ``PRAGMA data_version`` when the copy was
+    loaded; a different value means another connection has committed since.
+    A term's document frequency is the length of its posting list, which is
+    a plain list, so a write's upkeep is one append or delete per term of
+    its schema.
+    """
+
+    def __init__(self, connection: sqlite3.Connection, version: int):
+        self.version = version
+        #: (kind, term) -> term id.  A term whose last posting went keeps its
+        #: entry until the next load: ``rank`` skips ids without postings, and
+        #: a re-added term gets a new id (AUTOINCREMENT).
+        self.terms: Dict[Tuple[str, str], int] = {}
+        #: schema id -> (name, digest, path count, norm).
+        self.schemas: Dict[int, Tuple[str, str, int, float]] = {}
+        # One read transaction, so the three tables come from one snapshot.
+        connection.execute("BEGIN")
+        try:
+            for term_id, kind, term in connection.execute(
+                "SELECT term_id, kind, term FROM corpus_terms"
+            ):
+                self.terms[(kind, term)] = term_id
+            flat = np.fromiter(
+                itertools.chain.from_iterable(
+                    connection.execute(
+                        "SELECT term_id, schema_id FROM corpus_postings "
+                        "ORDER BY term_id, schema_id"
+                    )
+                ),
+                dtype=np.int64,
+            )
+            for schema_id, name, digest, paths, norm in connection.execute(
+                "SELECT schema_id, name, digest, path_count, norm FROM corpus_schemas"
+            ):
+                self.schemas[schema_id] = (name, digest, int(paths), float(norm))
+        finally:
+            connection.commit()
+        term_ids, schema_ids = flat[0::2], flat[1::2].tolist()
+        starts = np.flatnonzero(np.diff(term_ids, prepend=-1)).tolist()
+        #: term id -> the schema ids of its postings, ascending.
+        self.postings: Dict[int, List[int]] = {
+            int(term_ids[start]): schema_ids[start:stop]
+            for start, stop in zip(starts, starts[1:] + [len(schema_ids)])
+        }
+
+    def add(
+        self,
+        schema_id: int,
+        details: Tuple[str, str, int, float],
+        entries: Sequence[Tuple[Tuple[str, str], int]],
+        term_ids: Sequence[int],
+    ) -> None:
+        """Apply a committed registration (its vocabulary ``entries`` and their ``term_ids``)."""
+        for (key, _), term_id in zip(entries, term_ids):
+            postings = self.postings.get(term_id)
+            if postings is None:
+                self.terms[key] = term_id
+                self.postings[term_id] = [schema_id]
+            else:
+                # Schema ids only grow (AUTOINCREMENT): appending keeps order.
+                postings.append(schema_id)
+        self.schemas[schema_id] = details
+
+    def remove(self, schema_id: int, term_ids: Sequence[int]) -> None:
+        """Apply a committed removal of the schema whose postings were ``term_ids``."""
+        for term_id in term_ids:
+            postings = self.postings[term_id]
+            del postings[bisect.bisect_left(postings, schema_id)]
+            if not postings:  # the SQL side deleted the term row
+                del self.postings[term_id]
+        del self.schemas[schema_id]
+
+
 class SchemaCorpus:
     """A persistent, incrementally maintained schema corpus with a candidate index.
 
@@ -218,6 +296,8 @@ class SchemaCorpus:
         self._tokenizer_digest = tokenizer_digest(self._tokenizer)
         self._lock = threading.RLock()
         self._loaded: Dict[int, Tuple[str, Schema]] = {}
+        #: Loaded by the first rank(), never by registrations before it.
+        self._index: Optional[_RankIndex] = None
         try:
             self._connection = sqlite3.connect(
                 path, check_same_thread=False, timeout=30.0
@@ -335,57 +415,104 @@ class SchemaCorpus:
         nodes = interval_encode(schema)
         document = schema_to_json(schema)
         digest = schema_content_digest(schema)
+        path_count = len(schema.paths())
+        entries = sorted(vocabulary.items())  # deterministic insert order
         with self._lock:
             existing = self._connection.execute(
                 "SELECT schema_id FROM corpus_schemas WHERE name = ?",
                 (schema.name,),
             ).fetchone()
-            if existing is not None:
-                if not replace:
-                    raise SearchError(
-                        f"schema {schema.name!r} is already registered in "
-                        f"corpus {self._path!r}; pass replace=True to update it"
-                    )
-                self._remove_locked(int(existing[0]))
-            cursor = self._connection.execute(
-                "INSERT INTO corpus_schemas (name, digest, path_count, norm, "
-                "document) VALUES (?, ?, ?, ?, ?)",
-                (schema.name, digest, len(schema.paths()), norm, document),
-            )
-            schema_id = int(cursor.lastrowid)
-            self._index_terms_locked(schema_id, vocabulary)
-            self._connection.executemany(
-                "INSERT INTO corpus_nodes (schema_id, pre, post, depth, size, "
-                "label, dotted) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                [
-                    (
-                        schema_id,
-                        node.pre,
-                        node.post,
-                        node.depth,
-                        node.size,
-                        node.name.lower(),
-                        node.dotted,
-                    )
-                    for node in nodes
-                ],
-            )
-            self._connection.commit()
+            if existing is not None and not replace:
+                raise SearchError(
+                    f"schema {schema.name!r} is already registered in "
+                    f"corpus {self._path!r}; pass replace=True to update it"
+                )
+            with self._transaction():
+                removed = None
+                if existing is not None:
+                    removed = (int(existing[0]), self._remove_locked(int(existing[0])))
+                cursor = self._connection.execute(
+                    "INSERT INTO corpus_schemas (name, digest, path_count, norm, "
+                    "document) VALUES (?, ?, ?, ?, ?)",
+                    (schema.name, digest, path_count, norm, document),
+                )
+                schema_id = int(cursor.lastrowid)
+                term_ids = self._index_terms_locked(schema_id, entries)
+                self._connection.executemany(
+                    "INSERT INTO corpus_nodes (schema_id, pre, post, depth, size, "
+                    "label, dotted) VALUES (?, ?, ?, ?, ?, ?, ?)",
+                    [
+                        (
+                            schema_id,
+                            node.pre,
+                            node.post,
+                            node.depth,
+                            node.size,
+                            node.name.lower(),
+                            node.dotted,
+                        )
+                        for node in nodes
+                    ],
+                )
+            index = self._index_after_commit_locked()
+            if index is not None:
+                if removed is not None:
+                    index.remove(*removed)
+                index.add(
+                    schema_id, (schema.name, digest, path_count, norm), entries, term_ids
+                )
         return schema_id
 
     def add_many(self, schemas: Iterable[Schema], replace: bool = True) -> List[int]:
         """Register many schemas; returns their ids in input order."""
         return [self.add(schema, replace=replace) for schema in schemas]
 
+    @contextlib.contextmanager
+    def _transaction(self) -> Iterator[None]:
+        """One write: committed when the block completes, rolled back on any error.
+
+        A failed write must leave nothing behind for the next commit, and the
+        in-memory index is dropped so the next :meth:`rank` reloads it.
+        """
+        try:
+            yield
+            self._connection.commit()
+        except BaseException as error:
+            with contextlib.suppress(sqlite3.Error):
+                self._connection.rollback()
+            self._index = None
+            if isinstance(error, sqlite3.Error):
+                raise SearchError(
+                    f"write to schema corpus {self._path!r} failed: {error}"
+                ) from error
+            raise
+
+    def _index_after_commit_locked(self) -> Optional[_RankIndex]:
+        """The in-memory index, if this handle's own commit is all it missed.
+
+        A connection's own commits leave its ``PRAGMA data_version``
+        unchanged, so a different value means another connection or process
+        committed since the index was loaded.  Patching such an index with
+        this write could fail (its posting lists predate the other write), so
+        it is dropped instead and the next :meth:`rank` reloads it.
+        """
+        index = self._index
+        if index is not None and self._data_version_locked() != index.version:
+            self._index = None
+        return self._index
+
+    def _data_version_locked(self) -> int:
+        return self._connection.execute("PRAGMA data_version").fetchone()[0]
+
     def _index_terms_locked(
-        self, schema_id: int, vocabulary: Mapping[Tuple[str, str], int]
-    ) -> None:
-        entries = sorted(vocabulary.items())  # deterministic insert order
-        self._connection.executemany(
-            "INSERT OR IGNORE INTO corpus_terms (kind, term, df) VALUES (?, ?, 0)",
-            [(kind, term) for (kind, term), _ in entries],
-        )
-        term_ids: List[int] = []
+        self, schema_id: int, entries: Sequence[Tuple[Tuple[str, str], int]]
+    ) -> List[int]:
+        """Insert one schema's postings; returns the term id of each entry.
+
+        Only the terms the corpus has not seen yet are inserted, in entry
+        order, so term ids stay a function of the registration sequence.
+        """
+        by_key: Dict[Tuple[str, str], int] = {}
         for chunk in _chunks(entries):
             placeholders = ",".join("(?,?)" for _ in chunk)
             parameters: List[str] = []
@@ -396,8 +523,19 @@ class SchemaCorpus:
                 f"WHERE (kind, term) IN (VALUES {placeholders})",
                 parameters,
             ).fetchall()
-            by_key = {(kind, term): term_id for kind, term, term_id in rows}
-            term_ids.extend(by_key[key] for key, _ in chunk)
+            by_key.update(((kind, term), term_id) for kind, term, term_id in rows)
+        for key, _ in entries:
+            if key not in by_key:
+                by_key[key] = self._connection.execute(
+                    "INSERT INTO corpus_terms (kind, term, df) VALUES (?, ?, 0)", key
+                ).lastrowid
+        term_ids = [by_key[key] for key, _ in entries]
+        for chunk in _chunks(term_ids):
+            self._connection.execute(
+                f"UPDATE corpus_terms SET df = df + 1 "
+                f"WHERE term_id IN ({','.join('?' for _ in chunk)})",
+                chunk,
+            )
         self._connection.executemany(
             "INSERT INTO corpus_postings (term_id, schema_id, count) "
             "VALUES (?, ?, ?)",
@@ -406,17 +544,23 @@ class SchemaCorpus:
                 for term_id, (_, count) in zip(term_ids, entries)
             ],
         )
-        self._connection.executemany(
-            "UPDATE corpus_terms SET df = df + 1 WHERE term_id = ?",
-            [(term_id,) for term_id in term_ids],
-        )
+        return term_ids
 
-    def _remove_locked(self, schema_id: int) -> None:
-        self._connection.execute(
-            "UPDATE corpus_terms SET df = df - 1 WHERE term_id IN "
-            "(SELECT term_id FROM corpus_postings WHERE schema_id = ?)",
-            (schema_id,),
-        )
+    def _remove_locked(self, schema_id: int) -> List[int]:
+        """Delete one schema's rows; returns the term ids of its postings."""
+        term_ids = [
+            term_id
+            for (term_id,) in self._connection.execute(
+                "SELECT term_id FROM corpus_postings WHERE schema_id = ?",
+                (schema_id,),
+            )
+        ]
+        for chunk in _chunks(term_ids):
+            self._connection.execute(
+                f"UPDATE corpus_terms SET df = df - 1 "
+                f"WHERE term_id IN ({','.join('?' for _ in chunk)})",
+                chunk,
+            )
         self._connection.execute(
             "DELETE FROM corpus_postings WHERE schema_id = ?", (schema_id,)
         )
@@ -428,6 +572,7 @@ class SchemaCorpus:
             "DELETE FROM corpus_schemas WHERE schema_id = ?", (schema_id,)
         )
         self._loaded.pop(schema_id, None)
+        return term_ids
 
     def remove(self, name: str) -> bool:
         """Deregister a schema by name; True when something was removed.
@@ -443,8 +588,12 @@ class SchemaCorpus:
             ).fetchone()
             if row is None:
                 return False
-            self._remove_locked(int(row[0]))
-            self._connection.commit()
+            schema_id = int(row[0])
+            with self._transaction():
+                term_ids = self._remove_locked(schema_id)
+            index = self._index_after_commit_locked()
+            if index is not None:
+                index.remove(schema_id, term_ids)
         return True
 
     # -- accessors -------------------------------------------------------------
@@ -546,9 +695,18 @@ class SchemaCorpus:
                    \\log(1 + N / df_t)}{\\|Q\\| \\cdot \\|C\\|}
 
         computed with numpy over the concatenated posting lists of the
-        query's terms: one ``np.add.at`` scatter accumulates every posting's
-        contribution into its candidate's score.  Ties break by name, so the
+        query's terms: each term's contribution is taken once, repeated over
+        its postings, and one weighted ``np.bincount`` accumulates every
+        posting into its candidate's score.  Ties break by name, so the
         ranking is fully deterministic for a given corpus file.
+
+        The postings come from the handle's in-memory index, loaded at the
+        first call and updated by the handle's own writes; when ``PRAGMA
+        data_version`` shows that another connection committed since, the
+        index is reloaded.  Postings are summed in the order the SQL join
+        over ``corpus_terms`` and ``corpus_postings`` returned them (kind,
+        then 400-term chunk of the sorted terms, then term id and schema
+        id), so scores keep their bits.
 
         Parameters
         ----------
@@ -567,65 +725,64 @@ class SchemaCorpus:
         by_kind: Dict[str, List[str]] = {}
         for kind, term in vocabulary:
             by_kind.setdefault(kind, []).append(term)
-        schema_ids: List[int] = []
+        postings: List[List[int]] = []
         contributions: List[float] = []
         with self._lock:
-            total = len(self)
+            index = self._current_index_locked()
+            total = len(index.schemas)
             if total == 0:
                 return []
             for kind in TERM_KINDS:
                 terms = sorted(by_kind.get(kind, ()))
                 weight = KIND_WEIGHTS[kind]
                 for chunk in _chunks(terms):
-                    placeholders = ",".join("?" for _ in chunk)
-                    rows = self._connection.execute(
-                        f"SELECT t.df, p.schema_id FROM corpus_terms t "
-                        f"JOIN corpus_postings p ON p.term_id = t.term_id "
-                        f"WHERE t.kind = ? AND t.term IN ({placeholders}) "
-                        f"ORDER BY t.term_id, p.schema_id",
-                        (kind, *chunk),
-                    ).fetchall()
-                    for df, schema_id in rows:
-                        schema_ids.append(schema_id)
-                        contributions.append(
-                            weight * float(np.log1p(total / max(int(df), 1)))
-                        )
-            if not schema_ids:
+                    found = (index.terms.get((kind, term)) for term in chunk)
+                    for term_id in sorted(t for t in found if t is not None):
+                        schema_ids = index.postings.get(term_id)
+                        if schema_ids:  # a term row without postings matches nothing
+                            postings.append(schema_ids)
+                            contributions.append(
+                                weight * float(np.log1p(total / max(len(schema_ids), 1)))
+                            )
+            if not postings:
                 return []
-            ids = np.asarray(schema_ids, dtype=np.int64)
-            values = np.asarray(contributions, dtype=np.float64)
-            unique_ids, inverse = np.unique(ids, return_inverse=True)
-            scores = np.zeros(len(unique_ids), dtype=np.float64)
-            np.add.at(scores, inverse, values)
-            details: Dict[int, Tuple[str, str, int, float]] = {}
-            for chunk in _chunks([int(i) for i in unique_ids]):
-                placeholders = ",".join("?" for _ in chunk)
-                for schema_id, name, digest, paths, norm in self._connection.execute(
-                    f"SELECT schema_id, name, digest, path_count, norm "
-                    f"FROM corpus_schemas WHERE schema_id IN ({placeholders})",
-                    chunk,
-                ).fetchall():
-                    details[int(schema_id)] = (name, digest, int(paths), float(norm))
+            lengths = [len(schema_ids) for schema_ids in postings]
+            ids = np.fromiter(
+                itertools.chain.from_iterable(postings), dtype=np.int64, count=sum(lengths)
+            )
+            values = np.repeat(contributions, lengths)
+            # bincount adds in element order, exactly like np.add.at.  Only
+            # the schemas that occur are converted, so the cost follows the
+            # postings, not the largest schema id.
+            present = np.flatnonzero(np.bincount(ids))
+            scores = np.bincount(ids, weights=values)[present].tolist()
+            details = [
+                (schema_id, index.schemas[schema_id]) for schema_id in present.tolist()
+            ]
         excluded_digests = frozenset(exclude_digests)
         excluded_names = frozenset(exclude_names)
-        candidates: List[CandidateScore] = []
-        for index, schema_id in enumerate(unique_ids):
-            name, digest, paths, norm = details[int(schema_id)]
-            if digest in excluded_digests or name in excluded_names:
-                continue
-            candidates.append(
-                CandidateScore(
-                    name=name,
-                    score=float(scores[index]) / (query_norm * norm),
-                    schema_id=int(schema_id),
-                    digest=digest,
-                    path_count=paths,
-                )
+        candidates = [
+            CandidateScore(
+                name=name,
+                score=score / (query_norm * norm),
+                schema_id=schema_id,
+                digest=digest,
+                path_count=paths,
             )
+            for (schema_id, (name, digest, paths, norm)), score in zip(details, scores)
+            if digest not in excluded_digests and name not in excluded_names
+        ]
         candidates.sort(key=lambda c: (-c.score, c.name))
         if limit is not None:
             return candidates[: max(int(limit), 0)]
         return candidates
+
+    def _current_index_locked(self) -> _RankIndex:
+        """The in-memory index, (re)loaded when absent or another connection wrote."""
+        version = self._data_version_locked()
+        if self._index is None or self._index.version != version:
+            self._index = _RankIndex(self._connection, version)
+        return self._index
 
     def rank_schema(
         self,

@@ -153,11 +153,13 @@ class CorpusSearcher:
     ) -> List[CandidateScore]:
         """The index-only candidate ranking (no matchers run).
 
-        Uses the session's cached :class:`~repro.engine.profiles.PathSetProfile`
-        of the query, so a search immediately followed by a match of the
-        winners never re-tokenizes the query schema.  ``exclude_names``
-        leaves specific registered schemas out of the ranking (e.g. known
-        near-copies of the query crowding out more distant targets).
+        Uses the session's :class:`~repro.engine.profiles.PathSetProfile` of
+        the query (cached by the session when it was not already) and
+        :meth:`SchemaCorpus.rank <repro.search.corpus.SchemaCorpus.rank>`,
+        which scores from the corpus's in-memory postings.
+        ``exclude_names`` leaves specific registered schemas out of the
+        ranking (e.g. known near-copies of the query crowding out more
+        distant targets).
         """
         profile = self._session.profile_for(schema)
         exclude = (schema_content_digest(schema),) if exclude_self else ()
@@ -183,6 +185,13 @@ class CorpusSearcher:
         match_many: Optional[MatchManyFn] = None,
     ) -> List[SearchResult]:
         """Find the best match targets for ``schema`` in the corpus.
+
+        The index ranks the corpus (:meth:`rank`), and the survivors go to
+        ``match_many`` as one batch -- on the session's serial path, one
+        engine execution matches the query against all of them (see
+        :meth:`~repro.session.session.MatchSession.match_many`).  The search
+        keeps nothing per query: the query's profile leaves the session's
+        profile cache at the end unless it was cached before the search.
 
         Parameters
         ----------
@@ -228,29 +237,30 @@ class CorpusSearcher:
         if k < 1:
             raise SearchError(f"k must be >= 1, got {k}")
         pool = candidate_pool_size(k, candidates)
-        ranked = self.rank(
-            schema,
-            limit=pool,
-            exclude_self=exclude_self,
-            exclude_names=exclude_names,
-        )
-        if not ranked:
-            return []
-        survivors = [self._corpus.load(candidate.name) for candidate in ranked]
-        items: List[Tuple[Schema, Schema, object]] = [
-            (schema, target, strategy) for target in survivors
-        ]
-        if match_many is not None:
-            if processes is not None or process_pool is not None:
-                raise SearchError(
-                    "pass either a match_many override or processes/"
-                    "process_pool, not both"
-                )
-            outcomes = match_many(items)
-        else:
-            outcomes = self._session.match_many(
-                items, processes=processes, process_pool=process_pool
+        with self._session.transient_profile(schema):
+            ranked = self.rank(
+                schema,
+                limit=pool,
+                exclude_self=exclude_self,
+                exclude_names=exclude_names,
             )
+            if not ranked:
+                return []
+            survivors = [self._corpus.load(candidate.name) for candidate in ranked]
+            items: List[Tuple[Schema, Schema, object]] = [
+                (schema, target, strategy) for target in survivors
+            ]
+            if match_many is not None:
+                if processes is not None or process_pool is not None:
+                    raise SearchError(
+                        "pass either a match_many override or processes/"
+                        "process_pool, not both"
+                    )
+                outcomes = match_many(items)
+            else:
+                outcomes = self._session.match_many(
+                    items, processes=processes, process_pool=process_pool
+                )
         if len(outcomes) != len(ranked):
             raise SearchError(
                 f"survivor matching returned {len(outcomes)} outcomes for "

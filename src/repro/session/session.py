@@ -55,10 +55,15 @@ equals the number of cacheable executions.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import dataclasses
 import threading
 import weakref
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union, TYPE_CHECKING
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    TYPE_CHECKING,
+)
 
 import numpy as np
 
@@ -69,7 +74,7 @@ from repro.core.match_operation import MatchOutcome, combine_cube
 from repro.core.processor import MatchProcessor
 from repro.core.strategy import MatchStrategy, default_strategy
 from repro.engine.engine import DEFAULT_ENGINE, MatchEngine
-from repro.engine.profiles import PathSetProfile
+from repro.engine.profiles import ForestProfile, PathSetProfile
 from repro.exceptions import SessionError, UnknownMatcherError
 from repro.linguistic.tokenizer import NameTokenizer
 from repro.matchers.base import MatchContext
@@ -104,6 +109,35 @@ _CACHEABLE_KINDS = frozenset({"simple", "hybrid"})
 
 #: Sentinel distinguishing "no feedback override" from "explicitly no store".
 _UNSET = object()
+
+#: Cells (source paths x concatenated target paths) one batched execution of
+#: match_many spans at most; a larger group is split between targets.
+_BATCH_CELLS = 1 << 18
+
+
+class _PathForest:
+    """The target side of a batched execution: whole schemas' paths, concatenated.
+
+    Cacheable matchers read nothing from a schema but its ``paths()``.
+    """
+
+    __slots__ = ("_paths",)
+
+    def __init__(self, paths: Tuple[SchemaPath, ...]):
+        self._paths = paths
+
+    def paths(self) -> Tuple[SchemaPath, ...]:
+        return self._paths
+
+
+class _Pending(NamedTuple):
+    """A cacheable match_many request whose cube must be computed."""
+
+    index: int
+    key: tuple
+    strategy: MatchStrategy
+    context: MatchContext
+    store_key: Optional[Tuple[str, str, str]]
 
 
 def _resolve_malloc_trim():
@@ -585,6 +619,32 @@ class MatchSession:
             self._trim_caches()
         return profile
 
+    @contextlib.contextmanager
+    def transient_profile(self, schema: Schema) -> Iterator[PathSetProfile]:
+        """The schema's cached profile, evicted on exit unless cached on entry.
+
+        For one-off schemas such as search queries: the profile serves every
+        operation inside the block, and a stream of them does not fill the
+        profile cache.
+
+        Examples
+        --------
+        >>> from repro.datasets.figure1 import load_po1
+        >>> session = MatchSession()
+        >>> with session.transient_profile(load_po1()) as profile:
+        ...     session.cache_info()["profiles"]
+        1
+        >>> session.cache_info()["profiles"]
+        0
+        """
+        key = tuple(schema.paths())
+        cached = key in self._profile_cache
+        try:
+            yield self.profile_for(schema)
+        finally:
+            if not cached:
+                self._profile_cache.pop(key, None)
+
     # -- strategies ------------------------------------------------------------
 
     def resolve_strategy(self, strategy: StrategyLike) -> MatchStrategy:
@@ -793,19 +853,24 @@ class MatchSession:
         """
         active = self.resolve_strategy(strategy)
         context = self.context_for(source, target, feedback=feedback)
-        cube = self._execute(active, context)
+        return self._outcome(self._execute(active, context), active, context)
+
+    def _outcome(
+        self, cube: SimilarityCube, strategy: MatchStrategy, context: MatchContext
+    ) -> MatchOutcome:
+        """Combine a cube under ``strategy`` into the operation's outcome."""
         result, aggregated, schema_similarity = combine_cube(
             cube,
-            active.combination,
+            strategy.combination,
             context,
-            apply_feedback_overrides=active.apply_feedback_overrides,
+            apply_feedback_overrides=strategy.apply_feedback_overrides,
         )
         return MatchOutcome(
             result=result,
             cube=cube,
             aggregated=aggregated,
             schema_similarity=schema_similarity,
-            strategy=active,
+            strategy=strategy,
             context=context,
         )
 
@@ -1040,21 +1105,7 @@ class MatchSession:
                 self._schema_digest(new), list(new_digests.signatures)
             )
         self._trim_caches()
-
-        result, aggregated, schema_similarity = combine_cube(
-            cube,
-            active.combination,
-            context,
-            apply_feedback_overrides=active.apply_feedback_overrides,
-        )
-        return MatchOutcome(
-            result=result,
-            cube=cube,
-            aggregated=aggregated,
-            schema_similarity=schema_similarity,
-            strategy=active,
-            context=context,
-        )
+        return self._outcome(cube, active, context)
 
     def _rematch_fallback(
         self,
@@ -1081,6 +1132,19 @@ class MatchSession:
         Path-set profiles are pre-built once per distinct schema, so an
         all-pairs fan-out (the Figure 8 campaign) derives each schema's
         profile exactly once for the whole batch.
+
+        On the serial path, the requests whose cube must be computed are
+        grouped by source and matcher usage, and each group runs as one
+        engine execution: the source against the concatenated paths of the
+        group's distinct targets (split between targets so an execution
+        spans at most 2^18 source x target cells).  Every cell depends only on
+        its two paths and their own schemas, so the cube is cut into one
+        cube per target before combination, and each is published, stored
+        and counted exactly as a separate :meth:`match` would have.  The
+        matchers' per-call setup -- token vocabularies, n-gram incidence,
+        synonym lookups -- is then paid once per group instead of once per
+        pair.  Cube-cache and store hits, non-cacheable strategies and the
+        process-pool paths run one request at a time.
 
         With ``processes`` (or an existing ``process_pool``) the batch is
         chunked across worker *processes* -- each owning a warm session of
@@ -1161,10 +1225,96 @@ class MatchSession:
                 if id(schema) not in seen_schemas:
                     seen_schemas.add(id(schema))
                     self.profile_for(schema)
-        return [
-            self.match(source, target, strategy=item_strategy)
-            for source, target, item_strategy in items
-        ]
+        resolved = [self.resolve_strategy(item_strategy) for _, _, item_strategy in items]
+        outcomes: List[Optional[MatchOutcome]] = [None] * len(items)
+        store = self._store
+        groups: Dict[tuple, List[_Pending]] = {}
+        for index, ((source, target, _), active) in enumerate(zip(items, resolved)):
+            key = self._cube_key(source, target, active)
+            if key is None:
+                continue  # runs through match() below
+            context = self.context_for(source, target)
+            cube, store_key = self._lookup(key, context, store)
+            if cube is not None:
+                outcomes[index] = self._outcome(cube, active, context)
+            else:
+                groups.setdefault((key[0], key[2]), []).append(
+                    _Pending(index, key, active, context, store_key)
+                )
+        for group in groups.values():
+            self._match_group(group, store, outcomes)
+        for index, (source, target, _) in enumerate(items):
+            if outcomes[index] is None:
+                outcomes[index] = self.match(source, target, strategy=resolved[index])
+        return outcomes  # type: ignore[return-value]
+
+    def _match_group(
+        self,
+        group: List[_Pending],
+        store: Optional["SimilarityStore"],
+        outcomes: List[Optional[MatchOutcome]],
+    ) -> None:
+        """Compute a group's cubes (same source and usage), a chunk of targets at a time.
+
+        Requests with equal cube keys execute once; the repeats count as
+        cube hits, as they would have behind the first request's match().
+        """
+        by_key: Dict[tuple, List[_Pending]] = {}
+        for pending in group:
+            by_key.setdefault(pending.key, []).append(pending)
+        rows = len(group[0].key[0])
+        chunk: List[List[_Pending]] = []
+        columns = 0
+        for same in by_key.values():
+            width = len(same[0].key[1])
+            if chunk and rows * (columns + width) > _BATCH_CELLS:
+                self._match_chunk(chunk, store, outcomes)
+                chunk, columns = [], 0
+            chunk.append(same)
+            columns += width
+        self._match_chunk(chunk, store, outcomes)
+
+    def _match_chunk(
+        self,
+        chunk: List[List[_Pending]],
+        store: Optional["SimilarityStore"],
+        outcomes: List[Optional[MatchOutcome]],
+    ) -> None:
+        """One engine execution: the source against the chunk's targets' paths."""
+        first = chunk[0][0]
+        source_paths = first.key[0]
+        forest = ForestProfile(
+            [self.profile_for(same[0].context.target_schema) for same in chunk]
+        )
+        # The forest profile lives only in this execution's own profile dict.
+        context = dataclasses.replace(
+            first.context,
+            target_schema=_PathForest(forest.paths),
+            profile_cache={
+                source_paths: self.profile_for(first.context.source_schema),
+                forest.paths: forest,
+            },
+        )
+        cube = self._engine.execute(first.strategy.resolve_matchers(self._library), context)
+        start = 0
+        for same in chunk:
+            target_paths = same[0].key[1]
+            stop = start + len(target_paths)
+            part = SimilarityCube.from_layers(
+                source_paths,
+                target_paths,
+                [
+                    (name, SimilarityMatrix(source_paths, target_paths, matrix.values[:, start:stop]))
+                    for name, matrix in cube.layers()
+                ],
+            )
+            start = stop
+            part = self._publish(same[0].key, part, store, same[0].store_key)
+            if len(same) > 1:
+                with self._lock:
+                    self._cube_hits += len(same) - 1
+            for pending in same:
+                outcomes[pending.index] = self._outcome(part, pending.strategy, pending.context)
 
     # -- corpus search ---------------------------------------------------------
 
@@ -1516,46 +1666,64 @@ class MatchSession:
         of store consultations) and converge on the first published cube.
         """
         key = self._cube_key(context.source_schema, context.target_schema, strategy)
-        if key is not None:
-            cached = self._cube_cache.get(key)
-            if cached is not None:
-                with self._lock:
-                    self._cube_hits += 1
-                return cached
         # One snapshot of the store reference for the whole execution: a
         # concurrent close() nulls self._store, and in-flight operations must
         # keep using the object they started with (whose post-close writes
         # are dropped safely) rather than crash on a None mid-way.
         store = self._store
-        store_key = None
-        if key is not None and store is not None:
-            store_key = self._store_key_for(context, key[2])
-            stored = store.load_cube(store_key[0], key[0], key[1])
-            if stored is not None:
-                with self._lock:
-                    self._cube_misses += 1
-                    self._store_hits += 1
-                    stored = self._cube_cache.setdefault(key, stored)
-                self._trim_caches()
-                return stored
-        matchers = strategy.resolve_matchers(self._library)
-        cube = self._engine.execute(matchers, context)
-        if key is not None:
+        if key is None:
+            cube = self._engine.execute(strategy.resolve_matchers(self._library), context)
+            self._trim_caches()
+            return cube
+        cube, store_key = self._lookup(key, context, store)
+        if cube is not None:
+            return cube
+        cube = self._engine.execute(strategy.resolve_matchers(self._library), context)
+        return self._publish(key, cube, store, store_key)
+
+    def _lookup(
+        self, key: tuple, context: MatchContext, store: Optional["SimilarityStore"]
+    ) -> Tuple[Optional[SimilarityCube], Optional[Tuple[str, str, str]]]:
+        """A cacheable execution's cube from the cube cache or the store, counted.
+
+        Returns the cube (``None`` when it must be computed) and the
+        execution's store key (``None`` without a store, or on a cube hit).
+        """
+        cached = self._cube_cache.get(key)
+        if cached is not None:
+            with self._lock:
+                self._cube_hits += 1
+            return cached, None
+        if store is None:
+            return None, None
+        store_key = self._store_key_for(context, key[2])
+        stored = store.load_cube(store_key[0], key[0], key[1])
+        if stored is not None:
             with self._lock:
                 self._cube_misses += 1
-                if store_key is not None:
-                    self._store_misses += 1
-                cube = self._cube_cache.setdefault(key, cube)
+                self._store_hits += 1
+                stored = self._cube_cache.setdefault(key, stored)
+            self._trim_caches()
+        return stored, store_key
+
+    def _publish(
+        self,
+        key: tuple,
+        cube: SimilarityCube,
+        store: Optional["SimilarityStore"],
+        store_key: Optional[Tuple[str, str, str]],
+    ) -> SimilarityCube:
+        """Cache (and store) a computed cube; returns the published instance."""
+        with self._lock:
+            self._cube_misses += 1
             if store_key is not None:
-                store.store_cube_async(
-                    store_key[0],
-                    cube,
-                    store_key[1],
-                    store_key[2],
-                    key[2],
-                    self._store_config,
-                )
-                self._flush_new_tokens(store)
+                self._store_misses += 1
+            cube = self._cube_cache.setdefault(key, cube)
+        if store_key is not None:
+            store.store_cube_async(
+                store_key[0], cube, store_key[1], store_key[2], key[2], self._store_config
+            )
+            self._flush_new_tokens(store)
         self._trim_caches()
         return cube
 

@@ -7,23 +7,28 @@ on, the session / service / CLI wiring -- including the byte-identity of
 ``coma stats --store`` failure modes.
 """
 
+import itertools
 import os
+import random
 import sqlite3
 
+import numpy as np
 import pytest
 
 from repro.datasets.figure1 import load_po1, load_po2
-from repro.datasets.generators import generate_corpus, mutate_schema
+from repro.datasets.generators import generate_corpus, generate_schema, mutate_schema
 from repro.datasets.gold_standard import load_all_tasks
 from repro.datasets.purchase_orders import load_all_schemas
 from repro.exceptions import RepositoryError, SearchError, SessionError
 from repro.linguistic.tokenizer import NameTokenizer
+from repro.engine.profiles import PathSetProfile
 from repro.search import (
     CorpusSearcher,
     SchemaCorpus,
     interval_encode,
     schema_vocabulary,
 )
+from repro.search.corpus import KIND_WEIGHTS, TERM_KINDS, vocabulary_norm
 from repro.session import MatchSession
 
 
@@ -223,6 +228,217 @@ class TestSchemaCorpus:
         assert all(count >= 1 for count in vocabulary.values())
 
 
+# -- the in-memory index and corpus writes ---------------------------------------
+
+
+def _vocabulary(schema):
+    return schema_vocabulary(PathSetProfile(schema.paths(), NameTokenizer()))
+
+
+def _ranking(ranked):
+    return [(c.name, c.score.hex()) for c in ranked]
+
+
+def _sql_rank(path, vocabulary):
+    """The ranking joined in SQL and summed with np.add.at, posting by posting."""
+    connection = sqlite3.connect(path)
+    total = connection.execute("SELECT COUNT(*) FROM corpus_schemas").fetchone()[0]
+    by_kind = {}
+    for kind, term in vocabulary:
+        by_kind.setdefault(kind, []).append(term)
+    ids, values = [], []
+    for kind in TERM_KINDS:
+        terms = sorted(by_kind.get(kind, ()))
+        for start in range(0, len(terms), 400):
+            chunk = terms[start:start + 400]
+            rows = connection.execute(
+                f"SELECT t.df, p.schema_id FROM corpus_terms t "
+                f"JOIN corpus_postings p ON p.term_id = t.term_id "
+                f"WHERE t.kind = ? AND t.term IN ({','.join('?' for _ in chunk)}) "
+                f"ORDER BY t.term_id, p.schema_id",
+                (kind, *chunk),
+            ).fetchall()
+            for df, schema_id in rows:
+                ids.append(schema_id)
+                values.append(KIND_WEIGHTS[kind] * float(np.log1p(total / max(df, 1))))
+    unique, inverse = np.unique(np.asarray(ids, dtype=np.int64), return_inverse=True)
+    scores = np.zeros(len(unique))
+    np.add.at(scores, inverse, np.asarray(values))
+    details = dict(
+        (schema_id, (name, norm))
+        for schema_id, name, norm in connection.execute(
+            "SELECT schema_id, name, norm FROM corpus_schemas"
+        )
+    )
+    connection.close()
+    query_norm = vocabulary_norm(vocabulary)
+    ranked = [
+        (details[schema_id][0], float(score) / (query_norm * details[schema_id][1]))
+        for schema_id, score in zip(unique.tolist(), scores)
+    ]
+    ranked.sort(key=lambda pair: (-pair[1], pair[0]))
+    return [(name, score.hex()) for name, score in ranked]
+
+
+class TestCorpusIndex:
+    def test_bincount_adds_like_add_at(self):
+        rng = np.random.default_rng(7)
+        ids = rng.integers(0, 300, 50_000)
+        values = rng.random(50_000) * rng.choice([1.0, 0.6, 0.25], 50_000)
+        unique, inverse = np.unique(ids, return_inverse=True)
+        reference = np.zeros(len(unique))
+        np.add.at(reference, inverse, values)
+        assert np.bincount(ids, weights=values)[unique].tobytes() == reference.tobytes()
+
+    def test_failed_write_is_rolled_back(self, monkeypatch):
+        """A write that raises leaves nothing for the next write to commit."""
+        po1, po2 = load_po1(), load_po2()
+        extra = generate_schema("Extra", sections=2, fields_per_section=2, seed=1)[0]
+        corpus = SchemaCorpus(":memory:")
+        corpus.add(po1)
+        corpus.add(po2)
+        corpus.rank(_vocabulary(po1))  # the in-memory index is live
+
+        # An SQLite error surfaces as SearchError; anything else as itself.
+        for error, raised in (
+            (sqlite3.OperationalError("disk I/O error"), SearchError),
+            (KeyError("term"), KeyError),
+        ):
+            def broken(*args, error=error):
+                raise error
+
+            monkeypatch.setattr(corpus, "_index_terms_locked", broken)
+            with pytest.raises(raised):
+                corpus.add(po2, replace=True)
+        monkeypatch.undo()
+        corpus.add(extra)
+
+        clean = SchemaCorpus(":memory:")
+        clean.add_many([po1, po2, extra])
+        for key in ("schemas", "terms", "postings", "nodes"):
+            assert corpus.info()[key] == clean.info()[key], key
+        assert corpus.info()["postings"] == 134 and corpus.info()["nodes"] == 32
+        for query in (po1, po2, extra):
+            assert _ranking(corpus.rank(_vocabulary(query))) == _ranking(
+                clean.rank(_vocabulary(query))
+            )
+        corpus.close()
+        clean.close()
+
+    def test_term_rows_without_postings_match_nothing(self, tmp_path):
+        """A term row left without postings (a half-done write) ranks as before."""
+        path = str(tmp_path / "corpus.db")
+        with SchemaCorpus(path) as corpus:
+            corpus.add(load_po1())
+            query = _vocabulary(load_po2())
+            expected = _ranking(corpus.rank(query))
+        orphan = next(key for key in sorted(query) if key not in _vocabulary(load_po1()))
+        connection = sqlite3.connect(path)
+        connection.execute("INSERT INTO corpus_terms (kind, term, df) VALUES (?, ?, 1)", orphan)
+        connection.commit()
+        connection.close()
+        with SchemaCorpus(path) as corpus:
+            assert _ranking(corpus.rank(query)) == expected == _sql_rank(path, query)
+
+    def test_writes_keep_df_and_index_exact(self, tmp_path):
+        """50 seeded add / replace / remove calls, ranked in between."""
+        path = str(tmp_path / "corpus.db")
+        rng = random.Random(5)
+        pool = list(load_all_schemas().values()) + generate_corpus(12, seed=3)
+        queries = [_vocabulary(load_po1()), _vocabulary(pool[-1])]
+        corpus = SchemaCorpus(path)
+        registered = {}
+        for step in range(50):
+            choice = rng.random()
+            if registered and choice < 0.25:
+                name = rng.choice(sorted(registered))
+                assert corpus.remove(name)
+                del registered[name]
+            elif registered and choice < 0.6:
+                name = rng.choice(sorted(registered))
+                registered[name] = mutate_schema(
+                    registered[name], name, seed=step, rename_rate=0.2
+                )
+                corpus.add(registered[name])
+            else:
+                schema = rng.choice(pool)
+                registered[schema.name] = schema
+                corpus.add(schema)
+            if step % 3 == 0:
+                corpus.rank(queries[step % 2])
+        connection = sqlite3.connect(path)
+        rows = connection.execute(
+            "SELECT t.df, COUNT(p.schema_id) FROM corpus_terms t "
+            "LEFT JOIN corpus_postings p ON p.term_id = t.term_id GROUP BY t.term_id"
+        ).fetchall()
+        connection.close()
+        assert rows and all(df == postings > 0 for df, postings in rows)
+        fresh = SchemaCorpus(path)
+        for vocabulary in queries:
+            expected = _sql_rank(path, vocabulary)
+            assert _ranking(corpus.rank(vocabulary)) == expected
+            assert _ranking(fresh.rank(vocabulary)) == expected
+        corpus.close()
+        fresh.close()
+
+    def test_handles_on_one_file_stay_coherent(self, tmp_path):
+        """Writes through one handle are seen by another handle's next rank."""
+        path = str(tmp_path / "corpus.db")
+        schemas = list(load_all_schemas().values())
+        writer, reader = SchemaCorpus(path), SchemaCorpus(path)
+        writer.add_many(schemas[:3])
+        vocabulary = _vocabulary(load_po1())
+
+        def assert_coherent():
+            with SchemaCorpus(path) as fresh:
+                expected = _ranking(fresh.rank(vocabulary))
+            assert _ranking(reader.rank(vocabulary)) == expected
+            assert _ranking(writer.rank(vocabulary)) == expected
+
+        assert_coherent()
+        writer.add(schemas[3])
+        assert_coherent()
+        writer.add(mutate_schema(schemas[0], schemas[0].name, seed=5))
+        assert_coherent()
+        writer.remove(schemas[1].name)
+        assert_coherent()
+        reader.add(schemas[4])
+        assert_coherent()
+        writer.close()
+        reader.close()
+
+    def test_writes_through_a_stale_handle(self, tmp_path):
+        """A handle whose index missed another handle's commit writes without error."""
+        path = str(tmp_path / "corpus.db")
+        schemas = list(load_all_schemas().values())
+        target = schemas[1]
+        vocabulary = _vocabulary(load_po1())
+        writer, reader = SchemaCorpus(path), SchemaCorpus(path)
+        writer.add_many(schemas[:3])
+        # The writer adds X (absent) or replaces it (under a new schema id)
+        # after the reader loaded its index; the reader then removes or
+        # replaces X.
+        for step, (writer_adds, reader_removes) in enumerate(
+            itertools.product((False, True), (True, False))
+        ):
+            if writer_adds and writer.has(target.name):
+                writer.remove(target.name)
+            elif not writer_adds and not writer.has(target.name):
+                writer.add(target)
+            reader.rank(vocabulary)
+            writer.add(mutate_schema(target, target.name, seed=step, rename_rate=0.3))
+            if reader_removes:
+                assert reader.remove(target.name)
+            else:
+                reader.add(target, replace=True)
+            with SchemaCorpus(path) as fresh:
+                expected = _ranking(fresh.rank(vocabulary))
+            assert _ranking(reader.rank(vocabulary)) == expected
+            assert expected == _sql_rank(path, vocabulary)
+        writer.close()
+        reader.close()
+
+
 # -- the recall invariant ------------------------------------------------------
 
 
@@ -327,6 +543,21 @@ class TestSessionSearch:
             load_po1(), k=2, exclude_names=[crowding]
         )
         assert crowding not in {hit.name for hit in hits}
+        session.close()
+
+    def test_search_keeps_no_query_profile(self):
+        session = MatchSession(corpus=":memory:")
+        for schema in load_all_schemas().values():
+            session.register(schema)
+        session.search(mutate_schema(load_po1(), "Query", seed=3), k=2)
+        after_first = session.cache_info()["profiles"]
+        session.search(mutate_schema(load_po1(), "Query", seed=3), k=2)
+        assert session.cache_info()["profiles"] == after_first
+        # A profile cached before the search stays.
+        query = mutate_schema(load_po1(), "Query", seed=3)
+        session.profile_for(query)
+        session.search(query, k=2)
+        assert session.cache_info()["profiles"] == after_first + 1
         session.close()
 
     def test_exclude_self(self):

@@ -1,5 +1,8 @@
 """Tests for the session-based public API (MatchSession and the facade shims)."""
 
+import hashlib
+import json
+import struct
 import warnings
 
 import pytest
@@ -8,11 +11,15 @@ import repro
 from repro.core.match_operation import match as core_match
 from repro.core.match_operation import match_with_strategy as core_match_with_strategy
 from repro.core.strategy import MatchStrategy, default_strategy
+from repro.datasets.generators import generate_schema, mutate_schema
 from repro.datasets.gold_standard import load_all_tasks
+from repro.engine.engine import MatchEngine
 from repro.engine.profiles import PathSetProfile
 from repro.exceptions import SessionError
 from repro.matchers.hybrid import NameMatcher
+from repro.model.builder import SchemaBuilder
 from repro.repository.repository import Repository
+from repro.repository.store import SimilarityStore
 from repro.session import MatchSession, default_session, reset_default_session
 from repro.session import session as session_module
 
@@ -118,6 +125,163 @@ class TestMatchMany:
 
         with pytest.raises(StrategyError):
             session.match_many([(po1, po2, "")], strategy="Name")
+
+
+#: Every cacheable matcher of the library, combined with Dice.
+ALL_DICE = (
+    "Affix+Digram+Trigram+EditDistance+Soundex+Synonym+DataType+Name+NamePath"
+    "+TypeName+Children+Leaves(Average,Both,Thr(0.5),Dice)"
+)
+
+
+def _result_sha256(outcome) -> str:
+    """Digest of the serialized MatchResult, sensitive to every float bit."""
+    document = {
+        "source": outcome.result.source_schema.name,
+        "target": outcome.result.target_schema.name,
+        "schema_similarity": float(outcome.schema_similarity).hex(),
+        "rows": [
+            [source, target, float(similarity).hex()]
+            for source, target, similarity in outcome.result.as_tuples()
+        ],
+    }
+    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _assert_identical(outcome, reference) -> None:
+    assert outcome.context.source_schema is reference.context.source_schema
+    assert outcome.context.target_schema is reference.context.target_schema
+    assert outcome.cube.matcher_names == reference.cube.matcher_names
+    assert outcome.cube.source_paths == reference.cube.source_paths
+    assert outcome.cube.target_paths == reference.cube.target_paths
+    assert outcome.cube.as_array().tobytes() == reference.cube.as_array().tobytes()
+    assert outcome.aggregated.values.tobytes() == reference.aggregated.values.tobytes()
+    assert _result_sha256(outcome) == _result_sha256(reference)
+    assert struct.pack("<d", outcome.schema_similarity) == struct.pack(
+        "<d", reference.schema_similarity
+    )
+
+
+def _batch_query():
+    return generate_schema("Query", sections=3, fields_per_section=4, seed=1)[0]
+
+
+def _batch_targets():
+    """Twelve targets: generated shapes, a root-name twin, one leaf, foreign names."""
+    targets = [
+        generate_schema(
+            f"T{i}", sections=1 + i % 4, fields_per_section=2 + i % 3,
+            variant=i % 2, seed=10 + i,
+        )[0]
+        for i in range(8)
+    ]
+    targets.append(mutate_schema(_batch_query(), "Near", seed=4))
+    twin = generate_schema("T0", sections=2, fields_per_section=3, seed=99)[0]
+    single = SchemaBuilder("Single")
+    single.leaf("quantity", "int")
+    foreign = SchemaBuilder("Foreign")
+    with foreign.inner("Zyqx"):
+        foreign.leaves(("Wvkj", "date"), ("Xqpz", "string"))
+    return targets + [twin, single.build(), foreign.build()]
+
+
+class _CountingEngine(MatchEngine):
+    """Counts engine executions."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def execute(self, *args, **kwargs):
+        self.calls += 1
+        return super().execute(*args, **kwargs)
+
+
+class TestBatchedMatchMany:
+    """match_many runs one engine execution per source group, byte-identically."""
+
+    @pytest.mark.parametrize("strategy", [None, ALL_DICE])
+    @pytest.mark.parametrize("count", [1, 2, 5, 12])
+    def test_equals_per_pair_match(self, strategy, count):
+        query, targets = _batch_query(), _batch_targets()[-count:]
+        # The first target again, as the same object.
+        batch = [(query, target) for target in targets] + [(query, targets[0])]
+        engine = _CountingEngine()
+        session = MatchSession(engine=engine)
+        outcomes = session.match_many(batch, strategy=strategy)
+        assert engine.calls == 1
+        for (source, target), outcome in zip(batch, outcomes):
+            _assert_identical(outcome, MatchSession().match(source, target, strategy))
+        info = session.cache_info()
+        assert (info["cube_misses"], info["cube_hits"]) == (count, 1)
+        assert info["profiles"] == count + 1
+
+    def test_one_target_per_execution_when_the_budget_is_tiny(self, monkeypatch):
+        monkeypatch.setattr(session_module, "_BATCH_CELLS", 1)
+        query, targets = _batch_query(), _batch_targets()
+        engine = _CountingEngine()
+        outcomes = MatchSession(engine=engine).match_many(
+            [(query, target) for target in targets], strategy=ALL_DICE
+        )
+        assert engine.calls == len(targets)
+        for target, outcome in zip(targets, outcomes):
+            _assert_identical(outcome, MatchSession().match(query, target, ALL_DICE))
+
+    def test_groups_by_source_and_matcher_usage(self):
+        query, other = _batch_query(), generate_schema("Other", seed=3)[0]
+        targets = _batch_targets()[:4]
+        batch = [(query, target) for target in targets]
+        batch += [(other, target) for target in targets]
+        # Same matchers, other combination: shares the default group's cubes.
+        batch += [(query, target, "All(Max,Both,MaxN(1),Dice)") for target in targets]
+        batch += [(query, target, "Name+Leaves") for target in targets]
+        engine = _CountingEngine()
+        session = MatchSession(engine=engine)
+        outcomes = session.match_many(batch)
+        assert engine.calls == 3
+        for (source, target, *strategy), outcome in zip(batch, outcomes):
+            reference = MatchSession().match(source, target, strategy[0] if strategy else None)
+            _assert_identical(outcome, reference)
+        info = session.cache_info()
+        assert (info["cube_misses"], info["cube_hits"]) == (12, 4)
+
+    def test_pairwise_engine(self):
+        query, targets = _batch_query(), _batch_targets()[-4:]
+        engine = MatchEngine(use_batch=False)
+        outcomes = MatchSession(engine=engine).match_many(
+            [(query, target) for target in targets]
+        )
+        for target, outcome in zip(targets, outcomes):
+            _assert_identical(outcome, MatchSession(engine=engine).match(query, target))
+
+    def test_store_hits_and_misses_match_per_pair_matching(self, tmp_path):
+        query, targets = _batch_query(), _batch_targets()
+        batch = [(query, target) for target in targets] + [(query, targets[2])]
+        sessions = {}
+        for mode in ("batched", "per_pair"):
+            store = SimilarityStore(str(tmp_path / f"{mode}.db"))
+            primer = MatchSession(store=store)
+            for target in targets[::3]:
+                primer.match(query, target)
+            store.flush()
+            sessions[mode] = MatchSession(store=store)
+        batched = sessions["batched"].match_many(batch)
+        per_pair = [sessions["per_pair"].match(source, target) for source, target in batch]
+        for outcome, reference in zip(batched, per_pair):
+            _assert_identical(outcome, reference)
+        counters = ("cube_hits", "cube_misses", "store_hits", "store_misses")
+        infos = {mode: session.cache_info() for mode, session in sessions.items()}
+        assert [infos["batched"][key] for key in counters] == [
+            infos["per_pair"][key] for key in counters
+        ]
+        assert infos["batched"]["store_hits"] == len(targets[::3])
+        for session in sessions.values():
+            session.store.flush()
+        assert sessions["batched"].store.cube_count() == len(targets)
+        assert sessions["per_pair"].store.cube_count() == len(targets)
+        for session in sessions.values():
+            session.store.close()
 
 
 class TestCubeCache:
