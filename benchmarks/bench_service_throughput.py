@@ -4,7 +4,7 @@ Follows the platform-style evaluation methodology of VOODB-like benchmarks:
 a fixed request mix replayed at increasing client concurrency, measuring
 end-to-end throughput through the real network stack (HTTP over loopback).
 
-Two sweeps are recorded:
+Three sweeps are recorded:
 
 1. **Client scaling (thread backend).**  For each client thread count
    (1, 4, 8) a fresh in-process
@@ -27,15 +27,15 @@ Two sweeps are recorded:
    that honestly.  With >= 2 cores the process backend escapes the GIL and
    the warm ratio is gated at >= 1.5x in :func:`test_service_throughput`.
 
-3. **Front-end sweep (sync vs async).**  The same mix at 1 / 8 / 64
-   concurrent clients against the threading front-end
-   (``frontend=sync``: one OS thread per connection) and the asyncio
-   front-end (``frontend=async``: one event loop, dispatch onto a small
-   executor).  The headline ratio is async warm throughput at 64 clients
-   over sync warm throughput at 8 threads -- the region where per-connection
-   threads start convoying.  Gated at >= 1.5x only when ``cpu_count >= 2``;
-   on a 1-core runner both front-ends sit on the same GIL ceiling and the
-   measured ratio is recorded honestly without a gate.
+3. **Latency sweep (1 / 8 / 64 keep-alive connections).**  ``coma serve``
+   runs in its own process (thread backend, ``POOL_SIZE`` workers,
+   ``--max-queue`` above the top connection count so no request is
+   refused), and the connections are spread over up to
+   ``LATENCY_CLIENT_PROCESSES`` client processes, so neither side shares
+   the other's interpreter lock.  After warm-up, every connection replays
+   the warm mix in a closed loop; ``LATENCY_REQUESTS`` requests per
+   connection count give p50 and p99 (>= 10 samples beyond it) and the
+   requests/sec.  Reported, not gated.
 
 Results are recorded in ``BENCH_service.json`` at the repository root,
 including the warm-cache throughput scaling from 1 to 8 client threads.
@@ -55,8 +55,11 @@ or through pytest::
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import platform
+import re
+import subprocess
 import sys
 import threading
 import time
@@ -68,11 +71,7 @@ if str(REPO_ROOT / "src") not in sys.path:  # script mode without PYTHONPATH=src
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.datasets.figure1 import PO1_DDL, PO2_XSD  # noqa: E402
-from repro.service import (  # noqa: E402
-    ServiceClient,
-    create_async_server,
-    create_server,
-)
+from repro.service import ServiceClient, create_server  # noqa: E402
 
 #: Cacheable strategies exercising different combination tuples.
 STRATEGY_SPECS = (
@@ -87,10 +86,12 @@ REQUESTS_PER_PHASE = 96
 WARMUP_PASSES = 2
 #: Worker counts of the thread-vs-process backend sweep.
 BACKEND_WORKERS = (1, 2, 4)
-#: Client concurrency levels of the sync-vs-async front-end sweep.
-FRONTEND_CLIENTS = (1, 8, 64)
-#: Requests per phase in the front-end sweep (>= 3 per client at the top).
-FRONTEND_REQUESTS = 192
+#: Keep-alive connection counts of the latency sweep.
+LATENCY_CONNECTIONS = (1, 8, 64)
+#: Requests per connection count: p99 then has >= 10 samples beyond it.
+LATENCY_REQUESTS = 1024
+#: At most this many client processes share a connection count's threads.
+LATENCY_CLIENT_PROCESSES = 4
 
 RESULT_PATH = REPO_ROOT / "BENCH_service.json"
 
@@ -219,85 +220,132 @@ def collect_backend_sweep() -> dict:
     return sweep
 
 
-def _measure_frontend(frontend: str, client_threads: int) -> dict:
-    """Cold and warm requests/sec for one (front-end, clients) setting.
+class _ServerProcess:
+    """``coma serve`` (thread backend) in its own process on an ephemeral port."""
 
-    Both front-ends get the same pool (thread backend, ``POOL_SIZE`` warm
-    shards) and the same mix; only the transport tier differs.  The async
-    server's admission bound is raised above the top client count so
-    backpressure rejections never pollute the measurement.
-    """
-    if frontend == "async":
-        server = create_async_server(
-            port=0, pool_size=POOL_SIZE, max_queue=4 * max(FRONTEND_CLIENTS)
+    def __init__(self, *options: str):
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), environment.get("PYTHONPATH")])
         )
-        server_thread = server.run_in_thread()
-        stop = None
-    else:
-        server = create_server(port=0, pool_size=POOL_SIZE)
-        server_thread = threading.Thread(target=server.serve_forever, daemon=True)
-        server_thread.start()
-        stop = server.shutdown
-    client = None
+        self.process = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.cli", "serve", "--port", "0",
+             "--workers", str(POOL_SIZE), "--quiet", *options],
+            stdout=subprocess.PIPE, env=environment, text=True,
+        )
+        banner = self.process.stdout.readline()
+        found = re.search(r"listening on (http://\S+)", banner)
+        if found is None:
+            self.process.kill()
+            raise RuntimeError(f"coma serve did not start: {banner!r}")
+        self.url = found.group(1)
+
+    def stop(self) -> None:
+        try:
+            ServiceClient(self.url).shutdown()
+            self.process.wait(timeout=60)
+        except Exception:
+            self.process.kill()
+            self.process.wait(timeout=60)
+        self.process.stdout.close()
+
+
+def _client_process(base_url, mix, first, connections, requests_each, start, results):
+    """One client process: ``connections`` keep-alive connections, a thread each.
+
+    Every connection is opened before the shared ``start`` barrier; then each
+    replays the mix from its own offset in a closed loop.  Puts the
+    per-request latencies (ms) on ``results``.
+    """
+    client = ServiceClient(base_url, timeout=120.0)
+    opened = threading.Barrier(connections + 1)
+    go = threading.Event()
+    latencies: list = []
+    lock = threading.Lock()
+
+    def run(offset: int) -> None:
+        client.health()  # opens this thread's connection
+        opened.wait()
+        go.wait()
+        own = []
+        for step in range(requests_each):
+            source, target, spec = mix[(offset + step) % len(mix)]
+            began = time.perf_counter()
+            client.match(source, target, strategy=spec)
+            own.append((time.perf_counter() - began) * 1000.0)
+        with lock:
+            latencies.extend(own)
+
+    threads = [
+        threading.Thread(target=run, args=(first + index,), daemon=True)
+        for index in range(connections)
+    ]
+    for thread in threads:
+        thread.start()
+    opened.wait()
+    start.wait()
+    go.set()
+    for thread in threads:
+        thread.join()
+    results.put(latencies)
+
+
+def _percentile(ordered: list, fraction: float) -> float:
+    """Nearest-rank percentile of an ascending list."""
+    return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
+
+
+def measure_latency(base_url: str, mix: list, connections: int) -> dict:
+    """p50/p99 and requests/sec of ``connections`` closed-loop connections."""
+    context = multiprocessing.get_context("spawn")
+    processes = min(connections, LATENCY_CLIENT_PROCESSES)
+    per_process = connections // processes
+    requests_each = LATENCY_REQUESTS // connections
+    start = context.Barrier(processes + 1)
+    results = context.Queue()
+    workers = [
+        context.Process(
+            target=_client_process,
+            args=(base_url, mix, index * per_process, per_process, requests_each,
+                  start, results),
+            daemon=True,
+        )
+        for index in range(processes)
+    ]
+    for worker in workers:
+        worker.start()
+    start.wait(timeout=120)
+    began = time.perf_counter()
+    latencies = sorted(
+        value for _ in workers for value in results.get(timeout=300)
+    )
+    elapsed = time.perf_counter() - began
+    for worker in workers:
+        worker.join(timeout=30)
+    return {
+        "requests": len(latencies),
+        "client_processes": processes,
+        "p50_ms": round(_percentile(latencies, 0.50), 3),
+        "p99_ms": round(_percentile(latencies, 0.99), 3),
+        "rps": round(len(latencies) / elapsed, 2),
+    }
+
+
+def collect_latency_sweep() -> dict:
+    """Warm p50/p99 at 1/8/64 keep-alive connections, server in its own process."""
+    server = _ServerProcess("--max-queue", str(4 * max(LATENCY_CONNECTIONS)))
     try:
         client = ServiceClient(server.url)
-        pairs = _upload_workload(client)
-        mix = _request_mix(pairs, count=FRONTEND_REQUESTS)
-
-        cold_seconds = _run_phase(server.url, mix, client_threads)
-        for _ in range(WARMUP_PASSES):
-            _run_phase(server.url, mix, client_threads)
-        warm_seconds = min(
-            _run_phase(server.url, mix, client_threads) for _ in range(2)
-        )
+        mix = _request_mix(_upload_workload(client))
+        for _ in range(WARMUP_PASSES):  # fill every shard's cube cache
+            _run_phase(server.url, mix, POOL_SIZE)
+        client.close()
         return {
-            "cold_seconds": round(cold_seconds, 4),
-            "warm_seconds": round(warm_seconds, 4),
-            "cold_rps": round(len(mix) / cold_seconds, 2),
-            "warm_rps": round(len(mix) / warm_seconds, 2),
+            str(connections): measure_latency(server.url, mix, connections)
+            for connections in LATENCY_CONNECTIONS
         }
     finally:
-        if client is not None:
-            try:
-                client.shutdown()  # both front-ends honour POST /shutdown
-            except Exception:
-                if stop is not None:
-                    stop()
-                else:
-                    server.request_shutdown()
-        elif stop is not None:
-            stop()
-        else:
-            server.request_shutdown()
-        server_thread.join(timeout=30)
-        if frontend == "sync":
-            server.server_close()
-
-
-def collect_frontend_sweep() -> dict:
-    """Sync-vs-async warm throughput at 1/8/64 concurrent clients."""
-    sweep: dict = {}
-    for frontend in ("sync", "async"):
-        sweep[frontend] = {
-            str(clients): _measure_frontend(frontend, clients)
-            for clients in FRONTEND_CLIENTS
-        }
-    # The headline: the async front-end at high fan-in vs the sync front-end
-    # at the concurrency it is comfortable with (one thread per connection).
-    sweep["async_64_over_sync_8_warm"] = round(
-        sweep["async"][str(FRONTEND_CLIENTS[-1])]["warm_rps"]
-        / sweep["sync"]["8"]["warm_rps"],
-        2,
-    )
-    sweep["async_over_sync_warm"] = {
-        str(clients): round(
-            sweep["async"][str(clients)]["warm_rps"]
-            / sweep["sync"][str(clients)]["warm_rps"],
-            2,
-        )
-        for clients in FRONTEND_CLIENTS
-    }
-    return sweep
+        server.stop()
 
 
 def collect_results() -> dict:
@@ -313,9 +361,10 @@ def collect_results() -> dict:
             "1/4/8 client threads, cold vs warm cache "
             f"(pool of {POOL_SIZE} sessions, {REQUESTS_PER_PHASE} requests per "
             f"phase), plus a thread-vs-process backend sweep at "
-            f"{'/'.join(str(w) for w in BACKEND_WORKERS)} workers and a "
-            f"sync-vs-async front-end sweep at "
-            f"{'/'.join(str(c) for c in FRONTEND_CLIENTS)} clients"
+            f"{'/'.join(str(w) for w in BACKEND_WORKERS)} workers and warm "
+            f"p50/p99 latency at "
+            f"{'/'.join(str(c) for c in LATENCY_CONNECTIONS)} keep-alive "
+            f"connections (server in its own process)"
         ),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
@@ -326,7 +375,7 @@ def collect_results() -> dict:
         "client_threads": by_threads,
         "warm_scaling_1_to_8": round(lowest["warm_seconds"] / highest["warm_seconds"], 2),
         "backend_sweep": collect_backend_sweep(),
-        "frontend_sweep": collect_frontend_sweep(),
+        "latency_sweep": collect_latency_sweep(),
     }
 
 
@@ -358,19 +407,12 @@ def _print_results(results: dict) -> None:
         f"{sweep['process_over_thread_warm_at_max_workers']:.2f}x "
         f"(cpu_count={results['cpu_count']})"
     )
-    frontends = results["frontend_sweep"]
-    for frontend in ("sync", "async"):
-        for clients, numbers in frontends[frontend].items():
-            print(
-                f"frontend={frontend:<5} clients={clients:>2}: "
-                f"warm {numbers['warm_rps']:7.1f} req/s "
-                f"(cold {numbers['cold_rps']:7.1f} req/s)"
-            )
-    print(
-        f"async@{FRONTEND_CLIENTS[-1]}-over-sync@8 warm: "
-        f"{frontends['async_64_over_sync_8_warm']:.2f}x "
-        f"(cpu_count={results['cpu_count']})"
-    )
+    for connections, numbers in results["latency_sweep"].items():
+        print(
+            f"{connections:>2} connection(s): p50 {numbers['p50_ms']:7.2f} ms, "
+            f"p99 {numbers['p99_ms']:7.2f} ms, {numbers['rps']:7.1f} req/s "
+            f"({numbers['requests']} requests)"
+        )
 
 
 def test_service_throughput():
@@ -404,20 +446,9 @@ def test_service_throughput():
             f"process backend only reached {ratio}x over thread warm at "
             f"{BACKEND_WORKERS[-1]} workers on a {os.cpu_count()}-core machine"
         )
-    # The async front-end exists to survive high connection fan-in: at 64
-    # clients it must comfortably outrun the per-connection-thread front-end
-    # at its 8-thread comfort zone.  On a 1-core runner both sit on the same
-    # GIL ceiling, so the ratio is recorded honestly but not gated.
-    frontends = results["frontend_sweep"]
-    for frontend in ("sync", "async"):
-        for numbers in frontends[frontend].values():
-            assert numbers["warm_rps"] > 0
-    if (os.cpu_count() or 1) >= 2:
-        ratio = frontends["async_64_over_sync_8_warm"]
-        assert ratio >= 1.5, (
-            f"async front-end at {FRONTEND_CLIENTS[-1]} clients only reached "
-            f"{ratio}x over sync at 8 threads on a {os.cpu_count()}-core machine"
-        )
+    # The latency sweep is reported, not gated: every request must succeed.
+    for connections, numbers in results["latency_sweep"].items():
+        assert numbers["requests"] == LATENCY_REQUESTS, connections
 
 
 if __name__ == "__main__":

@@ -42,6 +42,7 @@ from repro.datasets.gold_standard import load_all_tasks
 from repro.evaluation.report import format_table
 from repro.exceptions import ComaError
 from repro.importers.registry import DEFAULT_IMPORTERS
+from repro.service.server import DEFAULT_MAX_QUEUE, DEFAULT_READ_TIMEOUT
 from repro.session import MatchSession
 
 
@@ -183,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="bind address (default 127.0.0.1)")
     serve_parser.add_argument("--port", type=int, default=8765,
                               help="bind port (default 8765; 0 picks an ephemeral port)")
-    serve_parser.add_argument("--workers", type=int, default=None,
+    serve_parser.add_argument("--workers", type=int, default=4,
                               help="number of warm workers: pooled sessions for "
                                    "--backend thread, worker processes for "
                                    "--backend process (default 4)")
@@ -192,8 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "pooled sessions) or 'process' (spawned worker "
                                    "processes; warm throughput scales with the "
                                    "cores instead of the GIL)")
-    serve_parser.add_argument("--pool-size", type=int, default=None,
-                              help="deprecated alias for --workers")
     serve_parser.add_argument("--repository", default=None,
                               help="SQLite repository shared by all worker sessions "
                                    "(stored strategies, reuse matchers)")
@@ -211,20 +210,15 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="schema corpus file enabling POST /search and "
                                    "GET /corpus; uploaded schemas are indexed "
                                    "automatically (see docs/search.md)")
-    serve_parser.add_argument("--frontend", default="sync",
-                              help="HTTP front-end: 'sync' (thread per "
-                                   "connection; default) or 'async' (one asyncio "
-                                   "event loop multiplexing every connection, "
-                                   "with keep-alive, pipelining and bounded "
-                                   "backpressure)")
-    serve_parser.add_argument("--max-queue", type=int, default=None,
-                              help="async front-end only: admit at most this many "
-                                   "in-flight requests before answering 429 "
-                                   "(default 64)")
-    serve_parser.add_argument("--read-timeout", type=float, default=None,
-                              help="async front-end only: seconds a client may "
-                                   "take to deliver a request before a 408 "
-                                   "(default 30)")
+    serve_parser.add_argument("--max-queue", type=int, default=DEFAULT_MAX_QUEUE,
+                              help="admit at most this many requests at once; "
+                                   "the next is answered 429 with Retry-After "
+                                   f"(default {DEFAULT_MAX_QUEUE})")
+    serve_parser.add_argument("--read-timeout", type=float,
+                              default=DEFAULT_READ_TIMEOUT,
+                              help="seconds a request's head and body may take "
+                                   "from its first byte before a 408 (default "
+                                   f"{DEFAULT_READ_TIMEOUT:g})")
     serve_parser.add_argument("--quiet", action="store_true",
                               help="do not log request lines to stderr")
     serve_parser.add_argument("--fault-plan", default=None,
@@ -578,14 +572,8 @@ def _command_serve(arguments: argparse.Namespace) -> int:
     # Validate everything *before* touching sockets or files, so a bad flag
     # exits with one clean message instead of a traceback (or a half-started
     # server).
-    if arguments.workers is not None and arguments.pool_size is not None:
-        raise ComaError("--pool-size is a deprecated alias for --workers; "
-                        "pass only one of them")
-    workers = arguments.workers if arguments.workers is not None else arguments.pool_size
-    if workers is None:
-        workers = 4
-    if workers < 1:
-        raise ComaError(f"--workers must be >= 1, got {workers}")
+    if arguments.workers < 1:
+        raise ComaError(f"--workers must be >= 1, got {arguments.workers}")
     if arguments.backend not in ("thread", "process"):
         raise ComaError(
             f"unknown --backend {arguments.backend!r}: choose 'thread' "
@@ -593,23 +581,12 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         )
     if arguments.store_dtype is not None and not arguments.store:
         raise ComaError("--store-dtype requires --store <file>")
-    if arguments.frontend not in ("sync", "async"):
+    if arguments.max_queue < 1:
+        raise ComaError(f"--max-queue must be >= 1, got {arguments.max_queue}")
+    if not arguments.read_timeout > 0:
         raise ComaError(
-            f"unknown --frontend {arguments.frontend!r}: choose 'sync' "
-            f"(thread per connection) or 'async' (asyncio event loop)"
+            f"--read-timeout must be positive, got {arguments.read_timeout}"
         )
-    if arguments.max_queue is not None:
-        if arguments.frontend != "async":
-            raise ComaError("--max-queue requires --frontend async")
-        if arguments.max_queue < 1:
-            raise ComaError(f"--max-queue must be >= 1, got {arguments.max_queue}")
-    if arguments.read_timeout is not None:
-        if arguments.frontend != "async":
-            raise ComaError("--read-timeout requires --frontend async")
-        if arguments.read_timeout <= 0:
-            raise ComaError(
-                f"--read-timeout must be positive, got {arguments.read_timeout}"
-            )
     fault_plan = None
     if arguments.fault_plan is not None:
         import os
@@ -634,13 +611,12 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         host=arguments.host,
         port=arguments.port,
         verbose=not arguments.quiet,
-        pool_size=workers,
+        pool_size=arguments.workers,
         backend=arguments.backend,
         repository_path=arguments.repository,
         store_path=arguments.store,
         store_dtype=arguments.store_dtype,
         corpus_path=arguments.corpus,
-        frontend=arguments.frontend,
         max_queue=arguments.max_queue,
         read_timeout=arguments.read_timeout,
         fault_plan=fault_plan,

@@ -19,11 +19,6 @@ See ``docs/service.md`` for the endpoint reference and deployment guide.
 
 from __future__ import annotations
 
-from repro.service.aserver import (
-    AsyncMatchServiceServer,
-    create_async_server,
-    serve_async,
-)
 from repro.service.client import ServiceClient
 from repro.service.jobs import Job, JobEventStream, JobManager
 from repro.service.pool import SessionPool
@@ -35,7 +30,6 @@ from repro.service.server import (
 )
 
 __all__ = [
-    "AsyncMatchServiceServer",
     "Job",
     "JobEventStream",
     "JobManager",
@@ -43,8 +37,6 @@ __all__ = [
     "MatchServiceServer",
     "ServiceClient",
     "SessionPool",
-    "create_async_server",
     "create_server",
     "serve",
-    "serve_async",
 ]

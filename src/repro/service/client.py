@@ -80,8 +80,8 @@ class ServiceClient:
         Per-request socket timeout in seconds.
     retries:
         How many times a request answered ``429 Too Many Requests`` is
-        retried (default 0: fail fast).  A 429 means the async front-end's
-        bounded queue refused admission *before* any work started, so the
+        retried (default 0: fail fast).  A 429 means the server's admission
+        bound refused the request *before* any work started, so the
         replay is safe for every method, not just GET.  Each wait honours
         the server's ``Retry-After`` header, falling back to a deterministic
         doubling backoff (``RETRY_BACKOFF_BASE`` seconds, doubling per
@@ -163,9 +163,9 @@ class ServiceClient:
         such as ``/health`` and ``/stats``, whose replay cannot duplicate
         work.  Timeouts are never retried.
 
-        With ``retries > 0``, a ``429 Too Many Requests`` answer (the async
-        front-end's bounded queue refusing admission -- the request was
-        never started, so replay cannot duplicate work) is retried up to
+        With ``retries > 0``, a ``429 Too Many Requests`` answer (the
+        server's admission bound refusing the request -- it was never
+        started, so replay cannot duplicate work) is retried up to
         that many times, sleeping the server's ``Retry-After`` when it sent
         one and a deterministic doubling backoff otherwise, both capped at
         ``RETRY_BACKOFF_CAP`` seconds per wait.

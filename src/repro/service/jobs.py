@@ -1,9 +1,9 @@
 """Background jobs: long-running match campaigns behind the service API.
 
 Corpus-scale work -- a thousand-pair batch, a top-K search over a large
-corpus -- takes minutes, and holding an HTTP connection (plus, on the sync
-front-end, a server thread) open for the whole run does not survive real
-networks.  The job subsystem turns those requests into *background campaigns*:
+corpus -- takes minutes, and holding an HTTP connection (plus its server
+thread) open for the whole run does not survive real networks.  The job
+subsystem turns those requests into *background campaigns*:
 
 * ``POST /jobs`` validates the campaign up front (every invalid entry is
   reported with its index, like ``/match/batch``), registers a :class:`Job`
@@ -20,9 +20,9 @@ networks.  The job subsystem turns those requests into *background campaigns*:
   snapshot of the same state.
 
 Events are deterministic -- sequence numbers and counts, no timestamps -- so
-the same campaign streams byte-identical event lines from the sync and async
-front-ends and across thread/process backends (the differential suite hashes
-them).  Wall-clock timing lives only in the ``GET /jobs/<id>`` snapshot
+the same campaign streams byte-identical event lines on the thread and
+process backends (the differential suite compares the raw bytes).
+Wall-clock timing lives only in the ``GET /jobs/<id>`` snapshot
 (``duration_seconds``).
 
 A job submitted with ``"cancel_on_disconnect": true`` is cancelled when the
@@ -58,10 +58,9 @@ class Job:
     """One background campaign: state, progress counters and the event log.
 
     All mutation happens under one condition variable; readers take
-    consistent snapshots (:meth:`status`, :meth:`events_after`) and blocking
-    consumers wait on the condition (:meth:`wait_events`), so the sync
-    front-end tails events without polling while the async front-end polls
-    :meth:`events_after` from the event loop.
+    consistent snapshots (:meth:`status`) and blocking consumers wait on the
+    condition (:meth:`wait_events`), so the HTTP shell tails events without
+    polling.
     """
 
     def __init__(self, job_id: str, kind: str, total: int, chunks: int,
@@ -91,7 +90,11 @@ class Job:
 
     def finish(self, state: str, *, result: Optional[dict] = None,
                error: Optional[str] = None) -> None:
-        """Transition to a terminal state and publish the terminal event."""
+        """Transition to a terminal state and publish the terminal event.
+
+        Both happen under one lock, so a reader that sees the job finished
+        has also seen its terminal event.
+        """
         with self._condition:
             if self.state != "running":  # already terminal (e.g. cancel race)
                 return
@@ -99,13 +102,13 @@ class Job:
             self.result = result
             self.error = error
             self._finished_at = time.monotonic()
-        terminal = {"event": "cancelled" if state == "cancelled" else state,
-                    "job": self.id, "done": self.done, "total": self.total}
-        if state == "done":
-            terminal = {"event": "result", "job": self.id, **(result or {})}
-        elif state == "error":
-            terminal = {"event": "error", "job": self.id, "error": error}
-        self.publish(terminal)
+            terminal = {"event": "cancelled" if state == "cancelled" else state,
+                        "job": self.id, "done": self.done, "total": self.total}
+            if state == "done":
+                terminal = {"event": "result", "job": self.id, **(result or {})}
+            elif state == "error":
+                terminal = {"event": "error", "job": self.id, "error": error}
+            self.publish(terminal)
 
     @property
     def finished(self) -> bool:
@@ -129,13 +132,8 @@ class Job:
         """True when cancellation has been requested."""
         return self._cancel.is_set()
 
-    def events_after(self, seq: int) -> Tuple[List[dict], bool]:
-        """Events with sequence >= ``seq`` plus the current finished flag."""
-        with self._condition:
-            return list(self._events[seq:]), self.state != "running"
-
     def wait_events(self, seq: int, timeout: float = 1.0) -> Tuple[List[dict], bool]:
-        """Block up to ``timeout`` for events past ``seq`` (sync tailing)."""
+        """Block up to ``timeout`` for events past ``seq``."""
         with self._condition:
             if len(self._events) <= seq and self.state == "running":
                 self._condition.wait(timeout)
@@ -165,7 +163,7 @@ class Job:
 
 
 class JobManager:
-    """The service's jobs table: submission, execution, streaming, eviction.
+    """The service's jobs table: submission, execution, eviction.
 
     One manager per :class:`~repro.service.server.MatchService`; jobs run on
     daemon worker threads and execute their chunks through the service's
@@ -312,18 +310,6 @@ class JobManager:
             return
         job.finish("done", result=result)
 
-    # -- streaming and disconnects ---------------------------------------------
-
-    def subscriber_disconnected(self, job: Job) -> bool:
-        """A client streaming ``job``'s events dropped the connection.
-
-        Cancels the job when it opted in via ``cancel_on_disconnect``;
-        returns True when a cancellation was actually triggered.
-        """
-        if job.cancel_on_disconnect and not job.finished:
-            return job.cancel()
-        return False
-
     def close(self, timeout: float = 10.0) -> None:
         """Cancel every running job and wait briefly for the job threads."""
         for job in self.jobs():
@@ -340,42 +326,28 @@ class JobEventStream:
 
     The transport-agnostic :meth:`MatchService.handle_request
     <repro.service.server.MatchService.handle_request>` returns this object
-    instead of a JSON dict for the events endpoint; each front-end renders it
-    as chunked NDJSON its own way -- the sync handler blocks on
-    :meth:`tail`, the async front-end polls :meth:`poll` from the event loop
-    -- and reports a dropped consumer through :meth:`disconnected`.
+    instead of a JSON dict for the events endpoint; the HTTP handler renders
+    it as chunked NDJSON from :meth:`tail` and reports a dropped consumer
+    through :meth:`disconnected`.
     """
 
     content_type = "application/x-ndjson"
 
-    def __init__(self, manager: JobManager, job: Job):
-        self._manager = manager
+    def __init__(self, job: Job):
         self.job = job
         self._seq = 0
 
-    @staticmethod
-    def encode(event: dict) -> bytes:
-        """One NDJSON line for ``event`` (trailing newline included)."""
-        return (json.dumps(event) + "\n").encode("utf-8")
-
-    def poll(self) -> Tuple[List[bytes], bool]:
-        """Encoded lines published since the last call + the finished flag."""
-        events, finished = self.job.events_after(self._seq)
-        self._seq += len(events)
-        return [self.encode(event) for event in events], finished
-
     def tail(self, timeout: float = 1.0) -> Tuple[List[bytes], bool]:
-        """Like :meth:`poll` but blocks up to ``timeout`` for the next event."""
+        """Encoded lines published since the last call + the finished flag.
+
+        Blocks up to ``timeout`` for the next event when none is pending.
+        Once the flag is True, the terminal event has been handed out.
+        """
         events, finished = self.job.wait_events(self._seq, timeout)
         self._seq += len(events)
-        return [self.encode(event) for event in events], finished
-
-    @property
-    def drained(self) -> bool:
-        """True once the terminal event has been handed out."""
-        events, finished = self.job.events_after(self._seq)
-        return finished and not events
+        return [(json.dumps(event) + "\n").encode("utf-8") for event in events], finished
 
     def disconnected(self) -> bool:
         """Report a consumer disconnect; True when it cancelled the job."""
-        return self._manager.subscriber_disconnected(self.job)
+        job = self.job
+        return job.cancel_on_disconnect and not job.finished and job.cancel()

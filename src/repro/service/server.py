@@ -38,7 +38,8 @@ POST     ``/shutdown``         stop the server (used by tests and ops)
 
 Errors are JSON too -- ``{"error": "<message>"}`` with a 4xx/5xx status; the
 :class:`~repro.service.client.ServiceClient` raises them as
-:class:`~repro.exceptions.ServiceError`.
+:class:`~repro.exceptions.ServiceError`.  :class:`MatchServiceServer` also
+bounds admission (429), slow clients (408) and shutdown (a drain, then 503).
 
 See ``docs/service.md`` for the full endpoint reference and deployment guide.
 """
@@ -46,11 +47,15 @@ See ``docs/service.md`` for the full endpoint reference and deployment guide.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
+import socket
 import sqlite3
+import sys
 import threading
 import time
 import urllib.parse
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -66,6 +71,12 @@ __version__ = "1.0"
 
 #: Response payload limit guard: refuse request bodies beyond this size.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+#: Default bound on admitted requests (counted until ``handle_request`` returns).
+DEFAULT_MAX_QUEUE = 64
+#: Default seconds a request's head and body may take from its first byte.
+DEFAULT_READ_TIMEOUT = 30.0
+#: Seconds ``server_close()`` waits for admitted requests before closing the service.
+DRAIN_TIMEOUT = 30.0
 
 
 class MatchService:
@@ -256,9 +267,7 @@ class MatchService:
         self._request_counts: Dict[str, int] = {}
         self._started = time.monotonic()
         self._jobs = JobManager(self)
-        #: The serving front-end ("sync" | "async"); the async server flips
-        #: this and installs a live :attr:`frontend_stats` provider.
-        self.frontend_name = "sync"
+        #: The ``/stats`` ``frontend`` block, installed by the HTTP server.
         self.frontend_stats: Optional[Callable[[], dict]] = None
 
     # -- registries ------------------------------------------------------------
@@ -376,7 +385,7 @@ class MatchService:
         any other :class:`~repro.exceptions.ComaError` a 400.  One route
         (``GET /jobs/<id>/events``) answers with a
         :class:`~repro.service.jobs.JobEventStream` instead of a JSON dict;
-        the front-ends render it as a chunked NDJSON response.
+        the HTTP shell renders it as a chunked NDJSON response.
         """
         segments = [
             urllib.parse.unquote(part)
@@ -447,7 +456,7 @@ class MatchService:
             return self._cancel_job(route[2])
         if len(route) == 4 and route[0] == "GET" and route[1] == "jobs" \
                 and route[3] == "events":
-            return 200, JobEventStream(self._jobs, self._jobs.get(route[2]))
+            return 200, JobEventStream(self._jobs.get(route[2]))
         if route == ("GET", "strategies"):
             return 200, self._list_strategies()
         if route == ("POST", "strategies"):
@@ -529,7 +538,7 @@ class MatchService:
             "components": components,
             "service": f"coma-match-service/{__version__}",
             "backend": self._backend,
-            "frontend": self.frontend_name,
+            "frontend": "sync",
             "pool_size": self._pool.size,
             "jobs_running": jobs["running"],
             "schemas": schema_count,
@@ -546,15 +555,10 @@ class MatchService:
         with self._state_lock:
             requests = dict(sorted(self._request_counts.items()))
             schema_count = len(self._schemas)
-        frontend = (
-            self.frontend_stats()
-            if self.frontend_stats is not None
-            else {"kind": self.frontend_name}
-        )
         return {
             "uptime_seconds": round(time.monotonic() - self._started, 3),
             "backend": self._backend,
-            "frontend": frontend,
+            "frontend": self.frontend_stats() if self.frontend_stats else None,
             "schemas": schema_count,
             "strategies": len(self.strategy_names()),
             "requests": {"total": sum(requests.values()), "by_route": requests},
@@ -689,8 +693,7 @@ class MatchService:
 
         Shared by ``/match``, ``/match/batch``, ``/search`` and the jobs
         runner, so every execution path serialises outcomes identically (the
-        differential suite hashes these payloads across front-ends and
-        backends).
+        differential suite hashes these payloads across backends).
         """
         correspondences = [
             {
@@ -1016,11 +1019,77 @@ class MatchService:
         return 200, {"deleted": name}
 
 
+class _ReadTimeout(Exception):
+    """A request's head or body did not arrive within the read timeout."""
+
+
+class _DeadlineReader(socket.SocketIO):
+    """The read side of one connection, bounded by the current request's deadline.
+
+    ``deadline`` is ``None`` while the connection idles between requests and a
+    ``time.monotonic()`` instant once a request's first byte has arrived.  A
+    client drip-feeding bytes cannot stretch a request past it, as it could a
+    per-read timeout.
+    """
+
+    deadline: Optional[float] = None
+
+    def readinto(self, buffer) -> Optional[int]:
+        if self.deadline is None:
+            return super().readinto(buffer)
+        remaining = self.deadline - time.monotonic()
+        if remaining <= 0:
+            raise _ReadTimeout()
+        self._sock.settimeout(remaining)
+        try:
+            return super().readinto(buffer)
+        except TimeoutError:
+            raise _ReadTimeout() from None
+        finally:
+            self._sock.settimeout(None)  # writes stay blocking
+
+
+class _FifoSlots:
+    """A counting semaphore that hands each released slot to the oldest waiter.
+
+    ``threading.Semaphore`` lets a thread arriving at the moment of a release
+    take the slot ahead of threads already waiting, so under sustained load
+    some requests lose many rounds in a row and the latency tail grows.  Here
+    a release passes the slot straight to the waiter queued longest.
+    """
+
+    def __init__(self, count: int):
+        self._free = count
+        self._waiters: List[threading.Lock] = []
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._free:  # free slots imply nobody is waiting
+                self._free -= 1
+                return
+            turn = threading.Lock()
+            turn.acquire()
+            self._waiters.append(turn)
+        turn.acquire()  # released by the __exit__ that hands over its slot
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            if self._waiters:
+                self._waiters.pop(0).release()
+            else:
+                self._free += 1
+
+
 class _ServiceRequestHandler(BaseHTTPRequestHandler):
     """Thin HTTP shell: JSON in, JSON out, everything else in MatchService."""
 
     server_version = f"coma-match-service/{__version__}"
     protocol_version = "HTTP/1.1"
+    #: No HTTP/0.9: a malformed request line (or one that never arrived) is
+    #: still answered with a status line and headers a client can parse.
+    default_request_version = request_version = "HTTP/1.1"
+    requestline = ""
     #: Headers and body go out as separate writes; without TCP_NODELAY the
     #: write-write-read pattern triggers Nagle + delayed-ACK stalls (~40ms
     #: per response) under concurrent load.
@@ -1030,29 +1099,88 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         if getattr(self.server, "verbose", False):  # pragma: no cover - ops aid
             super().log_message(format, *args)
 
+    def setup(self) -> None:
+        super().setup()
+        self.rfile.close()  # replaced by a reader that enforces the request deadline
+        self._reader = _DeadlineReader(self.connection, "rb")
+        self.rfile = io.BufferedReader(self._reader)
+
+    def handle(self) -> None:
+        self.server.count_connection(1)
+        try:
+            super().handle()
+        finally:
+            self.server.count_connection(-1)
+
+    def handle_one_request(self) -> None:
+        """Serve one request: an untimed wait for its first byte, then a bounded read."""
+        self._reader.deadline = None
+        if not self.server.await_request(self):
+            self.close_connection = True
+            return
+        self._reader.deadline = time.monotonic() + self.server.read_timeout
+        try:
+            super().handle_one_request()
+        except _ReadTimeout:
+            self.close_connection = True
+            self._respond(408, {"error": self._timeout_message("head")})
+
+    def _timeout_message(self, part: str) -> str:
+        return (f"request {part} not received within {self.server.read_timeout}s "
+                f"(slow client or stalled request)")
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """Answer a framing error found by the ``http.server`` parser as JSON.
+
+        Called for a malformed request line (400), an over-long request line
+        (414) or header (431), an unknown method (501) or HTTP version (505).
+        The connection closes: what follows on it cannot be framed.
+        """
+        self.close_connection = True
+        reason = message or HTTPStatus(code).phrase
+        if code == HTTPStatus.BAD_REQUEST:
+            reason = f"malformed request line: {reason}"
+        self._respond(code, {"error": reason})
+
     def _read_payload(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            return None
-        if length > MAX_BODY_BYTES:
-            # Drain the oversized body first: responding with unread request
-            # bytes on the socket desynchronizes the keep-alive connection
-            # (the client is still sending and only sees a broken pipe).
-            # Truly huge bodies are not worth draining -- close instead.
-            if length <= 4 * MAX_BODY_BYTES:
-                remaining = length
-                while remaining > 0:
-                    chunk = self.rfile.read(min(remaining, 1 << 20))
-                    if not chunk:
-                        break
-                    remaining -= len(chunk)
-            else:
-                self.close_connection = True
+        if "chunked" in self.headers.get("Transfer-Encoding", "").lower():
+            self.close_connection = True  # the chunked body is left unread
             raise ServiceError(
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES} byte limit", status=413,
+                "chunked request bodies are not supported; send a Content-Length",
+                status=411,
             )
-        raw = self.rfile.read(length)
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self.close_connection = True  # where the body ends is unknown
+            raise ServiceError(f"invalid Content-Length {declared!r}", status=400)
+        length = int(declared)
+        if length == 0:
+            return None
+        try:
+            if length > MAX_BODY_BYTES:
+                # Drain the oversized body first: responding with unread
+                # request bytes on the socket desynchronizes the keep-alive
+                # connection (the client is still sending and only sees a
+                # broken pipe).  Truly huge bodies are not worth draining --
+                # close instead.
+                if length <= 4 * MAX_BODY_BYTES:
+                    remaining = length
+                    while remaining > 0:
+                        chunk = self.rfile.read(min(remaining, 1 << 20))
+                        if not chunk:
+                            break
+                        remaining -= len(chunk)
+                else:
+                    self.close_connection = True
+                raise ServiceError(
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES} byte limit", status=413,
+                )
+            raw = self.rfile.read(length)
+        except _ReadTimeout:
+            self.close_connection = True
+            raise ServiceError(self._timeout_message("body"), status=408)
         try:
             decoded = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -1066,18 +1194,19 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if status == 429:  # only admission refuses with 429
+            self.send_header("Retry-After", "1")
+        self.send_header("Connection", "close" if self.close_connection else "keep-alive")
         self.end_headers()
         self.wfile.write(body)
 
     def _stream_events(self, stream: JobEventStream) -> None:
         """Render a job event stream as a chunked NDJSON response.
 
-        The handler thread blocks on the job's condition variable between
-        events (no polling); a consumer that drops the connection mid-stream
-        surfaces as a write error, which is reported to the job manager so
-        ``cancel_on_disconnect`` jobs are cancelled and their next chunk
-        never runs.  Event streams always close the connection when done --
-        tailing responses have no meaningful keep-alive.
+        Between events the thread checks the read side for EOF, so a consumer
+        hanging up is noticed even while a long chunk runs, and a
+        ``cancel_on_disconnect`` job stops before its next chunk.  Streams
+        always close the connection: tailing has no meaningful keep-alive.
         """
         self.close_connection = True
         self.send_response(200)
@@ -1087,27 +1216,28 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         try:
             while True:
-                lines, finished = stream.tail(timeout=0.5)
+                lines, finished = stream.tail(timeout=0.1)  # then check the consumer
                 for line in lines:
                     self.wfile.write(b"%x\r\n" % len(line) + line + b"\r\n")
-                if lines:
-                    self.wfile.flush()
-                if finished and stream.drained:
+                if finished:
                     break
+                with contextlib.suppress(BlockingIOError):  # nothing to read yet
+                    if not self.connection.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT):
+                        raise ConnectionResetError("the event stream's consumer hung up")
             self.wfile.write(b"0\r\n\r\n")
-        except (BrokenPipeError, ConnectionResetError, OSError):
+        except OSError:
             stream.disconnected()
 
     def _handle(self, method: str) -> None:
         try:
             payload = self._read_payload()
             if method == "POST" and self.path.split("?")[0].rstrip("/") == "/shutdown":
+                # Holds no admission slot, so a saturated server still stops.
+                self.close_connection = True
                 self._respond(200, {"status": "shutting down"})
                 threading.Thread(target=self.server.shutdown, daemon=True).start()
                 return
-            status, response = self.server.service.handle_request(
-                method, self.path, payload
-            )
+            status, response = self.server.dispatch(method, self.path, payload)
         except ServiceError as error:
             status, response = (error.status or 400, {"error": str(error), **error.details})
         except Exception as error:  # pragma: no cover - defensive 500 path
@@ -1115,6 +1245,8 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         if isinstance(response, JobEventStream):
             self._stream_events(response)
             return
+        if self.server._draining:
+            self.close_connection = True
         self._respond(status, response)
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
@@ -1128,7 +1260,15 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
 
 
 class MatchServiceServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`MatchService`."""
+    """A threading HTTP server bound to one :class:`MatchService`.
+
+    One thread serves each connection.  At most ``max_queue`` requests are
+    admitted (then 429); they enter the service through ``pool.size + 2``
+    strict-FIFO slots, enough to keep every worker busy plus two cheap
+    registry requests.  A request has ``read_timeout`` seconds from its
+    first byte (then 408), and :meth:`server_close` drains.  See
+    ``docs/service.md``, "Admission, timeouts and drain".
+    """
 
     daemon_threads = True
     allow_reuse_address = True
@@ -1137,21 +1277,29 @@ class MatchServiceServer(ThreadingHTTPServer):
     request_queue_size = 128
 
     def __init__(self, address: Tuple[str, int], service: MatchService,
-                 verbose: bool = False):
-        super().__init__(address, _ServiceRequestHandler)
+                 verbose: bool = False, max_queue: int = DEFAULT_MAX_QUEUE,
+                 read_timeout: float = DEFAULT_READ_TIMEOUT):
+        if max_queue < 1:
+            raise ServiceError(f"max_queue must be >= 1, got {max_queue}")
+        if not read_timeout > 0:
+            raise ServiceError(f"read_timeout must be > 0, got {read_timeout}")
+        # Set before binding: a failed bind calls server_close().
         self.service = service
         self.verbose = verbose
-
-    def server_close(self) -> None:
-        """Close the listening socket and the service's persistent resources.
-
-        Every shutdown path funnels through here (``serve()``'s finally
-        block, embedded ``create_server`` users, ``POST /shutdown``), so the
-        similarity store is always flushed and its lifetime counters
-        persisted; :meth:`MatchService.close` is idempotent.
-        """
-        super().server_close()
-        self.service.close()
+        self.max_queue = max_queue
+        self.read_timeout = read_timeout
+        self._slots = _FifoSlots(service.pool.size + 2)
+        self._state = threading.Condition()
+        #: Connections waiting for their next request; ``None`` once drained.
+        self._idle: Optional[set] = set()
+        self._connections = 0
+        self._in_flight = 0
+        self._requests_served = 0
+        self._rejected_429 = 0
+        self._rejected_503 = 0
+        self._draining = False
+        super().__init__(address, _ServiceRequestHandler)
+        service.frontend_stats = self.frontend_stats
 
     @property
     def url(self) -> str:
@@ -1159,12 +1307,101 @@ class MatchServiceServer(ThreadingHTTPServer):
         host, port = self.server_address[0], self.server_address[1]
         return f"http://{host}:{port}"
 
+    def frontend_stats(self) -> dict:
+        """The ``/stats`` ``frontend`` block: admission and connection counters."""
+        with self._state:
+            return {
+                "kind": "sync",
+                "in_flight": self._in_flight,
+                "max_queue": self.max_queue,
+                "queue_free": max(0, self.max_queue - self._in_flight),
+                "connections": self._connections,
+                "requests_served": self._requests_served,
+                "rejected_429": self._rejected_429,
+                "rejected_503": self._rejected_503,
+                "draining": self._draining,
+            }
+
+    def count_connection(self, delta: int) -> None:
+        with self._state:
+            self._connections += delta
+
+    def await_request(self, handler: _ServiceRequestHandler) -> bool:
+        """Wait, untimed, for the next request's first byte; False once closed.
+
+        The drain closes connections waiting here.
+        """
+        connection = handler.connection
+        with self._state:
+            if self._idle is None:
+                return False
+            self._idle.add(connection)
+        try:
+            return bool(handler.rfile.peek(1))
+        finally:
+            with self._state:
+                if self._idle is not None:
+                    self._idle.discard(connection)
+
+    def dispatch(self, method: str, path: str, payload: Optional[dict]
+                 ) -> Tuple[int, Union[dict, JobEventStream]]:
+        """Admit one request and run it through a FIFO dispatch slot.
+
+        Raises a 503 :class:`ServiceError` while draining, a 429 when
+        ``max_queue`` requests are already admitted.
+        """
+        with self._state:
+            if self._draining:
+                self._rejected_503 += 1
+                raise ServiceError("the service is draining for shutdown", status=503)
+            if self._in_flight >= self.max_queue:
+                self._rejected_429 += 1
+                raise ServiceError(
+                    f"the service is at capacity ({self.max_queue} requests "
+                    f"admitted); retry shortly", status=429,
+                )
+            self._in_flight += 1
+        try:
+            with self._slots:
+                return self.service.handle_request(method, path, payload)
+        finally:
+            with self._state:
+                self._in_flight -= 1
+                self._requests_served += 1
+                self._state.notify_all()
+
+    def handle_error(self, request, client_address) -> None:
+        """Drop a client that hung up before its response quietly."""
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def server_close(self) -> None:
+        """Stop accepting, drain admitted requests, then close the service.
+
+        Idle connections close at once; admitted requests finish (at most
+        ``DRAIN_TIMEOUT`` seconds) with ``Connection: close``, later ones get
+        503.  Every shutdown path funnels through here, so the similarity
+        store is always flushed; :meth:`MatchService.close` is idempotent.
+        """
+        with self._state:
+            self._draining = True
+            idle, self._idle = self._idle or (), None
+        super().server_close()
+        for connection in idle:
+            with contextlib.suppress(OSError):
+                connection.shutdown(socket.SHUT_RDWR)
+        with self._state:
+            self._state.wait_for(lambda: self._in_flight == 0, timeout=DRAIN_TIMEOUT)
+        self.service.close()
+
 
 def create_server(
     host: str = "127.0.0.1",
     port: int = 8765,
     service: Optional[MatchService] = None,
     verbose: bool = False,
+    max_queue: int = DEFAULT_MAX_QUEUE,
+    read_timeout: float = DEFAULT_READ_TIMEOUT,
     **service_kwargs,
 ) -> MatchServiceServer:
     """Build a ready-to-serve :class:`MatchServiceServer`.
@@ -1180,11 +1417,17 @@ def create_server(
         ...).
     verbose:
         Log each request line to stderr (the default stays quiet).
+    max_queue:
+        Requests admitted at once before the next is answered 429.
+    read_timeout:
+        Seconds a request's head and body may take from its first byte
+        before the client is answered 408.
 
     Returns
     -------
     MatchServiceServer
-        Not yet serving: call ``serve_forever()`` (or run it on a thread).
+        Not yet serving: call ``serve_forever()`` (or run it on a thread),
+        then ``shutdown()`` and ``server_close()`` to drain and stop.
 
     Examples
     --------
@@ -1200,55 +1443,32 @@ def create_server(
             f"pass either a service instance or service keyword arguments, "
             f"not both (got {sorted(service_kwargs)})"
         )
-    return MatchServiceServer((host, port), service, verbose=verbose)
+    return MatchServiceServer((host, port), service, verbose=verbose,
+                              max_queue=max_queue, read_timeout=read_timeout)
 
 
 def serve(
     host: str = "127.0.0.1",
     port: int = 8765,
     verbose: bool = True,
-    frontend: str = "sync",
-    max_queue: Optional[int] = None,
-    read_timeout: Optional[float] = None,
+    max_queue: int = DEFAULT_MAX_QUEUE,
+    read_timeout: float = DEFAULT_READ_TIMEOUT,
     **service_kwargs,
 ) -> None:
     """Run the match service until interrupted (the ``coma serve`` entry point).
 
-    ``frontend`` selects the HTTP shell: ``"sync"`` (default) is the
-    threading server in this module, ``"async"`` the single-threaded
-    ``asyncio`` front-end (:mod:`repro.service.aserver`) with keep-alive +
-    pipelining, bounded-queue backpressure (``max_queue`` admitted requests,
-    429 beyond) and slow-client read timeouts (``read_timeout`` seconds).
-    Matching semantics are identical either way -- both shells dispatch into
-    the same :class:`MatchService`.
+    ``max_queue`` and ``read_timeout`` bound admission and slow clients (see
+    :class:`MatchServiceServer`); ``service_kwargs`` build the
+    :class:`MatchService`.
     """
-    if frontend == "async":
-        from repro.service.aserver import serve_async
-
-        async_options = {}
-        if max_queue is not None:
-            async_options["max_queue"] = max_queue
-        if read_timeout is not None:
-            async_options["read_timeout"] = read_timeout
-        serve_async(host=host, port=port, verbose=verbose,
-                    **async_options, **service_kwargs)
-        return
-    if frontend != "sync":
-        raise ServiceError(
-            f"unknown service frontend {frontend!r}: choose 'sync' or 'async'"
-        )
-    if max_queue is not None or read_timeout is not None:
-        raise ServiceError(
-            "max_queue / read_timeout apply to the async front-end only "
-            "(frontend='async')"
-        )
-    server = create_server(host=host, port=port, verbose=verbose, **service_kwargs)
+    server = create_server(host=host, port=port, verbose=verbose, max_queue=max_queue,
+                           read_timeout=read_timeout, **service_kwargs)
     print(f"coma match service listening on {server.url} "
-          f"(frontend=sync, backend={server.service.backend}, "
-          f"workers={server.service.pool.size}); Ctrl-C to stop")
+          f"(backend={server.service.backend}, workers={server.service.pool.size}, "
+          f"max_queue={max_queue}); Ctrl-C to stop")
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
         pass
     finally:
-        server.server_close()  # also closes the service's persistent store
+        server.server_close()  # drains, then closes the service's persistent store

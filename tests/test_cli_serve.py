@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cli import console_main
 
 
@@ -24,14 +26,6 @@ def test_unknown_backend_exits_nonzero_listing_the_choices(capsys):
     assert "'thread'" in captured.err and "'process'" in captured.err
 
 
-def test_workers_and_pool_size_conflict(capsys):
-    code = console_main(
-        ["serve", "--workers", "2", "--pool-size", "4", "--port", "0"]
-    )
-    assert code == 1
-    assert "deprecated alias" in capsys.readouterr().err
-
-
 def test_unwritable_store_path_exits_nonzero_cleanly(tmp_path, capsys):
     target = tmp_path / "no-such-directory" / "deeper" / "store.db"
     code = console_main(["serve", "--store", str(target), "--port", "0"])
@@ -43,9 +37,18 @@ def test_unwritable_store_path_exits_nonzero_cleanly(tmp_path, capsys):
     assert not target.parent.exists()
 
 
-def test_zero_pool_size_alias_is_validated_too(capsys):
-    assert console_main(["serve", "--pool-size", "0", "--port", "0"]) == 1
-    assert "--workers must be >= 1" in capsys.readouterr().err
+def test_bad_admission_and_timeout_limits_exit_cleanly(capsys):
+    assert console_main(["serve", "--max-queue", "0", "--port", "0"]) == 1
+    assert "--max-queue must be >= 1" in capsys.readouterr().err
+    assert console_main(["serve", "--read-timeout", "0", "--port", "0"]) == 1
+    assert "--read-timeout must be positive" in capsys.readouterr().err
+
+
+def test_serve_has_one_front_end(capsys):
+    with pytest.raises(SystemExit) as exited:
+        console_main(["serve", "--help"])
+    assert exited.value.code == 0
+    assert "--frontend" not in capsys.readouterr().out
 
 def test_fault_plan_is_refused_without_the_environment_gate(
     tmp_path, capsys, monkeypatch

@@ -21,7 +21,7 @@ import pytest
 
 from repro.datasets.figure1 import PO1_DDL, PO2_XSD
 from repro.exceptions import ServiceError
-from repro.service import ServiceClient, create_async_server, create_server
+from repro.service import ServiceClient, create_server
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -39,11 +39,10 @@ class _ServerDied(RuntimeError):
 def _spawn_server(port: int) -> subprocess.Popen:
     """Run ``coma serve`` in a real child process (a killable server).
 
-    An in-process ``server_close()`` is not a faithful restart: the
-    threading server's daemon handler threads keep serving *established*
-    keep-alive connections, so the client's pooled connection would never go
-    stale.  Killing a child process drops every connection the way a real
-    restart does.
+    An in-process ``server_close()`` is not a faithful restart: it drains
+    politely, closing idle keep-alive connections and finishing admitted
+    requests.  Killing a child process drops every connection the way a
+    crashed server does.
     """
     environment = dict(os.environ)
     environment["PYTHONPATH"] = SRC_DIR + os.pathsep + environment.get("PYTHONPATH", "")
@@ -199,8 +198,8 @@ def real_server():
     server.server_close()
 
 
-class _SaturatedAsyncServer:
-    """A real async front-end wedged at capacity (every slot parked).
+class _SaturatedServer:
+    """A real server wedged at capacity (every admission slot parked).
 
     ``max_queue`` raw requests are parked on a patched ``/block`` route, so
     the *next* request of any client is answered with a genuine
@@ -210,8 +209,9 @@ class _SaturatedAsyncServer:
     """
 
     def __init__(self, max_queue: int = 2):
-        self.server = create_async_server(port=0, pool_size=1, max_queue=max_queue)
-        self.thread = self.server.run_in_thread()
+        self.server = create_server(port=0, pool_size=1, max_queue=max_queue)
+        self.thread = threading.Thread(target=self._serve_then_drain, daemon=True)
+        self.thread.start()
         self.max_queue = max_queue
         self._release = threading.Event()
         self._original = self.server.service.handle_request
@@ -227,13 +227,19 @@ class _SaturatedAsyncServer:
 
     def saturate(self) -> None:
         for _ in range(self.max_queue):
-            sock = socket.create_connection(("127.0.0.1", self.server.port), timeout=10)
+            sock = socket.create_connection(
+                ("127.0.0.1", self.server.server_port), timeout=10
+            )
             sock.sendall(b"GET /block HTTP/1.1\r\n\r\n")
             self._parked.append(sock)
         deadline = time.monotonic() + 10
         while self.server._in_flight < self.max_queue:
             assert time.monotonic() < deadline, "parked requests never admitted"
             time.sleep(0.01)
+
+    def _serve_then_drain(self) -> None:
+        self.server.serve_forever(poll_interval=0.05)  # quick shutdown()
+        self.server.server_close()
 
     def release(self) -> None:
         self._release.set()
@@ -246,17 +252,17 @@ class _SaturatedAsyncServer:
         for sock in self._parked:
             sock.close()
         self.server.service.handle_request = self._original
-        self.server.request_shutdown()
+        self.server.shutdown()
         self.thread.join(timeout=10)
         assert not self.thread.is_alive()
 
 
 class TestRetryAfterBackoff:
     def test_default_client_fails_fast_with_the_retry_hint(self):
-        wedged = _SaturatedAsyncServer()
+        wedged = _SaturatedServer()
         try:
             wedged.saturate()
-            client = ServiceClient(f"http://127.0.0.1:{wedged.server.port}")
+            client = ServiceClient(f"http://127.0.0.1:{wedged.server.server_port}")
             with pytest.raises(ServiceError) as excinfo:
                 client.health()
             assert excinfo.value.status == 429
@@ -267,11 +273,11 @@ class TestRetryAfterBackoff:
             wedged.close()
 
     def test_opted_in_client_honours_retry_after_and_succeeds(self):
-        wedged = _SaturatedAsyncServer()
+        wedged = _SaturatedServer()
         try:
             wedged.saturate()
             client = ServiceClient(
-                f"http://127.0.0.1:{wedged.server.port}", retries=5
+                f"http://127.0.0.1:{wedged.server.server_port}", retries=5
             )
             # The queue drains while the client sleeps the advertised
             # Retry-After; the retried request is then admitted for real.
@@ -285,13 +291,13 @@ class TestRetryAfterBackoff:
             wedged.close()
 
     def test_retries_exhaust_into_the_original_429(self):
-        wedged = _SaturatedAsyncServer()
+        wedged = _SaturatedServer()
         try:
             wedged.saturate()
             # Never released: every retry meets the same full queue, and the
             # caller gets the typed 429 (not a hang) once retries run out.
             client = ServiceClient(
-                f"http://127.0.0.1:{wedged.server.port}", retries=1
+                f"http://127.0.0.1:{wedged.server.server_port}", retries=1
             )
             with pytest.raises(ServiceError) as excinfo:
                 client.health()

@@ -1,38 +1,50 @@
-"""Differential harness: the sync and async front-ends serve identical bytes.
+"""Differential harness: front-ends and backends serve identical bytes.
 
-The async front-end (``repro/service/aserver.py``) replaces the transport
-tier only -- every matching semantic must stay byte-identical to the
-threading front-end.  This suite locks that down the strong way: one
-*request script* covering every endpoint (schemas, match, batch -- valid and
-invalid --, strategies, search, corpus, jobs with their event streams, plus
-the 404/405 error paths) is executed against a sync server and an async
-server built from the same configuration, and each step's canonical JSON
-response is sha256-hashed.  The two hash transcripts must be equal, for the
-thread *and* the process backend.
+One HTTP front-end serves both execution backends, and every matching
+semantic must be byte-identical between them.  This suite locks that down
+the strong way: one *request script* covering every endpoint (schemas,
+match, batch -- valid and invalid --, strategies, search, corpus, jobs with
+their event streams, plus the 404/405 error paths) is executed against a
+thread-backend server and a process-backend server of equal pool size, and
+each step's canonical JSON response is sha256-hashed.  The two hash
+transcripts must be equal, and so must the raw NDJSON bytes of a job's
+event stream.
+
+The HTTP front-end is a transport tier only (admission, FIFO dispatch
+slots, read deadlines, framing, chunked event streams): the same script run
+over HTTP and straight through ``MatchService.handle_request`` in-process
+must give the same transcript, for the thread *and* the process backend.
 
 Volatile fields that legitimately differ between two server instances
-(wall-clock uptimes/durations, worker pids, and the ``frontend`` stats block
-whose difference is the whole point) are normalised out before hashing;
-everything else -- float similarities included -- must match to the byte.
+(wall-clock uptimes/durations, worker pids, and the ``backend`` name whose
+difference is the whole point) are normalised out before hashing, and
+``/health`` components compare by status; everything else -- float
+similarities included -- must match to the byte.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import threading
+import time
 
 import pytest
 
 from repro.datasets.figure1 import PO1_DDL, PO2_XSD
 from repro.exceptions import ServiceError
-from repro.service import ServiceClient, create_async_server, create_server
+from repro.service import MatchService, ServiceClient, create_server
+
+#: Both backends run this many workers.
+POOL_SIZE = 2
 
 #: Response keys that legitimately differ between two separately started
-#: servers: wall-clock readings, process ids, and the frontend stats block
-#: (which *must* differ -- that is what the differential isolates away).
+#: servers: wall-clock readings, process ids, the frontend stats block, and
+#: the backend name (which *must* differ -- that is what the differential
+#: isolates away).
 VOLATILE_KEYS = frozenset(
-    {"uptime_seconds", "duration_seconds", "pid", "workers", "frontend"}
+    {"uptime_seconds", "duration_seconds", "pid", "workers", "frontend", "backend"}
 )
 
 
@@ -73,7 +85,12 @@ def _run_script(client: ServiceClient):
     def step(label, result):
         steps.append((label, result))
 
-    step("health", _call(client, "GET", "/health"))
+    health = _call(client, "GET", "/health")
+    # The pool's health evidence is per backend (the process pool adds its
+    # breaker and respawn counters); each component's status must match.
+    components = health[1]["components"]
+    health[1]["components"] = {name: entry["status"] for name, entry in components.items()}
+    step("health", health)
     step("upload-po1", _call(client, "POST", "/schemas", {
         "name": "PO1", "text": PO1_DDL, "format": "sql"}))
     step("upload-po2", _call(client, "POST", "/schemas", {
@@ -164,50 +181,122 @@ def _transcript(client: ServiceClient):
     return [(label, _digest(result)) for label, result in _run_script(client)]
 
 
+def _start(backend: str, pool_size: int = POOL_SIZE):
+    server = create_server(
+        port=0, pool_size=pool_size, backend=backend, corpus_path=":memory:"
+    )
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    return server, thread
+
+
+def _stop(server, thread) -> None:
+    server.shutdown()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    server.server_close()
+
+
+class _InProcessClient:
+    """The script's client calls answered by ``MatchService.handle_request``.
+
+    No HTTP in between: responses take the JSON round trip the HTTP shell
+    gives them, errors raise the :class:`ServiceError` a ``ServiceClient``
+    would, and a job's event stream is read from the same
+    :class:`~repro.service.jobs.JobEventStream` the shell renders.
+    """
+
+    def __init__(self, service: MatchService):
+        self._service = service
+
+    def request(self, method: str, path: str, payload=None) -> dict:
+        status, response = self._service.handle_request(method, path, payload)
+        decoded = json.loads(json.dumps(response))
+        if status >= 400:
+            message = decoded.pop("error")
+            raise ServiceError(message, status=status, details=decoded or None)
+        return decoded
+
+    def health(self) -> dict:
+        return self.request("GET", "/health")
+
+    def stream_job(self, job_id: str):
+        _, stream = self._service.handle_request("GET", f"/jobs/{job_id}/events", None)
+        finished = False
+        while not finished:
+            lines, finished = stream.tail()
+            for line in lines:
+                yield json.loads(line.decode("utf-8"))
+
+    def wait_job(self, job_id: str) -> dict:
+        while True:
+            snapshot = self.request("GET", f"/jobs/{job_id}")
+            if snapshot["state"] != "running":
+                return snapshot
+            time.sleep(0.2)
+
+
 @pytest.mark.parametrize("backend,pool_size", [("thread", 2), ("process", 1)])
 def test_front_ends_serve_sha256_identical_transcripts(backend, pool_size):
-    sync_server = create_server(
-        port=0, pool_size=pool_size, backend=backend, corpus_path=":memory:"
-    )
-    sync_thread = threading.Thread(target=sync_server.serve_forever, daemon=True)
-    sync_thread.start()
-    async_server = create_async_server(
-        port=0, pool_size=pool_size, backend=backend, corpus_path=":memory:"
-    )
-    async_thread = async_server.run_in_thread()
+    server, thread = _start(backend, pool_size)
+    local = MatchService(pool_size=pool_size, backend=backend, corpus_path=":memory:")
     try:
-        sync_client = ServiceClient(sync_server.url)
-        async_client = ServiceClient(async_server.url)
-        assert sync_client.health()["frontend"] == "sync"
-        assert async_client.health()["frontend"] == "async"
+        http_client = ServiceClient(server.url)
+        local_client = _InProcessClient(local)
+        assert http_client.health()["backend"] == backend
+        assert local_client.health()["backend"] == backend
 
-        sync_steps = _transcript(sync_client)
-        async_steps = _transcript(async_client)
+        http_steps = _transcript(http_client)
+        local_steps = _transcript(local_client)
 
-        assert [label for label, _ in sync_steps] == \
-               [label for label, _ in async_steps]
+        assert [label for label, _ in http_steps] == \
+               [label for label, _ in local_steps]
         mismatches = [
             label
-            for (label, sync_hash), (_, async_hash)
-            in zip(sync_steps, async_steps)
-            if sync_hash != async_hash
+            for (label, http_hash), (_, local_hash)
+            in zip(http_steps, local_steps)
+            if http_hash != local_hash
         ]
         assert not mismatches, (
-            f"sync and async front-ends disagree on: {mismatches}"
+            f"HTTP and in-process front-ends disagree on: {mismatches}"
         )
     finally:
-        sync_server.shutdown()
-        sync_thread.join(timeout=10)
-        assert not sync_thread.is_alive()
-        sync_server.server_close()
-        async_server.request_shutdown()
-        async_thread.join(timeout=10)
-        assert not async_thread.is_alive()
+        _stop(server, thread)
+        local.close()
 
 
-def test_event_stream_lines_are_byte_identical_across_front_ends():
+def test_backends_serve_sha256_identical_transcripts():
+    servers = [_start("thread"), _start("process")]
+    try:
+        thread_client, process_client = (
+            ServiceClient(server.url) for server, _ in servers
+        )
+        assert thread_client.health()["backend"] == "thread"
+        assert process_client.health()["backend"] == "process"
+
+        thread_steps = _transcript(thread_client)
+        process_steps = _transcript(process_client)
+
+        assert [label for label, _ in thread_steps] == \
+               [label for label, _ in process_steps]
+        mismatches = [
+            label
+            for (label, thread_hash), (_, process_hash)
+            in zip(thread_steps, process_steps)
+            if thread_hash != process_hash
+        ]
+        assert not mismatches, (
+            f"thread and process backends disagree on: {mismatches}"
+        )
+    finally:
+        for server, thread in servers:
+            _stop(server, thread)
+
+
+def test_event_stream_lines_are_byte_identical_across_backends():
     """The raw NDJSON lines (not just parsed dicts) must match exactly."""
-    import http.client
 
     def raw_event_lines(port: int) -> bytes:
         client = ServiceClient(f"http://127.0.0.1:{port}")
@@ -227,22 +316,14 @@ def test_event_stream_lines_are_byte_identical_across_front_ends():
             connection.close()
             client.close()
 
-    sync_server = create_server(port=0, pool_size=1)
-    sync_thread = threading.Thread(target=sync_server.serve_forever, daemon=True)
-    sync_thread.start()
-    async_server = create_async_server(port=0, pool_size=1)
-    async_thread = async_server.run_in_thread()
+    servers = [_start("thread"), _start("process")]
     try:
-        sync_bytes = raw_event_lines(sync_server.server_address[1])
-        async_bytes = raw_event_lines(async_server.port)
-        assert sync_bytes == async_bytes
-        assert hashlib.sha256(sync_bytes).hexdigest() == \
-               hashlib.sha256(async_bytes).hexdigest()
+        thread_bytes, process_bytes = (
+            raw_event_lines(server.server_port) for server, _ in servers
+        )
+        assert thread_bytes == process_bytes
+        assert hashlib.sha256(thread_bytes).hexdigest() == \
+               hashlib.sha256(process_bytes).hexdigest()
     finally:
-        sync_server.shutdown()
-        sync_thread.join(timeout=10)
-        assert not sync_thread.is_alive()
-        sync_server.server_close()
-        async_server.request_shutdown()
-        async_thread.join(timeout=10)
-        assert not async_thread.is_alive()
+        for server, thread in servers:
+            _stop(server, thread)

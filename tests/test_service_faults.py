@@ -1,10 +1,10 @@
-"""Fault injection against the async front-end: misbehaving clients and load.
+"""Fault injection against the HTTP front-end: misbehaving clients and load.
 
 The differential suite proves the happy paths are byte-identical; this suite
-proves the async front-end *fails* the way it promises to:
+proves the threaded server *fails* the way it promises to:
 
 * a slow-loris client (drip-feeding a request head or body forever) is
-  answered 408 and dropped within the read timeout, never pinning the loop;
+  answered 408 and dropped within the read timeout, never pinning a worker;
 * malformed request lines / invalid JSON / oversized bodies get clean 4xx
   JSON answers (and recoverable ones keep the connection alive);
 * a saturated dispatch queue answers ``429`` + ``Retry-After`` immediately
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import select
 import socket
 import struct
 import threading
@@ -30,20 +31,26 @@ import pytest
 
 from repro.datasets.figure1 import PO1_DDL, PO2_XSD
 from repro.exceptions import ServiceError
-from repro.service import ServiceClient, SessionPool, create_async_server
+from repro.service import MatchService, ServiceClient, SessionPool, create_server
 from repro.service.server import MAX_BODY_BYTES
 
 
+def _serve_then_drain(server) -> None:
+    server.serve_forever(poll_interval=0.05)  # shutdown() returns within 50ms
+    server.server_close()
+
+
 def _start(read_timeout=30.0, max_queue=64, **service_kwargs):
-    server = create_async_server(
+    server = create_server(
         port=0, read_timeout=read_timeout, max_queue=max_queue, **service_kwargs
     )
-    thread = server.run_in_thread()
+    thread = threading.Thread(target=_serve_then_drain, args=(server,), daemon=True)
+    thread.start()
     return server, thread
 
 
 def _stop(server, thread):
-    server.request_shutdown()
+    server.shutdown()
     thread.join(timeout=10)
 
 
@@ -53,9 +60,23 @@ def _connect(port: int) -> socket.socket:
     return sock
 
 
+class _Unbuffered:
+    """A socket view whose reader stops at the end of the current response.
+
+    ``HTTPResponse(sock)`` reads through a buffered file, which can swallow
+    the start of the next pipelined response along with this one.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+
+    def makefile(self, mode: str):
+        return self._sock.makefile(mode, buffering=0)
+
+
 def _read_response(sock: socket.socket) -> tuple:
     """One (status, headers, body) parsed off a raw socket."""
-    response = http.client.HTTPResponse(sock)
+    response = http.client.HTTPResponse(_Unbuffered(sock))
     response.begin()
     body = response.read()
     return response.status, dict(response.getheaders()), body
@@ -65,7 +86,7 @@ class TestSlowLoris:
     def test_stalled_request_head_is_answered_408_and_dropped(self):
         server, thread = _start(read_timeout=0.5, pool_size=1)
         try:
-            sock = _connect(server.port)
+            sock = _connect(server.server_port)
             sock.sendall(b"GET /health HT")  # ...and then never finish
             status, _, body = _read_response(sock)
             assert status == 408
@@ -78,7 +99,7 @@ class TestSlowLoris:
     def test_stalled_request_body_is_answered_408(self):
         server, thread = _start(read_timeout=0.5, pool_size=1)
         try:
-            sock = _connect(server.port)
+            sock = _connect(server.server_port)
             sock.sendall(
                 b"POST /match HTTP/1.1\r\nContent-Length: 50\r\n"
                 b"Content-Type: application/json\r\n\r\n{\"so"
@@ -93,7 +114,7 @@ class TestSlowLoris:
     def test_a_stalled_connection_does_not_block_other_clients(self):
         server, thread = _start(read_timeout=5.0, pool_size=1)
         try:
-            stalled = _connect(server.port)
+            stalled = _connect(server.server_port)
             stalled.sendall(b"GET /heal")  # parked mid-request-line
             client = ServiceClient(server.url)
             start = time.monotonic()
@@ -109,7 +130,7 @@ class TestMalformedInput:
     def test_garbage_request_line_is_a_400(self):
         server, thread = _start(pool_size=1)
         try:
-            sock = _connect(server.port)
+            sock = _connect(server.server_port)
             sock.sendall(b"NONSENSE\r\n\r\n")
             status, _, body = _read_response(sock)
             assert status == 400
@@ -121,7 +142,7 @@ class TestMalformedInput:
     def test_invalid_json_body_is_a_400_and_keeps_the_connection(self):
         server, thread = _start(pool_size=1)
         try:
-            sock = _connect(server.port)
+            sock = _connect(server.server_port)
             bad = b"{not json"
             sock.sendall(
                 b"POST /match HTTP/1.1\r\n"
@@ -143,7 +164,7 @@ class TestMalformedInput:
     def test_oversized_body_is_a_413_without_reading_it(self):
         server, thread = _start(pool_size=1)
         try:
-            sock = _connect(server.port)
+            sock = _connect(server.server_port)
             declared = 5 * MAX_BODY_BYTES  # over the drain threshold: cut off
             sock.sendall(
                 b"POST /schemas HTTP/1.1\r\n"
@@ -160,7 +181,7 @@ class TestMalformedInput:
     def test_negative_content_length_is_a_400(self):
         server, thread = _start(pool_size=1)
         try:
-            sock = _connect(server.port)
+            sock = _connect(server.server_port)
             sock.sendall(b"POST /match HTTP/1.1\r\nContent-Length: -5\r\n\r\n")
             status, _, body = _read_response(sock)
             assert status == 400
@@ -172,7 +193,7 @@ class TestMalformedInput:
     def test_chunked_request_bodies_are_refused_with_411(self):
         server, thread = _start(pool_size=1)
         try:
-            sock = _connect(server.port)
+            sock = _connect(server.server_port)
             sock.sendall(
                 b"POST /match HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
             )
@@ -199,7 +220,7 @@ class TestBackpressure:
         try:
             # Saturate every admission slot with parked requests.
             def park():
-                sock = _connect(server.port)
+                sock = _connect(server.server_port)
                 sock.sendall(b"GET /block HTTP/1.1\r\n\r\n")
                 return sock
 
@@ -211,7 +232,7 @@ class TestBackpressure:
 
             # The next request must be rejected *now*, not queued.
             start = time.monotonic()
-            sock = _connect(server.port)
+            sock = _connect(server.server_port)
             sock.sendall(b"GET /health HTTP/1.1\r\n\r\n")
             status, headers, body = _read_response(sock)
             elapsed = time.monotonic() - start
@@ -240,7 +261,7 @@ class TestBackpressure:
     def test_draining_server_answers_503_and_closes(self):
         server, thread = _start(pool_size=1)
         try:
-            sock = _connect(server.port)  # established before the drain
+            sock = _connect(server.server_port)  # established before the drain
             server._draining = True  # what close() flips first during shutdown
             sock.sendall(b"GET /health HTTP/1.1\r\n\r\n")
             status, headers, body = _read_response(sock)
@@ -260,7 +281,7 @@ class TestGracefulShutdown:
         client = ServiceClient(server.url)
         assert client.health()["status"] == "ok"  # its connection stays open, idle
         start = time.monotonic()
-        server.request_shutdown()
+        server.shutdown()
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert time.monotonic() - start < 2.0
@@ -278,14 +299,14 @@ class TestGracefulShutdown:
             return original(method, path, payload)
 
         server.service.handle_request = blocking
-        sock = _connect(server.port)
+        sock = _connect(server.server_port)
         try:
             sock.sendall(b"GET /block HTTP/1.1\r\n\r\n")
             deadline = time.monotonic() + 10
             while server._in_flight < 1:
                 assert time.monotonic() < deadline, "the request was never admitted"
                 time.sleep(0.01)
-            server.request_shutdown()
+            server.shutdown()
             threading.Timer(0.5, release.set).start()
             status, headers, body = _read_response(sock)
             assert status == 200 and json.loads(body)["blocked"]
@@ -304,7 +325,7 @@ class TestPipelining:
     def test_pipelined_requests_are_answered_strictly_in_order(self):
         server, thread = _start(pool_size=2)
         try:
-            sock = _connect(server.port)
+            sock = _connect(server.server_port)
             sock.sendall(
                 b"GET /health HTTP/1.1\r\n\r\n"
                 b"GET /stats HTTP/1.1\r\n\r\n"
@@ -343,7 +364,7 @@ class TestDisconnectReapsJobs:
                 chunk_size=1, cancel_on_disconnect=True,
             )
 
-            sock = _connect(server.port)
+            sock = _connect(server.server_port)
             sock.sendall(
                 f"GET /jobs/{job['job']}/events HTTP/1.1\r\n\r\n".encode()
             )
@@ -384,7 +405,7 @@ class TestDisconnectReapsJobs:
                 requests=[{"source": "PO1", "target": "PO2"}] * 6,
                 chunk_size=2,  # default cancel_on_disconnect=False
             )
-            sock = _connect(server.port)
+            sock = _connect(server.server_port)
             sock.sendall(
                 f"GET /jobs/{job['job']}/events HTTP/1.1\r\n\r\n".encode()
             )
@@ -445,6 +466,285 @@ class TestShardLeakOnHandlerExceptions:
             assert pool.idle == pool.size  # the free-list invariant
             # And the service still works with the sessions restored.
             assert client.match("PO1", "PO2")["correspondences"]
+            client.close()
+        finally:
+            _stop(server, thread)
+
+
+def _park_blocking_route(server):
+    """Route ``/block`` to a handler that waits; returns (release, restore)."""
+    release = threading.Event()
+    original = server.service.handle_request
+
+    def blocking(method, path, payload=None):
+        if path.rstrip("/") == "/block":
+            release.wait(timeout=30)
+            return 200, {"blocked": True}
+        return original(method, path, payload)
+
+    server.service.handle_request = blocking
+
+    def restore():
+        release.set()
+        server.service.handle_request = original
+
+    return release, restore
+
+
+def _wait_for(condition, message: str) -> None:
+    deadline = time.monotonic() + 10
+    while not condition():
+        assert time.monotonic() < deadline, message
+        time.sleep(0.01)
+
+
+class TestFraming:
+    def test_non_numeric_content_length_is_a_400_and_closes(self):
+        server, thread = _start(pool_size=1)
+        try:
+            sock = _connect(server.server_port)
+            sock.sendall(b"POST /match HTTP/1.1\r\nContent-Length: abc\r\n\r\n")
+            status, headers, body = _read_response(sock)
+            assert status == 400
+            assert json.loads(body)["error"] == "invalid Content-Length 'abc'"
+            assert headers["Connection"] == "close"
+            sock.close()
+        finally:
+            _stop(server, thread)
+
+    def test_chunked_body_is_not_left_to_desynchronise_the_connection(self):
+        server, thread = _start(pool_size=1)
+        try:
+            sock = _connect(server.server_port)
+            sock.sendall(
+                b"POST /match HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"2\r\n{}\r\n0\r\n\r\n"
+                b"GET /health HTTP/1.1\r\n\r\n"
+            )
+            status, headers, _ = _read_response(sock)
+            assert status == 411
+            assert headers["Connection"] == "close"
+            assert sock.recv(64) == b""  # nothing parsed out of the chunked body
+            sock.close()
+        finally:
+            _stop(server, thread)
+
+    @pytest.mark.parametrize("request_bytes,status", [
+        (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414),
+        (b"GET /health HTTP/1.1\r\nX-Big: " + b"a" * 65536 + b"\r\n\r\n", 431),
+        (b"PUT /health HTTP/1.1\r\n\r\n", 501),
+        (b"GET /health HTTP/2.0\r\n\r\n", 505),
+    ])
+    def test_parser_errors_are_json(self, request_bytes, status):
+        server, thread = _start(pool_size=1)
+        try:
+            sock = _connect(server.server_port)
+            sock.sendall(request_bytes)
+            answered, headers, body = _read_response(sock)
+            assert answered == status
+            assert headers["Content-Type"] == "application/json"
+            assert json.loads(body)["error"]
+            assert headers["Connection"] == "close"
+            sock.close()
+        finally:
+            _stop(server, thread)
+
+    def test_client_hanging_up_before_its_response_is_dropped_quietly(self, capsys):
+        server, thread = _start(pool_size=1)
+        release, restore = _park_blocking_route(server)
+        try:
+            sock = _connect(server.server_port)
+            sock.sendall(b"GET /block HTTP/1.1\r\n\r\n")
+            _wait_for(lambda: server._in_flight == 1, "the request was never admitted")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()  # a reset: the response write fails
+            release.set()
+            _wait_for(lambda: server.frontend_stats()["connections"] == 0,
+                      "the handler never finished")
+            assert "Traceback" not in capsys.readouterr().err
+        finally:
+            restore()
+            _stop(server, thread)
+
+
+class TestAdmission:
+    def test_stats_report_the_front_end_counters(self):
+        server, thread = _start(max_queue=5, pool_size=1)
+        try:
+            client = ServiceClient(server.url)
+            assert client.health()["frontend"] == "sync"
+            assert client.stats()["frontend"] == {
+                "kind": "sync", "in_flight": 1, "max_queue": 5, "queue_free": 4,
+                "connections": 1, "requests_served": 1, "rejected_429": 0,
+                "rejected_503": 0, "draining": False,
+            }
+            client.close()
+        finally:
+            _stop(server, thread)
+
+    def test_a_release_hands_the_slot_to_the_oldest_waiter(self):
+        from repro.service.server import _FifoSlots
+
+        slots = _FifoSlots(1)
+        order = []
+
+        def queued():
+            with slots:
+                order.append("queued")
+
+        slots.__enter__()
+        waiter = threading.Thread(target=queued)
+        waiter.start()
+        _wait_for(lambda: len(slots._waiters) == 1, "the waiter never queued")
+        slots.__exit__(None, None, None)
+        with slots:  # re-entering at once must not overtake the waiter
+            order.append("newcomer")
+        waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert order == ["queued", "newcomer"]
+
+    def test_slots_never_admit_more_holders_than_they_have(self):
+        import sys
+
+        from repro.service.server import _FifoSlots
+
+        slots, holders, peak, lock = _FifoSlots(3), [0], [0], threading.Lock()
+
+        def hammer():
+            for _ in range(200):
+                with slots:
+                    with lock:
+                        holders[0] += 1
+                        peak[0] = max(peak[0], holders[0])
+                    with lock:
+                        holders[0] -= 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert peak[0] <= 3
+        assert (slots._free, slots._waiters) == (3, [])
+
+    def test_event_streams_and_shutdown_hold_no_slot(self):
+        server, thread = _start(max_queue=1, pool_size=1)
+        pool = server.service.pool
+        original_match_many = pool.match_many
+
+        def slow_match_many(items):
+            time.sleep(0.1)
+            return original_match_many(items)
+
+        pool.match_many = slow_match_many
+        try:
+            client = ServiceClient(server.url)
+            client.upload_schema(name="PO1", text=PO1_DDL, format="sql")
+            client.upload_schema(name="PO2", text=PO2_XSD, format="xsd")
+            job = client.submit_job(
+                requests=[{"source": "PO1", "target": "PO2"}] * 100, chunk_size=1
+            )
+            events = client.stream_job(job["job"])
+            assert next(events)["event"] == "accepted"
+            assert client.health()["status"] == "ok"  # admitted beside the stream
+            client.cancel_job(job["job"])
+            assert list(events)[-1]["event"] == "cancelled"
+
+            release, restore = _park_blocking_route(server)
+            parked = _connect(server.server_port)
+            parked.sendall(b"GET /block HTTP/1.1\r\n\r\n")
+            _wait_for(lambda: server._in_flight == 1, "the request was never admitted")
+            with pytest.raises(ServiceError) as refused:
+                client.health()
+            assert refused.value.status == 429
+            assert client.shutdown() == {"status": "shutting down"}
+            release.set()
+            assert _read_response(parked)[0] == 200
+            parked.close()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            restore()
+            client.close()
+        finally:
+            pool.match_many = original_match_many
+            _stop(server, thread)
+
+    def test_the_service_closes_only_after_admitted_requests_finish(self):
+        server, thread = _start(pool_size=1)
+        release, restore = _park_blocking_route(server)
+        in_flight_at_close = []
+        close = server.service.close
+
+        def recording_close():
+            in_flight_at_close.append(server._in_flight)
+            close()
+
+        server.service.close = recording_close
+        sock = _connect(server.server_port)
+        try:
+            sock.sendall(b"GET /block HTTP/1.1\r\n\r\n")
+            _wait_for(lambda: server._in_flight == 1, "the request was never admitted")
+            server.shutdown()
+            _wait_for(lambda: server._draining, "the drain never began")
+            time.sleep(0.2)
+            assert in_flight_at_close == []  # still waiting for /block
+            release.set()
+            assert _read_response(sock)[0] == 200
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert in_flight_at_close == [0]
+        finally:
+            sock.close()
+            restore()
+            if thread.is_alive():
+                _stop(server, thread)
+
+
+class TestBind:
+    def test_a_port_in_use_raises_the_bind_error_and_closes_the_service(self):
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            service = MatchService(pool_size=1)
+            closed = []
+            close = service.close
+            service.close = lambda: (closed.append(True), close())
+            with pytest.raises(OSError):
+                create_server(port=taken.getsockname()[1], service=service)
+            assert closed == [True]
+
+
+class TestReadDeadline:
+    def test_drip_fed_request_head_is_cut_off_at_the_deadline(self):
+        server, thread = _start(read_timeout=0.5, pool_size=1)
+        try:
+            sock = _connect(server.server_port)
+            start = time.monotonic()
+            for byte in b"GET /health HTTP/1.1\r\nX-Slow: " + b"a" * 100:
+                sock.sendall(bytes([byte]))
+                if select.select([sock], [], [], 0.05)[0]:
+                    break  # answered: stop dripping
+            assert time.monotonic() - start < 3.0  # 100 bytes take 5s to drip
+            status, _, body = _read_response(sock)
+            assert status == 408
+            assert b"request head" in body
+            sock.close()
+        finally:
+            _stop(server, thread)
+
+    def test_idle_keep_alive_connection_outlives_the_read_timeout(self):
+        server, thread = _start(read_timeout=0.3, pool_size=1)
+        try:
+            client = ServiceClient(server.url)
+            client.upload_schema(name="PO1", text=PO1_DDL, format="sql")
+            client.upload_schema(name="PO2", text=PO2_XSD, format="xsd")
+            time.sleep(1.0)  # idle on the keep-alive connection
+            assert client.match("PO1", "PO2")["correspondences"]
+            assert server.frontend_stats()["connections"] == 1  # the same one
             client.close()
         finally:
             _stop(server, thread)
