@@ -1,13 +1,13 @@
-"""Session reuse: MatchSession.match_many vs. fresh per-pair match() calls.
+"""Session reuse: MatchSession.match_many vs. a fresh session per match.
 
 Times the Figure-8 style all-pairs campaign -- every bundled task schema
 matched against every other, each pair evaluated under several combination
 strategies (the workload of the paper's strategy-tuning experiments, which
 re-match the same pairs while varying the combination 4-tuple):
 
-* the **fresh** path calls the stateless ``match_with_strategy`` free function
-  once per (pair, strategy), rebuilding tokenizer, synonyms, path profiles and
-  the similarity cube every time, as the pre-session public API did;
+* the **fresh** path opens a new :class:`~repro.session.session.MatchSession`
+  per (pair, strategy), rebuilding tokenizer, synonyms, path profiles and the
+  similarity cube every time, as a caller without a long-lived session does;
 * the **session** path hands the same work list to
   :meth:`~repro.session.session.MatchSession.match_many`, which builds each
   schema's path profile once per session and serves repeated (pair, matcher
@@ -38,7 +38,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT / "src") not in sys.path:  # script mode without PYTHONPATH=src
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.match_operation import build_context, match_with_strategy  # noqa: E402
 from repro.core.strategy import MatchStrategy  # noqa: E402
 from repro.datasets.gold_standard import load_all_tasks  # noqa: E402
 from repro.session import MatchSession  # noqa: E402
@@ -86,11 +85,10 @@ def _correspondence_rows(outcome):
 def _run_fresh(work):
     """The stateless path: everything rebuilt per (pair, strategy) call."""
     strategies = {spec: MatchStrategy.parse(spec) for spec in STRATEGY_SPECS}
-    outcomes = []
-    for source, target, spec in work:
-        context = build_context(source, target)
-        outcomes.append(match_with_strategy(source, target, strategies[spec], context=context))
-    return outcomes
+    return [
+        MatchSession().match(source, target, strategies[spec])
+        for source, target, spec in work
+    ]
 
 
 def _run_session(work):
@@ -124,7 +122,7 @@ def collect_results() -> dict:
         "benchmark": "session_reuse",
         "description": (
             "All-pairs Figure 8 campaign under several combination strategies: "
-            "MatchSession.match_many vs fresh per-pair match_with_strategy calls"
+            "MatchSession.match_many vs a fresh MatchSession per (pair, strategy)"
         ),
         "python": platform.python_version(),
         "repeats": REPEATS,

@@ -13,7 +13,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import match
+from repro import MatchSession, MatchStrategy
 from repro.baselines.similarity_flooding import SimilarityFloodingMatcher
 from repro.combination.matrix import SimilarityMatrix
 from repro.combination.strategy import parse_combination
@@ -55,15 +55,17 @@ def main() -> None:
     library.register("SimilarityFlooding", SimilarityFloodingMatcher, kind="baseline",
                      schema_info="Graph structure")
 
+    session = MatchSession(library=library)
     combination = parse_combination("Average", "Both", "Thr(0.5)+Delta(0.02)")
     rows = []
     for label, matchers in [
         ("NamePath only", ["NamePath"]),
         ("SimilarityFlooding baseline", ["SimilarityFlooding"]),
         ("NamePath + Documentation + SF", ["NamePath", "Documentation", "SimilarityFlooding"]),
-        ("All five hybrid matchers", None),
+        ("All five hybrid matchers", ["Name", "NamePath", "TypeName", "Children", "Leaves"]),
     ]:
-        outcome = match(po1, po2, matchers=matchers, combination=combination, library=library)
+        strategy = MatchStrategy(matchers=matchers, combination=combination)
+        outcome = session.match(po1, po2, strategy=strategy)
         quality = evaluate_mapping(outcome.result, reference)
         rows.append({
             "strategy": label,

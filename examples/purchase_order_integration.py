@@ -14,16 +14,16 @@ Run with::
 
 from __future__ import annotations
 
-from repro import match
+from repro import MatchSession, MatchStrategy
 from repro.combination.strategy import parse_combination
 from repro.datasets.gold_standard import load_task
 from repro.evaluation.metrics import evaluate_mapping
 from repro.evaluation.report import format_table
 
 
-def evaluate_strategy(task, label, matchers=None, combination=None):
+def evaluate_strategy(session, task, label, strategy):
     """Run one strategy on a task and return its quality row."""
-    outcome = match(task.source, task.target, matchers=matchers, combination=combination)
+    outcome = session.match(task.source, task.target, strategy=strategy)
     quality = evaluate_mapping(outcome.result, task.reference)
     return {
         "strategy": label,
@@ -40,16 +40,20 @@ def main() -> None:
           f"<-> {task.target.name} ({len(task.target.paths())} paths), "
           f"{task.match_count} real correspondences\n")
 
+    # One session serves every strategy: each schema is profiled once, and
+    # strategies sharing a matcher usage share its similarity cube.
+    session = MatchSession()
     rows = [
-        evaluate_strategy(task, "Name (single)", matchers=["Name"]),
-        evaluate_strategy(task, "NamePath (single)", matchers=["NamePath"]),
-        evaluate_strategy(task, "Leaves (single)", matchers=["Leaves"]),
-        evaluate_strategy(task, "NamePath+Leaves", matchers=["NamePath", "Leaves"]),
-        evaluate_strategy(task, "All (default)"),
+        evaluate_strategy(session, task, "Name (single)", "Name"),
+        evaluate_strategy(session, task, "NamePath (single)", "NamePath"),
+        evaluate_strategy(session, task, "Leaves (single)", "Leaves"),
+        evaluate_strategy(session, task, "NamePath+Leaves", "NamePath+Leaves"),
+        evaluate_strategy(session, task, "All (default)", None),
         evaluate_strategy(
+            session,
             task,
             "All with Max aggregation + Max1",
-            combination=parse_combination("Max", "Both", "Thr(0.5)+MaxN(1)"),
+            MatchStrategy(combination=parse_combination("Max", "Both", "Thr(0.5)+MaxN(1)")),
         ),
     ]
     print(format_table(rows, title="Strategy comparison on CIDX <-> Paragon"))

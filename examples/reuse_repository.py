@@ -14,7 +14,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import Repository, match
+from repro import MatchSession, MatchStrategy, Repository
 from repro.datasets.gold_standard import load_task
 from repro.evaluation.metrics import evaluate_mapping
 from repro.evaluation.report import format_table
@@ -33,23 +33,28 @@ def main() -> None:
         repository.store_mapping(task_12.reference, origin="manual", name="CIDX<->Excel (confirmed)")
         repository.store_mapping(task_23.reference, origin="manual", name="Excel<->Noris (confirmed)")
 
+        # The session resolves reuse matchers against the repository.
+        session = MatchSession(repository=repository)
+
         # Baseline: match CIDX <-> Noris from scratch with the default strategy.
-        no_reuse = match(task_13.source, task_13.target)
+        no_reuse = session.match(task_13.source, task_13.target)
         no_reuse_quality = evaluate_mapping(no_reuse.result, task_13.reference)
 
         # Reuse: add the SchemaM matcher (composition of stored manual mappings).
         schema_m = SchemaReuseMatcher(origin="manual", name="SchemaM")
-        with_reuse = match(
+        with_reuse = session.match(
             task_13.source,
             task_13.target,
-            matchers=["Name", "NamePath", "TypeName", "Children", "Leaves", schema_m],
-            repository=repository,
+            strategy=MatchStrategy(
+                matchers=["Name", "NamePath", "TypeName", "Children", "Leaves", schema_m]
+            ),
         )
         reuse_quality = evaluate_mapping(with_reuse.result, task_13.reference)
 
         # Reuse only: how far does pure composition get?
-        reuse_only = match(task_13.source, task_13.target, matchers=[schema_m],
-                           repository=repository)
+        reuse_only = session.match(
+            task_13.source, task_13.target, strategy=MatchStrategy(matchers=[schema_m])
+        )
         reuse_only_quality = evaluate_mapping(reuse_only.result, task_13.reference)
 
     rows = [

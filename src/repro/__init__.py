@@ -34,16 +34,9 @@ Strategies are declarative and parseable; the same session runs batches::
 
     outcome = session.match(a, b, strategy="All(Max,Both,Thr(0.5)+MaxN(1),Average)")
     outcomes = session.match_many([(a, b), (a, c), (b, c)])
-
-The historical free functions (``match``, ``match_with_strategy``,
-``build_context``, ``execute_matchers``, ``schema_similarity``) remain
-available as deprecated shims over a process-wide default session.
 """
 
 from __future__ import annotations
-
-import warnings as _warnings
-from typing import Optional as _Optional, Sequence as _Sequence
 
 from repro.combination import (
     CombinationStrategy,
@@ -63,7 +56,6 @@ from repro.core import (
     UserFeedbackStore,
     default_strategy,
 )
-from repro.core import match_operation as _match_operation
 from repro.engine import MatchEngine
 from repro.importers import DEFAULT_IMPORTERS
 from repro.matchers import DEFAULT_LIBRARY, MatchContext, Matcher, MatcherLibrary
@@ -78,98 +70,9 @@ from repro.model import (
     SchemaPath,
 )
 from repro.repository import Repository
-from repro.session import MatchSession, default_session, reset_default_session
+from repro.session import MatchSession
 
 __version__ = "1.2.0"
-
-
-def _deprecated(old: str, new: str) -> None:
-    _warnings.warn(
-        f"repro.{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def match(
-    source: Schema,
-    target: Schema,
-    matchers: _Optional[_Sequence] = None,
-    combination: _Optional[CombinationStrategy] = None,
-    synonyms=None,
-    feedback=None,
-    repository=None,
-    library: _Optional[MatcherLibrary] = None,
-    engine: _Optional[MatchEngine] = None,
-) -> MatchOutcome:
-    """Deprecated shim: match two schemas through the process-wide default session.
-
-    Prefer ``MatchSession().match(source, target)`` -- a session reuses
-    tokenizers, synonym tables, path profiles and similarity cubes across
-    operations.  Calls overriding session-level resources (synonyms, library,
-    engine, repository) fall back to a one-off stateless operation.
-    """
-    _deprecated("match()", "MatchSession.match()")
-    if synonyms is None and repository is None and library is None and engine is None:
-        # Legacy semantics: always start from the paper's default strategy,
-        # regardless of how the default session may have been reconfigured.
-        strategy = default_strategy()
-        if matchers is not None:
-            strategy = strategy.replaced(matchers=list(matchers), name="")
-        if combination is not None:
-            strategy = strategy.replaced(combination=combination)
-        return default_session().match(
-            source, target, strategy=strategy, feedback=feedback
-        )
-    return _match_operation.match(
-        source,
-        target,
-        matchers=matchers,
-        combination=combination,
-        synonyms=synonyms,
-        feedback=feedback,
-        repository=repository,
-        library=library,
-        engine=engine,
-    )
-
-
-def match_with_strategy(
-    source: Schema,
-    target: Schema,
-    strategy: MatchStrategy,
-    context: _Optional[MatchContext] = None,
-    library: _Optional[MatcherLibrary] = None,
-    engine: _Optional[MatchEngine] = None,
-) -> MatchOutcome:
-    """Deprecated shim: prefer ``MatchSession.match(source, target, strategy=...)``."""
-    _deprecated("match_with_strategy()", "MatchSession.match(..., strategy=...)")
-    if context is None and library is None and engine is None:
-        return default_session().match(source, target, strategy=strategy)
-    return _match_operation.match_with_strategy(
-        source, target, strategy, context=context, library=library, engine=engine
-    )
-
-
-def build_context(source: Schema, target: Schema, **kwargs) -> MatchContext:
-    """Deprecated shim: prefer ``MatchSession.context_for(source, target)``."""
-    _deprecated("build_context()", "MatchSession.context_for()")
-    return _match_operation.build_context(source, target, **kwargs)
-
-
-def execute_matchers(matchers, context, engine: _Optional[MatchEngine] = None):
-    """Deprecated shim: prefer ``MatchSession`` (or ``MatchEngine.execute``)."""
-    _deprecated("execute_matchers()", "MatchEngine.execute()")
-    return _match_operation.execute_matchers(matchers, context, engine=engine)
-
-
-def schema_similarity(source: Schema, target: Schema, **kwargs) -> float:
-    """Deprecated shim: prefer ``MatchSession.schema_similarity(source, target)``."""
-    _deprecated("schema_similarity()", "MatchSession.schema_similarity()")
-    if not kwargs:
-        return default_session().schema_similarity(source, target)
-    return _match_operation.schema_similarity(source, target, **kwargs)
-
 
 __all__ = [
     "CombinationStrategy",
@@ -199,15 +102,8 @@ __all__ = [
     "Threshold",
     "UserFeedbackStore",
     "__version__",
-    "build_context",
     "combination_from_spec",
     "default_combination",
-    "default_session",
     "default_strategy",
-    "execute_matchers",
-    "match",
-    "match_with_strategy",
     "parse_combination",
-    "reset_default_session",
-    "schema_similarity",
 ]

@@ -72,18 +72,6 @@ class CombinationStrategy:
         """Step 3: collapse selected pairs into one combined similarity value."""
         return self.combined_similarity.combine(selected_pairs, source_size, target_size)
 
-    def run(self, cube: SimilarityCube) -> List[SelectedPair]:
-        """Run steps 1 and 2 over a cube, returning the selected pairs."""
-        return self.select(self.aggregate(cube))
-
-    def run_with_similarity(self, cube: SimilarityCube) -> tuple[List[SelectedPair], float]:
-        """Run all three steps, returning the pairs and the combined (schema) similarity."""
-        pairs = self.run(cube)
-        similarity = self.combine_pairs(
-            pairs, len(cube.source_paths), len(cube.target_paths)
-        )
-        return pairs, similarity
-
     # -- naming / parsing ----------------------------------------------------------
 
     def describe(self) -> str:

@@ -1,14 +1,6 @@
-"""Core match processing: strategies, the match operation and the iterative processor."""
+"""Core match processing: strategies, the match operation's steps and the iterative processor."""
 
-from repro.core.match_operation import (
-    MatchOutcome,
-    build_context,
-    combine_cube,
-    execute_matchers,
-    match,
-    match_with_strategy,
-    schema_similarity,
-)
+from repro.core.match_operation import MatchOutcome, build_context, combine_cube
 from repro.core.processor import MatchProcessor
 from repro.core.strategy import MatchStrategy, default_strategy, single_matcher_strategy
 from repro.matchers.simple.user_feedback import UserFeedbackStore
@@ -21,9 +13,5 @@ __all__ = [
     "build_context",
     "combine_cube",
     "default_strategy",
-    "execute_matchers",
-    "match",
-    "match_with_strategy",
-    "schema_similarity",
     "single_matcher_strategy",
 ]

@@ -1,44 +1,36 @@
-"""The match operation: execute matchers, combine results, derive the mapping.
+"""The match operation's building blocks: its context, its combination, its outcome.
 
-This module implements the per-iteration pipeline of Figure 2:
-
-1. build the :class:`~repro.matchers.base.MatchContext`,
-2. execute the selected matchers through the
-   :class:`~repro.engine.engine.MatchEngine` (the vectorized batch pipeline by
-   default; pass an engine with ``use_batch=False`` for the pairwise reference
-   path), producing a :class:`~repro.combination.cube.SimilarityCube`,
-3. aggregate the cube, apply user-feedback overrides, select match candidates
-   with the configured direction and selection strategies,
-4. assemble a :class:`~repro.model.mapping.MatchResult` and (optionally) the
-   overall *schema similarity*.
-
-The top-level convenience function :func:`match` is the library's primary
-entry point: ``match(schema_a, schema_b)`` runs the paper's default strategy.
+One match operation (Figure 2) builds a
+:class:`~repro.matchers.base.MatchContext`, executes the selected matchers into
+a :class:`~repro.combination.cube.SimilarityCube`, and combines the cube
+(Section 6): aggregate, apply user-feedback overrides, select match candidates
+with the configured direction and selection strategies, and derive the
+mapping plus the overall *schema similarity*.
+:class:`~repro.session.session.MatchSession` runs that loop; this module holds
+the two steps it shares with the rest of the system -- :func:`build_context`,
+the only place a context is constructed, and :func:`combine_cube`, the only
+implementation of the combination step.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.auxiliary.synonyms import SynonymDictionary, default_purchase_order_synonyms
 from repro.combination.cube import SimilarityCube
 from repro.combination.matrix import SimilarityMatrix
 from repro.combination.strategy import CombinationStrategy
-from repro.core.strategy import MatchStrategy, default_strategy
-from repro.engine.engine import DEFAULT_ENGINE, MatchEngine
+from repro.core.strategy import MatchStrategy
 from repro.linguistic.tokenizer import NameTokenizer
-from repro.matchers.base import MatchContext, Matcher
-from repro.matchers.registry import MatcherLibrary
+from repro.matchers.base import MatchContext
 from repro.matchers.simple.user_feedback import UserFeedbackMatcher, UserFeedbackStore
 from repro.model.datatypes import DEFAULT_TYPE_COMPATIBILITY, TypeCompatibilityTable
 from repro.model.mapping import Correspondence, MatchResult
 from repro.model.schema import Schema
 
-try:  # pragma: no cover - the repository is optional at match time
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.repository.repository import Repository
-except Exception:  # pragma: no cover - defensive; repository has no heavy deps
-    Repository = None  # type: ignore[assignment]
 
 
 @dataclasses.dataclass
@@ -67,14 +59,17 @@ def build_context(
     feedback: Optional[UserFeedbackStore] = None,
     repository: Optional["Repository"] = None,
     profile_cache: Optional[Dict[Tuple, object]] = None,
+    token_memo: Optional[Dict[str, Tuple[str, ...]]] = None,
 ) -> MatchContext:
     """Assemble the match context shared by all matchers of one operation.
 
-    ``profile_cache`` (when given) is used as the context's path-profile cache
-    *by reference*: passing the same dict to several contexts shares the
-    per-schema :class:`~repro.engine.profiles.PathSetProfile` objects across
-    operations, which is how :class:`~repro.session.session.MatchSession`
-    builds each schema's profile at most once per session.
+    ``profile_cache`` and ``token_memo`` (when given) are used *by reference*:
+    passing the same dicts to several contexts shares the per-schema
+    :class:`~repro.engine.profiles.PathSetProfile` objects and the name-token
+    memo across operations, which is how
+    :class:`~repro.session.session.MatchSession` builds each schema's profile
+    at most once per session.  ``type_compatibility`` is used as given; the
+    default is a fresh copy of the default table per context.
     """
     context = MatchContext(
         source_schema=source,
@@ -90,25 +85,11 @@ def build_context(
         ),
         feedback=feedback,
         repository=repository,
+        token_memo=token_memo,
     )
     if profile_cache is not None:
         context.profile_cache = profile_cache
     return context
-
-
-def execute_matchers(
-    matchers: Sequence[Matcher],
-    context: MatchContext,
-    engine: Optional[MatchEngine] = None,
-) -> SimilarityCube:
-    """Run every matcher over all paths of the context's schemas, stacking the results.
-
-    Execution goes through the batch :class:`~repro.engine.engine.MatchEngine`
-    by default; pass ``MatchEngine(use_batch=False)`` for the pairwise
-    reference implementation (the two produce numerically identical cubes).
-    """
-    active_engine = engine if engine is not None else DEFAULT_ENGINE
-    return active_engine.execute(matchers, context)
 
 
 def combine_cube(
@@ -129,89 +110,3 @@ def combine_cube(
         selected, len(cube.source_paths), len(cube.target_paths)
     )
     return result, aggregated, schema_similarity
-
-
-def match_with_strategy(
-    source: Schema,
-    target: Schema,
-    strategy: MatchStrategy,
-    context: Optional[MatchContext] = None,
-    library: Optional[MatcherLibrary] = None,
-    engine: Optional[MatchEngine] = None,
-) -> MatchOutcome:
-    """Run one automatic match operation with an explicit strategy."""
-    active_context = context if context is not None else build_context(source, target)
-    matchers = strategy.resolve_matchers(library)
-    cube = execute_matchers(matchers, active_context, engine=engine)
-    result, aggregated, schema_similarity = combine_cube(
-        cube,
-        strategy.combination,
-        active_context,
-        apply_feedback_overrides=strategy.apply_feedback_overrides,
-    )
-    return MatchOutcome(
-        result=result,
-        cube=cube,
-        aggregated=aggregated,
-        schema_similarity=schema_similarity,
-        strategy=strategy,
-        context=active_context,
-    )
-
-
-def match(
-    source: Schema,
-    target: Schema,
-    matchers: Optional[Sequence] = None,
-    combination: Optional[CombinationStrategy] = None,
-    synonyms: Optional[SynonymDictionary] = None,
-    feedback: Optional[UserFeedbackStore] = None,
-    repository: Optional["Repository"] = None,
-    library: Optional[MatcherLibrary] = None,
-    engine: Optional[MatchEngine] = None,
-) -> MatchOutcome:
-    """Match two schemas with the default strategy (or selected overrides).
-
-    This is the primary public entry point:
-
-    >>> outcome = match(po1, po2)
-    >>> for correspondence in outcome.result:
-    ...     print(correspondence)
-    """
-    strategy = default_strategy()
-    if matchers is not None:
-        strategy = strategy.replaced(matchers=list(matchers), name="")
-    if combination is not None:
-        strategy = strategy.replaced(combination=combination)
-    context = build_context(
-        source, target, synonyms=synonyms, feedback=feedback, repository=repository
-    )
-    return match_with_strategy(
-        source, target, strategy, context=context, library=library, engine=engine
-    )
-
-
-def schema_similarity(
-    source: Schema,
-    target: Schema,
-    reference: Optional[MatchResult] = None,
-    combination: Optional[CombinationStrategy] = None,
-) -> float:
-    """The Dice/Average schema similarity of two schemas (Section 6.3 / Figure 8).
-
-    When ``reference`` is given (e.g. a manually derived mapping) the schema
-    similarity is computed from it directly, as in Figure 8 where the ratio of
-    matched paths to all paths is reported; otherwise the default automatic
-    match is run first.
-    """
-    from repro.combination.combined import DICE_COMBINED
-
-    source_count = len(source.paths())
-    target_count = len(target.paths())
-    if source_count + target_count == 0:
-        return 0.0
-    if reference is not None:
-        pairs = [(c.source, c.target, c.similarity) for c in reference.correspondences]
-        return DICE_COMBINED.combine(pairs, source_count, target_count) if pairs else 0.0
-    outcome = match(source, target, combination=combination)
-    return outcome.schema_similarity

@@ -5,10 +5,14 @@ iterations.  Each iteration consists of
 
 1. an optional user-feedback phase (accepting / rejecting candidates proposed
    by the previous iteration, or asserting correspondences up front),
-2. the execution of the configured matchers through the batch
-   :class:`~repro.engine.engine.MatchEngine` (a different engine -- e.g. the
-   pairwise reference, or a thread-pooled one -- can be injected),
+2. the execution of the configured matchers into a similarity cube,
 3. the combination of the individual match results.
+
+Every iteration is one :meth:`~repro.session.session.MatchSession.match` on
+the processor's session, with the processor's feedback store.  Feedback only
+overrides the aggregated matrix, so with a cacheable strategy every iteration
+after the first is served from the session's cube cache and re-runs just the
+combination step.
 
 In *automatic* mode a single iteration with the default (or a supplied)
 strategy is performed.  In *interactive* mode the caller inspects the proposed
@@ -16,74 +20,79 @@ candidates, records feedback through :meth:`accept` / :meth:`reject`, possibly
 adjusts the strategy, and calls :meth:`run_iteration` again; accepted and
 rejected pairs keep their maximal / minimal similarity in all later iterations
 because the feedback store overrides the aggregated matrix.
+
+Examples
+--------
+>>> from repro.datasets.figure1 import load_po1, load_po2
+>>> from repro.session import MatchSession
+>>> session = MatchSession()
+>>> processor = MatchProcessor(load_po1(), load_po2(), session=session)
+>>> first = processor.run_iteration()
+>>> rejected = processor.pending_candidates()[0]
+>>> processor.reject(rejected.source, rejected.target)
+>>> second = processor.run_iteration()
+>>> second.cube is first.cube      # the second iteration is a cube hit
+True
+>>> session.cache_info()["cube_hits"], session.cache_info()["cube_misses"]
+(1, 1)
+>>> (rejected.source, rejected.target) in second.result
+False
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional, Union
 
-from repro.core.match_operation import MatchOutcome, build_context, match_with_strategy
-from repro.matchers.base import MatchContext
-from repro.core.strategy import MatchStrategy, default_strategy
-from repro.engine.engine import MatchEngine
+from repro.core.match_operation import MatchOutcome
+from repro.core.strategy import MatchStrategy
 from repro.exceptions import ComaError
-from repro.matchers.registry import MatcherLibrary
 from repro.matchers.simple.user_feedback import UserFeedbackStore
 from repro.model.mapping import Correspondence, MatchResult
 from repro.model.path import SchemaPath
 from repro.model.schema import Schema
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.session.session import MatchSession
+
 
 class MatchProcessor:
-    """Drives the iterative match process for one pair of schemas."""
+    """Drives the iterative match process for one pair of schemas.
+
+    Parameters
+    ----------
+    source / target:
+        The schemas of the match task.
+    strategy:
+        Any strategy reference the session resolves (an object, a spec
+        string or a stored name); ``None`` uses the session default.
+    session:
+        The :class:`~repro.session.session.MatchSession` running the
+        iterations (default: a private ``MatchSession()``).
+    feedback:
+        The feedback store the iterations apply; defaults to the session's
+        store, else a fresh one.
+    """
 
     def __init__(
         self,
         source: Schema,
         target: Schema,
-        strategy: Optional[MatchStrategy] = None,
-        library: Optional[MatcherLibrary] = None,
-        repository=None,
-        synonyms=None,
-        engine: Optional[MatchEngine] = None,
+        strategy: Union[MatchStrategy, str, None] = None,
+        session: Optional["MatchSession"] = None,
         feedback: Optional[UserFeedbackStore] = None,
-        context: Optional[MatchContext] = None,
     ):
-        """Set up the processor; ``feedback`` and ``context`` allow injection.
+        if session is None:
+            # Imported here: the session module imports this one.
+            from repro.session.session import MatchSession
 
-        A :class:`~repro.session.session.MatchSession` passes a pre-built
-        context (sharing the session's caches) and the feedback store to use;
-        standalone use keeps the historical behaviour of building both here.
-        """
+            session = MatchSession()
         self._source = source
         self._target = target
-        self._strategy = strategy if strategy is not None else default_strategy()
-        self._library = library
-        self._engine = engine
-        if context is not None and (
-            context.source_schema is not source or context.target_schema is not target
-        ):
-            raise ComaError(
-                "the injected context must be built over the processor's schema pair"
-            )
-        if feedback is not None:
-            self._feedback = feedback
-        elif context is not None and context.feedback is not None:
-            self._feedback = context.feedback
-        else:
-            self._feedback = UserFeedbackStore()
-        if context is None:
-            context = build_context(
-                source, target, synonyms=synonyms, feedback=self._feedback,
-                repository=repository,
-            )
-        elif context.feedback is not self._feedback:
-            # A non-mutating copy keeps the caller's context intact while the
-            # processor records feedback in its own store; the profile cache
-            # is carried over by reference.
-            context = dataclasses.replace(context, feedback=self._feedback)
-        self._context = context
+        self._session = session
+        self._strategy = session.resolve_strategy(strategy)
+        if feedback is None:
+            feedback = session.feedback if session.feedback is not None else UserFeedbackStore()
+        self._feedback = feedback
         self._iterations: List[MatchOutcome] = []
 
     # -- configuration ----------------------------------------------------------------
@@ -93,9 +102,9 @@ class MatchProcessor:
         """The strategy used by the next iteration."""
         return self._strategy
 
-    def set_strategy(self, strategy: MatchStrategy) -> None:
+    def set_strategy(self, strategy: Union[MatchStrategy, str]) -> None:
         """Change the match strategy for subsequent iterations."""
-        self._strategy = strategy
+        self._strategy = self._session.resolve_strategy(strategy)
 
     @property
     def feedback(self) -> UserFeedbackStore:
@@ -125,17 +134,14 @@ class MatchProcessor:
 
     # -- iterations -------------------------------------------------------------------------
 
-    def run_iteration(self, strategy: Optional[MatchStrategy] = None) -> MatchOutcome:
+    def run_iteration(
+        self, strategy: Union[MatchStrategy, str, None] = None
+    ) -> MatchOutcome:
         """Execute one match iteration and record its outcome."""
         if strategy is not None:
-            self._strategy = strategy
-        outcome = match_with_strategy(
-            self._source,
-            self._target,
-            self._strategy,
-            context=self._context,
-            library=self._library,
-            engine=self._engine,
+            self.set_strategy(strategy)
+        outcome = self._session.match(
+            self._source, self._target, self._strategy, feedback=self._feedback
         )
         self._iterations.append(outcome)
         return outcome

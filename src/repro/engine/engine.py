@@ -125,7 +125,7 @@ class MatchEngine:
         """Run every matcher over the path sets, stacking the results.
 
         This is the engine's main entry point, used by
-        :func:`repro.core.match_operation.execute_matchers`.
+        :class:`~repro.session.session.MatchSession` for every match.
 
         Parameters
         ----------

@@ -41,7 +41,7 @@ from repro.matchers.hybrid import (
 )
 from repro.matchers.registry import EVALUATION_HYBRID_MATCHERS
 from repro.matchers.reuse import InMemoryMappingStore, SchemaReuseMatcher, StoredMapping
-from repro.model.mapping import Correspondence, MatchResult
+from repro.model.mapping import MatchResult
 
 
 def _hybrid_matcher_factories():
@@ -235,27 +235,14 @@ class EvaluationCampaign:
 
     def evaluate_series_on_task(self, spec: SeriesSpec, task: MatchTask) -> MatchQuality:
         """Evaluate one series on a single task."""
-        self.prepare()
-        workbench = self._workbenches[task.name]
-        cube = workbench.cube_for(spec.matchers, spec.combined_similarity)
-        combination = CombinationStrategy(
-            aggregation=spec.aggregation,
-            direction=spec.direction,
-            selection=spec.selection,
-        )
-        aggregated = combination.aggregate(cube)
-        selected = combination.select(aggregated)
-        predicted = MatchResult(task.source, task.target)
-        for source, target, similarity in selected:
-            predicted.add(Correspondence(source, target, similarity))
-        return evaluate_mapping(predicted, task.reference)
+        return evaluate_mapping(self.predicted_mapping(spec, task), task.reference)
 
     def evaluate_many(self, specs: Iterable[SeriesSpec]) -> List[SeriesResult]:
         """Evaluate a batch of series."""
         return [self.evaluate_series(spec) for spec in specs]
 
     def predicted_mapping(self, spec: SeriesSpec, task: MatchTask) -> MatchResult:
-        """The mapping one series proposes for one task (useful for inspection)."""
+        """The mapping one series proposes for one task."""
         self.prepare()
         workbench = self._workbenches[task.name]
         cube = workbench.cube_for(spec.matchers, spec.combined_similarity)
@@ -264,8 +251,7 @@ class EvaluationCampaign:
             direction=spec.direction,
             selection=spec.selection,
         )
-        selected = combination.select(combination.aggregate(cube))
-        predicted = MatchResult(task.source, task.target)
-        for source, target, similarity in selected:
-            predicted.add(Correspondence(source, target, similarity))
+        predicted, _, _ = combine_cube(
+            cube, combination, workbench.context, apply_feedback_overrides=False
+        )
         return predicted

@@ -55,9 +55,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 class MatchContext:
     """Everything matchers need besides the two path sets.
 
-    The context is created once per match operation by the processor and
-    passed unchanged to every matcher, so matchers stay stateless and reusable
-    across match tasks.
+    The context is created once per match operation (by
+    :func:`~repro.core.match_operation.build_context`) and passed unchanged to
+    every matcher, so matchers stay stateless and reusable across match tasks.
     """
 
     source_schema: Schema

@@ -7,21 +7,15 @@ declarative strings of :mod:`repro.core.spec`) and *match outcomes*.  None of
 these go through :mod:`pickle` object graphs -- a frame is a small JSON header
 followed by raw buffers, so
 
-* similarity layers travel as the bytes of the computed numpy arrays; with
-  the default ``float64`` cube dtype a reassembled cube is **bit-identical**
-  to the one the worker produced (which in turn is bit-identical to a serial
-  in-process execution -- the property the differential test suite locks
-  down).  Workers may instead ship cube stacks as ``float32`` or quantized
-  ``uint16`` (the store's dtype contract, recorded per item as
-  ``cube_dtype``), which quarters the dominant buffer at a tested tolerance
-  while the aggregated matrix and the correspondence similarities -- the
-  floats that decide mappings -- always stay ``float64``;
+* similarity layers travel as the bytes of the computed ``float64`` numpy
+  arrays, so a reassembled cube is **bit-identical** to the one the worker
+  produced (which in turn is bit-identical to a serial in-process execution
+  -- the property the differential test suite locks down);
 * the parent and worker only need to agree on this module, not on the pickle
   compatibility of every model class;
 * decoding cost is one JSON parse plus ``np.frombuffer`` views; rebuilt cube
-  arrays are *copied out of the frame* (or decoded through ``astype``), so
-  they are always writable -- never a read-only view into the receive
-  buffer.
+  arrays are *copied out of the frame*, so they are always writable -- never
+  a read-only view into the receive buffer.
 
 Frame layout (all integers big-endian)::
 
@@ -51,7 +45,6 @@ from repro.combination.cube import SimilarityCube
 from repro.combination.matrix import SimilarityMatrix
 from repro.exceptions import ServiceError
 from repro.model.mapping import Correspondence, MatchResult
-from repro.repository.store import CUBE_DTYPES, decode_stack, encode_stack
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.match_operation import MatchOutcome
@@ -133,24 +126,16 @@ def decode_frame(data: bytes) -> Tuple[Dict[str, object], List[memoryview]]:
 # -- outcome encoding (worker side) ---------------------------------------------
 
 
-def encode_outcomes(
-    outcomes: Sequence["MatchOutcome"], cube_dtype: str = "float64"
-) -> bytes:
+def encode_outcomes(outcomes: Sequence["MatchOutcome"]) -> bytes:
     """Encode a batch of match outcomes as one ``outcomes`` frame.
 
     Per outcome the header carries the matcher names, the cube shape, the
-    cube buffer's dtype, the selected ``(source, target)`` dotted-path pairs
-    and the strategy spec actually used; three raw buffers carry the cube
-    stack (encoded as ``cube_dtype`` -- the store's dtype contract), the
+    selected ``(source, target)`` dotted-path pairs and the strategy spec
+    actually used; three raw ``float64`` buffers carry the cube stack, the
     aggregated matrix and the correspondence similarities (with the combined
-    schema similarity appended as the final element).  The aggregated matrix
-    and the similarities always travel as ``float64``, so the floats that
-    decide mappings cross the boundary bit-exactly whatever the cube dtype.
+    schema similarity appended as the final element), so every float
+    crosses the boundary bit-exactly.
     """
-    if cube_dtype not in CUBE_DTYPES:
-        raise ServiceError(
-            f"unknown cube wire dtype {cube_dtype!r}, expected one of {CUBE_DTYPES}"
-        )
     items: List[Dict[str, object]] = []
     buffers: List[object] = []
     for outcome in outcomes:
@@ -164,7 +149,6 @@ def encode_outcomes(
             {
                 "matchers": list(outcome.cube.matcher_names),
                 "shape": list(stack.shape),
-                "cube_dtype": cube_dtype,
                 "pairs": [
                     [c.source.dotted(), c.target.dotted()]
                     for c in outcome.result.correspondences
@@ -173,9 +157,7 @@ def encode_outcomes(
                 "buffers": [len(buffers), len(buffers) + 1, len(buffers) + 2],
             }
         )
-        buffers.extend(
-            [encode_stack(stack, cube_dtype), outcome.aggregated.values, sims]
-        )
+        buffers.extend([stack, outcome.aggregated.values, sims])
     return encode_frame({"kind": "outcomes", "items": items}, buffers)
 
 
@@ -196,11 +178,8 @@ def rebuild_outcome(
     matched content-identical reconstructions, so the path axes line up by
     construction (a shape mismatch means the schema mutated between digesting
     and dispatching and is reported as a :class:`ServiceError`).  All floats
-    are taken from the raw buffers, never from JSON; with the default
-    ``float64`` cube dtype the rebuilt outcome is bit-identical to the
-    worker's, and with a compact cube dtype only the cube layers carry the
-    (tested) quantization error -- correspondences and the aggregated matrix
-    are always exact.
+    are taken from the raw buffers, never from JSON, so the rebuilt outcome
+    is bit-identical to the worker's.
     """
     from repro.core.match_operation import MatchOutcome
 
@@ -215,16 +194,10 @@ def rebuild_outcome(
             f"mutated mid-request?"
         )
     cube_index, aggregated_index, sims_index = (int(i) for i in item["buffers"])
-    cube_dtype = str(item.get("cube_dtype", "float64"))
-    if cube_dtype not in CUBE_DTYPES:
-        raise ServiceError(
-            f"match worker sent a cube of unknown dtype {cube_dtype!r}"
-        )
-    # decode_stack copies out of the frame (bytearray / astype), so the cube
-    # fed into downstream caches and stores is writable, never a read-only
-    # view into the connection's receive buffer.  The aggregated matrix gets
-    # the same copy treatment.
-    stack = decode_stack(buffers[cube_index], cube_dtype, shape)
+    # Copied out of the frame (bytearray), so the cube and aggregated matrix
+    # fed into downstream caches and stores are writable, never a read-only
+    # view into the connection's receive buffer.
+    stack = np.frombuffer(bytearray(buffers[cube_index]), dtype=np.float64).reshape(shape)
     aggregated_values = np.frombuffer(
         bytearray(buffers[aggregated_index]), dtype=np.float64
     ).reshape(shape[1], shape[2])

@@ -143,12 +143,6 @@ class ProcessSessionPool:
         The storage dtype workers write cubes to the shared store with
         (``"float64"`` default, ``"float32"``, ``"uint16"`` -- see the
         :class:`~repro.repository.store.SimilarityStore` dtype contract).
-    wire_dtype:
-        The dtype cube stacks travel back over the pipe with (same choices).
-        The default ``"float64"`` keeps results byte-identical to the serial
-        path; the compact dtypes shrink the dominant reply buffer at the
-        store contract's tested tolerance (correspondence similarities and
-        the aggregated matrix always stay exact ``float64``).
 
     Raises
     ------
@@ -177,7 +171,6 @@ class ProcessSessionPool:
         start_method: str = "spawn",
         schema_cache_bound: Optional[int] = None,
         store_dtype: Optional[str] = None,
-        wire_dtype: Optional[str] = None,
         fault_plan: Optional[Dict[str, object]] = None,
         breaker_threshold: int = BREAKER_THRESHOLD,
     ):
@@ -185,11 +178,10 @@ class ProcessSessionPool:
             raise ServiceError(f"a process pool needs size >= 1, got {size}")
         from repro.repository.store import CUBE_DTYPES
 
-        for label, value in (("store_dtype", store_dtype), ("wire_dtype", wire_dtype)):
-            if value is not None and value not in CUBE_DTYPES:
-                raise ServiceError(
-                    f"unknown {label} {value!r}, expected one of {CUBE_DTYPES}"
-                )
+        if store_dtype is not None and store_dtype not in CUBE_DTYPES:
+            raise ServiceError(
+                f"unknown store_dtype {store_dtype!r}, expected one of {CUBE_DTYPES}"
+            )
         self._context = multiprocessing.get_context(start_method)
         self._options: Dict[str, object] = {
             "store_path": store_path,
@@ -197,7 +189,6 @@ class ProcessSessionPool:
             "default_strategy": default_strategy,
             "schema_cache_bound": schema_cache_bound,
             "store_dtype": store_dtype,
-            "wire_dtype": wire_dtype,
             # An explicit plan document, or None: _spawn() then ships the
             # plan armed in this process, so workers (and respawns) always
             # run under the same fault model as their parent.

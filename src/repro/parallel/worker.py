@@ -74,7 +74,6 @@ def _handle_match(
     header,
     buffers,
     bound: int,
-    wire_dtype: str = "float64",
 ):
     """Execute one ``match`` request; returns ``(reply bytes, pairs matched)``."""
     faults.fault_point("worker.match")
@@ -106,7 +105,7 @@ def _handle_match(
         outcomes.append(
             session.match(source, target, strategy=pair.get("strategy") or None)
         )
-    return codec.encode_outcomes(outcomes, cube_dtype=wire_dtype), len(outcomes)
+    return codec.encode_outcomes(outcomes), len(outcomes)
 
 
 def worker_main(connection, options: Dict[str, object]) -> None:
@@ -123,7 +122,6 @@ def worker_main(connection, options: Dict[str, object]) -> None:
     session = _build_session(options)
     schemas: "OrderedDict[str, object]" = OrderedDict()
     bound = int(options.get("schema_cache_bound") or SCHEMA_CACHE_BOUND)
-    wire_dtype = str(options.get("wire_dtype") or "float64")
     requests = 0
     connection.send_bytes(
         codec.encode_frame(
@@ -152,7 +150,7 @@ def worker_main(connection, options: Dict[str, object]) -> None:
                     # Counted on execution only: an unknown-schema reply (and
                     # its replay) must not inflate the per-worker numbers.
                     reply, matched = _handle_match(
-                        session, schemas, header, buffers, bound, wire_dtype
+                        session, schemas, header, buffers, bound
                     )
                     requests += matched
                 elif kind == "stats":

@@ -93,6 +93,9 @@ def _locked(method):
 class Repository:
     """SQLite-backed store for schemas, mappings and similarity cubes.
 
+    Every write method commits as one transaction, or rolls back entirely
+    when it raises.
+
     Parameters
     ----------
     path:
@@ -145,19 +148,19 @@ class Repository:
         """Persist a schema graph under its name."""
         document = schema_to_json(schema)
         try:
-            if replace:
-                self._connection.execute(
-                    "INSERT OR REPLACE INTO schemas (name, document) VALUES (?, ?)",
-                    (schema.name, document),
-                )
-            else:
-                self._connection.execute(
-                    "INSERT INTO schemas (name, document) VALUES (?, ?)",
-                    (schema.name, document),
-                )
+            with self._connection:
+                if replace:
+                    self._connection.execute(
+                        "INSERT OR REPLACE INTO schemas (name, document) VALUES (?, ?)",
+                        (schema.name, document),
+                    )
+                else:
+                    self._connection.execute(
+                        "INSERT INTO schemas (name, document) VALUES (?, ?)",
+                        (schema.name, document),
+                    )
         except sqlite3.IntegrityError as error:
             raise RepositoryError(f"schema {schema.name!r} is already stored") from error
-        self._connection.commit()
 
     @_locked
     def load_schema(self, name: str) -> Schema:
@@ -186,8 +189,8 @@ class Repository:
     @_locked
     def delete_schema(self, name: str) -> bool:
         """Delete a stored schema; returns True if one was removed."""
-        cursor = self._connection.execute("DELETE FROM schemas WHERE name = ?", (name,))
-        self._connection.commit()
+        with self._connection:
+            cursor = self._connection.execute("DELETE FROM schemas WHERE name = ?", (name,))
         return cursor.rowcount > 0
 
     # -- mappings -----------------------------------------------------------------------
@@ -212,23 +215,23 @@ class Repository:
                     origin=origin if origin != "automatic" else stored.origin,
                     name=name or stored.name,
                 )
-        cursor = self._connection.execute(
-            "INSERT INTO mappings (name, source_schema, target_schema, origin) "
-            "VALUES (?, ?, ?, ?)",
-            (
-                stored.name or f"{stored.source_schema}<->{stored.target_schema}",
-                stored.source_schema,
-                stored.target_schema,
-                stored.origin,
-            ),
-        )
-        mapping_id = int(cursor.lastrowid)
-        self._connection.executemany(
-            "INSERT INTO mapping_rows (mapping_id, source_path, target_path, similarity) "
-            "VALUES (?, ?, ?, ?)",
-            [(mapping_id, s, t, float(v)) for s, t, v in stored.rows],
-        )
-        self._connection.commit()
+        with self._connection:
+            cursor = self._connection.execute(
+                "INSERT INTO mappings (name, source_schema, target_schema, origin) "
+                "VALUES (?, ?, ?, ?)",
+                (
+                    stored.name or f"{stored.source_schema}<->{stored.target_schema}",
+                    stored.source_schema,
+                    stored.target_schema,
+                    stored.origin,
+                ),
+            )
+            mapping_id = int(cursor.lastrowid)
+            self._connection.executemany(
+                "INSERT INTO mapping_rows (mapping_id, source_path, target_path, similarity) "
+                "VALUES (?, ?, ?, ?)",
+                [(mapping_id, s, t, float(v)) for s, t, v in stored.rows],
+            )
         return mapping_id
 
     def _load_rows(self, mapping_id: int) -> Tuple[MappingRow, ...]:
@@ -303,13 +306,13 @@ class Repository:
         if not ids:
             return 0
         placeholders = ",".join("?" for _ in ids)
-        self._connection.execute(
-            f"DELETE FROM mapping_rows WHERE mapping_id IN ({placeholders})", ids
-        )
-        cursor = self._connection.execute(
-            f"DELETE FROM mappings WHERE id IN ({placeholders})", ids
-        )
-        self._connection.commit()
+        with self._connection:
+            self._connection.execute(
+                f"DELETE FROM mapping_rows WHERE mapping_id IN ({placeholders})", ids
+            )
+            cursor = self._connection.execute(
+                f"DELETE FROM mappings WHERE id IN ({placeholders})", ids
+            )
         return cursor.rowcount
 
     @_locked
@@ -353,20 +356,20 @@ class Repository:
                 f"not reload ({error})"
             ) from error
         try:
-            if replace:
-                self._connection.execute(
-                    "INSERT OR REPLACE INTO strategies (name, spec, document) "
-                    "VALUES (?, ?, ?)",
-                    (name, spec, document),
-                )
-            else:
-                self._connection.execute(
-                    "INSERT INTO strategies (name, spec, document) VALUES (?, ?, ?)",
-                    (name, spec, document),
-                )
+            with self._connection:
+                if replace:
+                    self._connection.execute(
+                        "INSERT OR REPLACE INTO strategies (name, spec, document) "
+                        "VALUES (?, ?, ?)",
+                        (name, spec, document),
+                    )
+                else:
+                    self._connection.execute(
+                        "INSERT INTO strategies (name, spec, document) VALUES (?, ?, ?)",
+                        (name, spec, document),
+                    )
         except sqlite3.IntegrityError as error:
             raise RepositoryError(f"strategy {name!r} is already stored") from error
-        self._connection.commit()
 
     @_locked
     def load_strategy(
@@ -411,8 +414,8 @@ class Repository:
     @_locked
     def delete_strategy(self, name: str) -> bool:
         """Delete a stored strategy; returns True if one was removed."""
-        cursor = self._connection.execute("DELETE FROM strategies WHERE name = ?", (name,))
-        self._connection.commit()
+        with self._connection:
+            cursor = self._connection.execute("DELETE FROM strategies WHERE name = ?", (name,))
         return cursor.rowcount > 0
 
     # -- similarity cubes ----------------------------------------------------------------------
@@ -420,14 +423,14 @@ class Repository:
     @_locked
     def store_cube(self, task: str, cube: SimilarityCube, replace: bool = True) -> None:
         """Persist the non-zero entries of a similarity cube under a task label."""
-        if replace:
-            self._connection.execute("DELETE FROM cube_entries WHERE task = ?", (task,))
-        self._connection.executemany(
-            "INSERT INTO cube_entries (task, matcher, source_path, target_path, similarity) "
-            "VALUES (?, ?, ?, ?, ?)",
-            [(task, matcher, s, t, v) for matcher, s, t, v in cube.as_records()],
-        )
-        self._connection.commit()
+        with self._connection:
+            if replace:
+                self._connection.execute("DELETE FROM cube_entries WHERE task = ?", (task,))
+            self._connection.executemany(
+                "INSERT INTO cube_entries (task, matcher, source_path, target_path, similarity) "
+                "VALUES (?, ?, ?, ?, ?)",
+                [(task, matcher, s, t, v) for matcher, s, t, v in cube.as_records()],
+            )
 
     @_locked
     def load_cube_entries(

@@ -77,6 +77,9 @@ DEFAULT_MAX_QUEUE = 64
 DEFAULT_READ_TIMEOUT = 30.0
 #: Seconds ``server_close()`` waits for admitted requests before closing the service.
 DRAIN_TIMEOUT = 30.0
+#: Seconds between ``serve_forever()``'s shutdown checks: ``shutdown()`` returns
+#: within one poll.
+POLL_INTERVAL = 0.05
 
 
 class MatchService:
@@ -1321,6 +1324,10 @@ class MatchServiceServer(ThreadingHTTPServer):
                 "rejected_503": self._rejected_503,
                 "draining": self._draining,
             }
+
+    def serve_forever(self, poll_interval: float = POLL_INTERVAL) -> None:
+        """Serve until :meth:`shutdown`, which returns within one poll."""
+        super().serve_forever(poll_interval)
 
     def count_connection(self, delta: int) -> None:
         with self._state:

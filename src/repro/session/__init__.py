@@ -1,40 +1,9 @@
 """The session layer: COMA's service-shaped public entry point.
 
 :class:`~repro.session.session.MatchSession` owns the shared resources of
-many match operations; :func:`default_session` provides the lazily created
-process-wide session backing the deprecated free-function shims in
-:mod:`repro`.
+many match operations and is the only implementation of the match operation.
 """
-
-from __future__ import annotations
-
-import threading
-from typing import Optional
 
 from repro.session.session import MatchSession
 
-_default_session: Optional[MatchSession] = None
-_default_session_lock = threading.Lock()
-
-
-def default_session() -> MatchSession:
-    """The lazily created process-wide session used by the free-function shims.
-
-    Creation is guarded by a lock so concurrent first callers receive the
-    same session instance.
-    """
-    global _default_session
-    if _default_session is None:
-        with _default_session_lock:
-            if _default_session is None:
-                _default_session = MatchSession()
-    return _default_session
-
-
-def reset_default_session() -> None:
-    """Drop the process-wide default session (mainly for tests)."""
-    global _default_session
-    _default_session = None
-
-
-__all__ = ["MatchSession", "default_session", "reset_default_session"]
+__all__ = ["MatchSession"]

@@ -19,8 +19,8 @@ across arbitrarily many operations:
   manage named declarative strategy specs, persisted through the repository
   when one is attached.
 
-Two cross-operation caches amortise work the stateless free functions redo on
-every call:
+Two cross-operation caches amortise work a fresh session redoes on every
+operation:
 
 * the **profile cache** shares each schema's
   :class:`~repro.engine.profiles.PathSetProfile` (tokenized names, n-gram
@@ -70,7 +70,7 @@ import numpy as np
 from repro.auxiliary.synonyms import SynonymDictionary, default_purchase_order_synonyms
 from repro.combination.cube import SimilarityCube
 from repro.combination.matrix import SimilarityMatrix
-from repro.core.match_operation import MatchOutcome, combine_cube
+from repro.core.match_operation import MatchOutcome, build_context, combine_cube
 from repro.core.processor import MatchProcessor
 from repro.core.strategy import MatchStrategy, default_strategy
 from repro.engine.engine import DEFAULT_ENGINE, MatchEngine
@@ -575,9 +575,9 @@ class MatchSession:
         >>> context.source_schema.name
         'PO1'
         """
-        return MatchContext(
-            source_schema=source,
-            target_schema=target,
+        return build_context(
+            source,
+            target,
             tokenizer=self._tokenizer,
             synonyms=self._synonyms,
             type_compatibility=self._type_compatibility.copy(),
@@ -1559,7 +1559,9 @@ class MatchSession:
         """An interactive :class:`~repro.core.processor.MatchProcessor` on this session.
 
         The processor gets its own feedback store unless the session (or the
-        call) provides one, and its context shares the session's caches.
+        call) provides one.  Each iteration is a :meth:`match` on this
+        session, so with a cacheable strategy every iteration after the first
+        reuses the cube and re-runs only the combination step.
 
         Parameters
         ----------
@@ -1574,7 +1576,7 @@ class MatchSession:
         Returns
         -------
         MatchProcessor
-            A processor whose context shares the session caches.
+            A processor whose iterations run on this session.
 
         Examples
         --------
@@ -1584,18 +1586,8 @@ class MatchSession:
         >>> processor.feedback is not None
         True
         """
-        store = feedback
-        if store is None:
-            store = self._feedback if self._feedback is not None else UserFeedbackStore()
-        context = self.context_for(source, target, feedback=store)
         return MatchProcessor(
-            source,
-            target,
-            strategy=self.resolve_strategy(strategy),
-            library=self._library,
-            engine=self._engine,
-            feedback=store,
-            context=context,
+            source, target, strategy=strategy, session=self, feedback=feedback
         )
 
     def evaluate(self, tasks: Optional[Sequence] = None, **kwargs) -> "EvaluationCampaign":

@@ -238,7 +238,7 @@ class _SaturatedServer:
             time.sleep(0.01)
 
     def _serve_then_drain(self) -> None:
-        self.server.serve_forever(poll_interval=0.05)  # quick shutdown()
+        self.server.serve_forever()
         self.server.server_close()
 
     def release(self) -> None:

@@ -310,7 +310,9 @@ class TestCombinationStrategy:
         matrix = SimilarityMatrix(sources, targets)
         matrix.set(sources[0], targets[0], 0.9)
         cube.add_layer("Name", matrix)
-        pairs, similarity = default_combination().run_with_similarity(cube)
+        strategy = default_combination()
+        pairs = strategy.select(strategy.aggregate(cube))
+        similarity = strategy.combine_pairs(pairs, len(sources), len(targets))
         assert pairs == [(sources[0], targets[0], 0.9)]
         assert similarity == pytest.approx((0.9 + 0.9) / 5)
 

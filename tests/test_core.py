@@ -2,19 +2,15 @@
 
 import pytest
 
+from repro.combination.combined import DICE_COMBINED
 from repro.combination.strategy import default_combination, parse_combination
-from repro.core.match_operation import (
-    build_context,
-    execute_matchers,
-    match,
-    match_with_strategy,
-    schema_similarity,
-)
 from repro.core.processor import MatchProcessor
 from repro.core.strategy import MatchStrategy, default_strategy, single_matcher_strategy
+from repro.engine.engine import MatchEngine
 from repro.exceptions import ComaError, StrategyError
 from repro.matchers.hybrid import NameMatcher
 from repro.matchers.simple.user_feedback import UserFeedbackStore
+from repro.session import MatchSession
 
 
 class TestMatchStrategy:
@@ -51,12 +47,12 @@ class TestMatchStrategy:
 class TestMatchOperation:
     def test_execute_matchers_builds_cube(self, tiny_pair, tiny_context):
         left, right = tiny_pair
-        cube = execute_matchers([NameMatcher()], tiny_context)
+        cube = MatchEngine().execute([NameMatcher()], tiny_context)
         assert cube.matcher_names == ("Name",)
         assert cube.shape == (1, len(left.paths()), len(right.paths()))
 
     def test_figure1_default_match_finds_city_correspondences(self, po1, po2):
-        outcome = match(po1, po2)
+        outcome = MatchSession().match(po1, po2)
         pairs = outcome.result.pair_set()
         assert ("PO1.ShipTo.shipToCity", "PO2.PO2.DeliverTo.Address.City") in pairs or (
             "PO1.Customer.custCity",
@@ -66,19 +62,20 @@ class TestMatchOperation:
         assert outcome.cube.shape[0] == 5
 
     def test_match_with_selected_matchers(self, po1, po2):
-        outcome = match(po1, po2, matchers=["NamePath"])
+        outcome = MatchSession().match(po1, po2, strategy="NamePath")
         assert outcome.cube.matcher_names == ("NamePath",)
 
     def test_match_with_custom_combination(self, po1, po2):
         combination = parse_combination("Max", "Both", "MaxN(1)")
-        outcome = match(po1, po2, combination=combination)
+        strategy = default_strategy().replaced(combination=combination)
+        outcome = MatchSession().match(po1, po2, strategy=strategy)
         assert outcome.strategy.combination.aggregation.name == "Max"
 
     def test_feedback_overrides_result(self, po1, po2):
         feedback = UserFeedbackStore()
         feedback.reject("PO1.ShipTo.shipToCity", "PO2.PO2.DeliverTo.Address.City")
         feedback.accept("PO1.ShipTo.shipToZip", "PO2.PO2.BillTo.Address.Zip")
-        outcome = match(po1, po2, feedback=feedback)
+        outcome = MatchSession().match(po1, po2, feedback=feedback)
         pairs = outcome.result.pair_set()
         assert ("PO1.ShipTo.shipToCity", "PO2.PO2.DeliverTo.Address.City") not in pairs
         assert ("PO1.ShipTo.shipToZip", "PO2.PO2.BillTo.Address.Zip") in pairs
@@ -87,7 +84,8 @@ class TestMatchOperation:
         from repro.datasets.figure1 import figure1_reference_mapping
 
         reference = figure1_reference_mapping(po1, po2)
-        value = schema_similarity(po1, po2, reference=reference)
+        pairs = [(c.source, c.target, c.similarity) for c in reference]
+        value = DICE_COMBINED.combine(pairs, len(po1.paths()), len(po2.paths()))
         expected = (len(reference.matched_sources()) + len(reference.matched_targets())) / (
             len(po1.paths()) + len(po2.paths())
         )
@@ -95,7 +93,7 @@ class TestMatchOperation:
 
     def test_match_with_strategy_records_strategy(self, po1, po2):
         strategy = MatchStrategy(matchers=["Name"], combination=default_combination())
-        outcome = match_with_strategy(po1, po2, strategy)
+        outcome = MatchSession().match(po1, po2, strategy)
         assert outcome.strategy is strategy
 
 
@@ -148,3 +146,29 @@ class TestMatchProcessor:
         processor.set_strategy(single_matcher_strategy("NamePath"))
         outcome = processor.run_iteration()
         assert outcome.cube.matcher_names == ("NamePath",)
+
+    def test_later_iterations_are_cube_hits_that_follow_feedback(self, po1, po2):
+        session = MatchSession()
+        processor = MatchProcessor(po1, po2, session=session)
+        first = processor.run_iteration()
+        rejected = processor.pending_candidates()[0]
+        processor.reject(rejected.source, rejected.target)
+        second = processor.run_iteration()
+        accepted = (
+            po1.find_path("PO1.Customer.custName"),
+            po2.find_path("PO2.PO2.BillTo.Address.Street"),
+        )
+        processor.accept(*accepted)
+        third = processor.run_iteration()
+        info = session.cache_info()
+        assert (info["cube_misses"], info["cube_hits"]) == (1, 2)
+        assert second.cube is first.cube and third.cube is first.cube
+        assert (rejected.source, rejected.target) in first.result
+        assert (rejected.source, rejected.target) not in second.result
+        assert (rejected.source, rejected.target) not in third.result
+        assert accepted not in second.result and accepted in third.result
+        # the cube hit combines exactly as a cold match under the same feedback
+        cold = MatchSession().match(po1, po2, feedback=processor.feedback)
+        assert third.result.as_tuples() == cold.result.as_tuples()
+        assert third.schema_similarity == cold.schema_similarity
+

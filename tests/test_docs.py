@@ -6,18 +6,25 @@ Two cheap, dependency-free guards that keep the docs suite honest:
   points at a file / heading that actually exists;
 * the runnable examples in the ``repro.session`` / ``repro.engine`` /
   ``repro.service`` docstrings execute cleanly (the same modules CI runs
-  through ``pytest --doctest-modules``).
+  through ``pytest --doctest-modules``);
+* every script under ``examples/`` runs to a clean exit.
 """
 
 from __future__ import annotations
 
 import doctest
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+#: The runnable example scripts.
+EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))
 
 #: The documentation set covered by the link check.
 DOCUMENTS = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
@@ -90,6 +97,7 @@ class TestDoctests:
     @pytest.mark.parametrize(
         "module_name",
         [
+            "repro.core.processor",
             "repro.session",
             "repro.session.session",
             "repro.engine.engine",
@@ -112,3 +120,18 @@ class TestDoctests:
         finder = doctest.DocTestFinder()
         examples = [test for test in finder.find(module) if test.examples]
         assert len(examples) >= 10
+
+
+class TestExamples:
+    @pytest.mark.parametrize("script", EXAMPLES, ids=[path.name for path in EXAMPLES])
+    def test_example_runs(self, script):
+        environment = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        completed = subprocess.run(
+            [sys.executable, str(script)],
+            cwd=REPO_ROOT,
+            env=environment,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]

@@ -13,13 +13,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.match_operation import build_context, execute_matchers, match
+from repro.core.match_operation import build_context
 from repro.core.processor import MatchProcessor
 from repro.core.strategy import default_strategy
 from repro.datasets.generators import generate_pair
 from repro.engine import MatchEngine, PathSetProfile
 from repro.matchers.registry import DEFAULT_LIBRARY
 from repro.matchers.simple.user_feedback import UserFeedbackStore
+from repro.session import MatchSession
 
 BATCH_ENGINE = MatchEngine()
 PAIRWISE_ENGINE = MatchEngine(use_batch=False)
@@ -87,15 +88,15 @@ def test_engine_matches_pairwise_with_user_feedback(po1, po2):
 
 def test_execute_matchers_same_cube_for_both_engines(po1, po2):
     matchers = default_strategy().resolve_matchers(None)
-    batch = execute_matchers(matchers, build_context(po1, po2), engine=BATCH_ENGINE)
-    reference = execute_matchers(matchers, build_context(po1, po2), engine=PAIRWISE_ENGINE)
+    batch = BATCH_ENGINE.execute(matchers, build_context(po1, po2))
+    reference = PAIRWISE_ENGINE.execute(matchers, build_context(po1, po2))
     assert batch.matcher_names == reference.matcher_names
     np.testing.assert_allclose(batch.as_array(), reference.as_array(), atol=1e-9, rtol=0.0)
 
 
 def test_match_accepts_engine_override(po1, po2):
-    batch = match(po1, po2)
-    reference = match(po1, po2, engine=PAIRWISE_ENGINE)
+    batch = MatchSession().match(po1, po2)
+    reference = MatchSession(engine=PAIRWISE_ENGINE).match(po1, po2)
     assert [
         (c.source.dotted(), c.target.dotted()) for c in batch.result
     ] == [(c.source.dotted(), c.target.dotted()) for c in reference.result]
@@ -103,7 +104,7 @@ def test_match_accepts_engine_override(po1, po2):
 
 
 def test_processor_accepts_engine(po1, po2):
-    processor = MatchProcessor(po1, po2, engine=PAIRWISE_ENGINE)
+    processor = MatchProcessor(po1, po2, session=MatchSession(engine=PAIRWISE_ENGINE))
     outcome = processor.run_iteration()
     assert outcome.result.correspondences
 

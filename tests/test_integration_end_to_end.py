@@ -7,7 +7,7 @@ in the repository, and reuse stored mappings for a later match task.
 
 import pytest
 
-from repro import Repository, match
+from repro import MatchSession, Repository
 from repro.core.match_operation import build_context
 from repro.core.processor import MatchProcessor
 from repro.datasets.figure1 import figure1_reference_mapping
@@ -21,7 +21,7 @@ from repro.matchers.reuse.schema_reuse import SchemaReuseMatcher
 
 class TestImportMatchEvaluate:
     def test_figure1_quality_is_reasonable(self, po1, po2):
-        outcome = match(po1, po2)
+        outcome = MatchSession().match(po1, po2)
         reference = figure1_reference_mapping(po1, po2)
         quality = evaluate_mapping(outcome.result, reference)
         # the default operation should find at least half of the reference
@@ -31,7 +31,7 @@ class TestImportMatchEvaluate:
 
     def test_purchase_order_task_with_default_operation(self):
         task = load_task(1, 2)
-        outcome = match(task.source, task.target)
+        outcome = MatchSession().match(task.source, task.target)
         quality = evaluate_mapping(outcome.result, task.reference)
         assert quality.recall >= 0.5
         assert quality.overall > 0.0
@@ -45,7 +45,7 @@ class TestImportMatchEvaluate:
         xsd_path.write_text(PO2_XSD, encoding="utf-8")
         source = DEFAULT_IMPORTERS.import_file(sql_path, name="PO1")
         target = DEFAULT_IMPORTERS.import_file(xsd_path, name="PO2")
-        outcome = match(source, target)
+        outcome = MatchSession().match(source, target)
         assert len(outcome.result) > 0
 
 
@@ -61,8 +61,9 @@ class TestRepositoryReuseWorkflow:
             repository.store_schema(excel)
             repository.store_schema(noris)
 
-            first = match(cidx, excel)
-            second = match(excel, noris)
+            session = MatchSession()
+            first = session.match(cidx, excel)
+            second = session.match(excel, noris)
             repository.store_mapping(first.result, origin="manual")
             repository.store_mapping(second.result, origin="manual")
 
@@ -90,8 +91,8 @@ class TestRepositoryReuseWorkflow:
             repository.store_schema(excel)
             restored_cidx = repository.load_schema("CIDX")
             restored_excel = repository.load_schema("Excel")
-        direct = match(cidx, excel)
-        restored = match(restored_cidx, restored_excel)
+        direct = MatchSession().match(cidx, excel)
+        restored = MatchSession().match(restored_cidx, restored_excel)
         assert direct.result.pair_set() == restored.result.pair_set()
 
 
@@ -136,5 +137,6 @@ class TestLibraryExtensibility:
 
         library = default_library()
         library.register("Constant", ConstantMatcher, kind="simple")
-        outcome = match(po1, po2, matchers=["Constant", "NamePath"], library=library)
+        session = MatchSession(library=library)
+        outcome = session.match(po1, po2, strategy="Constant+NamePath")
         assert "Constant" in outcome.cube.matcher_names

@@ -165,8 +165,6 @@ class TestCompactDtypes:
     def test_dtype_options_are_validated(self):
         with pytest.raises(ServiceError):
             ProcessSessionPool(size=1, store_dtype="float16")
-        with pytest.raises(ServiceError):
-            ProcessSessionPool(size=1, wire_dtype="int8")
 
     def test_workers_write_the_configured_store_dtype(self, tmp_path):
         from repro.repository.store import SimilarityStore
@@ -194,17 +192,4 @@ class TestCompactDtypes:
         ):
             assert abs(got - want) <= 1e-4
         error = np.max(np.abs(second.cube.as_array() - first.cube.as_array()))
-        assert error <= 1e-4
-
-    def test_compact_wire_dtype_round_trip(self):
-        a, b = load_po1(), load_po2()
-        reference = MatchSession().match(a, b)
-        with ProcessSessionPool(size=1, wire_dtype="uint16") as pool:
-            outcome = pool.match(a, b)
-        # Correspondences and the aggregated matrix always travel float64.
-        assert outcome.result.as_tuples() == reference.result.as_tuples()
-        assert np.array_equal(
-            outcome.aggregated.values, reference.aggregated.values
-        )
-        error = np.max(np.abs(outcome.cube.as_array() - reference.cube.as_array()))
         assert error <= 1e-4

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.match_operation import build_context, execute_matchers, match
+from repro.core.match_operation import build_context
+from repro.engine.engine import MatchEngine
 from repro.exceptions import RepositoryError
 from repro.matchers.hybrid import NameMatcher
 from repro.matchers.reuse.provider import StoredMapping
@@ -124,7 +125,7 @@ class TestRepositoryMappings:
 class TestRepositoryCubes:
     def test_store_and_load_cube(self, po1, po2):
         context = build_context(po1, po2)
-        cube = execute_matchers([NameMatcher()], context)
+        cube = MatchEngine().execute([NameMatcher()], context)
         with Repository() as repository:
             repository.store_cube("PO1<->PO2", cube)
             assert repository.cube_tasks() == ("PO1<->PO2",)
@@ -136,9 +137,39 @@ class TestRepositoryCubes:
 
     def test_replace_cube(self, po1, po2):
         context = build_context(po1, po2)
-        cube = execute_matchers([NameMatcher()], context)
+        cube = MatchEngine().execute([NameMatcher()], context)
         with Repository() as repository:
             repository.store_cube("t", cube)
             first_count = len(repository.load_cube_entries("t"))
             repository.store_cube("t", cube)
             assert len(repository.load_cube_entries("t")) == first_count
+
+
+class _BrokenCube:
+    """A cube whose records fail mid-write."""
+
+    def as_records(self):
+        raise ValueError("corrupt cube")
+
+
+class TestRepositoryTransactions:
+    """A write that raises leaves nothing behind for the next write to commit."""
+
+    def test_failed_mapping_write_rolls_back_its_header(self):
+        with Repository() as repository:
+            bad = StoredMapping("A", "B", (("A.x", "B.y", "not a number"),))
+            with pytest.raises(ValueError):
+                repository.store_mapping(bad)
+            repository.store_mapping(StoredMapping("A", "B", (("A.x", "B.y", 0.5),)))
+            assert repository.mapping_count() == 1
+            assert [m.rows for m in repository.stored_mappings()] == [(("A.x", "B.y", 0.5),)]
+
+    def test_failed_cube_replace_keeps_the_old_entries(self, po1, po2):
+        cube = MatchEngine().execute([NameMatcher()], build_context(po1, po2))
+        with Repository() as repository:
+            repository.store_cube("t", cube)
+            entries = repository.load_cube_entries("t")
+            with pytest.raises(ValueError):
+                repository.store_cube("t", _BrokenCube())
+            repository.store_schema(po1)  # the next write commits
+            assert repository.load_cube_entries("t") == entries

@@ -185,9 +185,7 @@ def _start(backend: str, pool_size: int = POOL_SIZE):
     server = create_server(
         port=0, pool_size=pool_size, backend=backend, corpus_path=":memory:"
     )
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread
 

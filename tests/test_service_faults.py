@@ -36,7 +36,7 @@ from repro.service.server import MAX_BODY_BYTES
 
 
 def _serve_then_drain(server) -> None:
-    server.serve_forever(poll_interval=0.05)  # shutdown() returns within 50ms
+    server.serve_forever()
     server.server_close()
 
 

@@ -1,15 +1,11 @@
-"""Tests for the session-based public API (MatchSession and the facade shims)."""
+"""Tests for the session-based public API (MatchSession)."""
 
 import hashlib
 import json
 import struct
-import warnings
 
 import pytest
 
-import repro
-from repro.core.match_operation import match as core_match
-from repro.core.match_operation import match_with_strategy as core_match_with_strategy
 from repro.core.strategy import MatchStrategy, default_strategy
 from repro.datasets.generators import generate_schema, mutate_schema
 from repro.datasets.gold_standard import load_all_tasks
@@ -20,7 +16,7 @@ from repro.matchers.hybrid import NameMatcher
 from repro.model.builder import SchemaBuilder
 from repro.repository.repository import Repository
 from repro.repository.store import SimilarityStore
-from repro.session import MatchSession, default_session, reset_default_session
+from repro.session import MatchSession
 from repro.session import session as session_module
 
 
@@ -47,7 +43,7 @@ def session():
 class TestSessionMatch:
     def test_match_equals_free_function(self, session, po1, po2):
         outcome = session.match(po1, po2)
-        reference = core_match(po1, po2)
+        reference = MatchSession().match(po1, po2)
         assert _rows(outcome) == _rows(reference)
         assert outcome.schema_similarity == reference.schema_similarity
 
@@ -59,7 +55,7 @@ class TestSessionMatch:
     def test_strategy_spec_strings_are_accepted(self, session, po1, po2):
         spec = "NamePath+Leaves(Max,Both,MaxN(1),Average)"
         outcome = session.match(po1, po2, strategy=spec)
-        reference = core_match_with_strategy(po1, po2, MatchStrategy.parse(spec))
+        reference = MatchSession().match(po1, po2, MatchStrategy.parse(spec))
         assert _rows(outcome) == _rows(reference)
 
     def test_default_strategy_is_configurable(self, po1, po2):
@@ -85,7 +81,7 @@ class TestMatchMany:
         ]
         batched = session.match_many(pairs)
         for (source, target), outcome in zip(pairs, batched):
-            reference = core_match(source, target)
+            reference = MatchSession().match(source, target)
             assert _rows(outcome) == _rows(reference)
             assert outcome.schema_similarity == reference.schema_similarity
 
@@ -298,7 +294,7 @@ class TestCubeCache:
         spec = "All(Max,Both,MaxN(1),Dice)"
         session.match(po1, po2)  # populate the cube cache
         cached = session.match(po1, po2, strategy=spec)
-        fresh = core_match_with_strategy(po1, po2, MatchStrategy.parse(spec))
+        fresh = MatchSession().match(po1, po2, MatchStrategy.parse(spec))
         assert _rows(cached) == _rows(fresh)
         assert cached.schema_similarity == fresh.schema_similarity
 
@@ -450,58 +446,3 @@ class TestNamedStrategies:
         assert info["profiles"] <= 2
         with pytest.raises(SessionError):
             MatchSession(max_cached_cubes=0)
-
-
-class TestDeprecatedShims:
-    @pytest.fixture(autouse=True)
-    def _fresh_default_session(self):
-        reset_default_session()
-        yield
-        reset_default_session()
-
-    def test_match_warns_and_matches_session(self, po1, po2):
-        with pytest.warns(DeprecationWarning, match="MatchSession.match"):
-            outcome = repro.match(po1, po2)
-        assert _rows(outcome) == _rows(MatchSession().match(po1, po2))
-
-    def test_shim_ignores_reconfigured_session_default(self, po1, po2):
-        """Legacy match() always starts from the paper default strategy."""
-        default_session().set_default_strategy("Leaves")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            outcome = repro.match(po1, po2)
-        assert outcome.strategy.matcher_names() == default_strategy().matcher_names()
-
-    def test_match_with_strategy_warns(self, po1, po2):
-        strategy = MatchStrategy.parse("Name(Average,Both,MaxN(1),Average)")
-        with pytest.warns(DeprecationWarning):
-            outcome = repro.match_with_strategy(po1, po2, strategy)
-        assert outcome.strategy is strategy
-
-    def test_build_context_and_execute_matchers_warn(self, po1, po2):
-        with pytest.warns(DeprecationWarning):
-            context = repro.build_context(po1, po2)
-        with pytest.warns(DeprecationWarning):
-            cube = repro.execute_matchers([NameMatcher()], context)
-        assert cube.matcher_names == ("Name",)
-
-    def test_schema_similarity_warns(self, po1, po2):
-        with pytest.warns(DeprecationWarning):
-            value = repro.schema_similarity(po1, po2)
-        assert value == core_match(po1, po2).schema_similarity
-
-    def test_shims_share_the_default_session(self, po1, po2):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            repro.match(po1, po2)
-            repro.match(po1, po2)
-        assert default_session().cache_info()["cube_hits"] >= 1
-
-    def test_resource_overrides_fall_back_to_stateless_path(self, po1, po2):
-        from repro.auxiliary.synonyms import SynonymDictionary
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            outcome = repro.match(po1, po2, synonyms=SynonymDictionary())
-        assert default_session().cache_info()["cubes"] == 0
-        assert outcome.result is not None

@@ -26,7 +26,7 @@ from repro.combination import (
     SimilarityMatrix,
 )
 from repro.combination.strategy import default_combination
-from repro.core.match_operation import build_context
+from repro.core.match_operation import build_context, combine_cube
 from repro.datasets.figure1 import load_po1, load_po2
 from repro.datasets.generators import generate_pair
 from repro.engine.engine import MatchEngine
@@ -140,9 +140,10 @@ def assert_kernel_matches_oracle(matchers, source, target):
             assert got.tobytes() == want.tobytes(), (matcher.name, _mismatches(got, want))
 
 
-def _mapping(cube: SimilarityCube):
-    pairs, similarity = default_combination().run_with_similarity(cube)
-    return [(a.dotted(), b.dotted(), float(v).hex()) for a, b, v in pairs], float(similarity).hex()
+def _mapping(cube: SimilarityCube, context):
+    result, _, similarity = combine_cube(cube, default_combination(), context)
+    rows = [(c.source.dotted(), c.target.dotted(), float(c.similarity).hex()) for c in result]
+    return rows, float(similarity).hex()
 
 
 MATCHERS = [
@@ -198,7 +199,7 @@ class TestGeneratedPairs:
             pair.source.paths(), pair.target.paths(), oracle_layers
         )
         assert kernel.as_array().tobytes() == oracle.as_array().tobytes()
-        assert _mapping(kernel) == _mapping(oracle)
+        assert _mapping(kernel, context) == _mapping(oracle, context)
 
 
 class TestFigure1:
