@@ -22,8 +22,8 @@ Two secondary measurements ride along:
   dedup within one process);
 * a **kernel sweep** of :func:`~repro.matchers.string.edit_distance
   .levenshtein_distance_many` on the campaign's unique name-pair set: the
-  scalar DP loop vs. the padded batch DP (``kernel="dp"``) vs. the default
-  Myers bit-parallel ladder (gated >= 2x over the batch DP);
+  scalar DP loop vs. the Myers bit-parallel ladder (gated faster than the
+  scalar loop);
 * a **store-dtype sweep**: the campaign persisted under ``float64`` /
   ``float32`` / quantized ``uint16`` cube storage, recording payload bytes
   and the reloaded warm mapping digests (gated: ``uint16`` stores at most
@@ -93,10 +93,14 @@ def _campaign_pairs():
 def run_child(store_path: str | None, store_dtype: str | None = None) -> dict:
     """Run the all-pairs campaign once in *this* process and report on it."""
     from repro.matchers.memo import DEFAULT_MEMO_POOL
+    from repro.repository.store import SimilarityStore
     from repro.session import MatchSession
 
     schemas, work = _campaign_pairs()
-    session = MatchSession(store=store_path, store_dtype=store_dtype)
+    store = None
+    if store_path is not None:
+        store = SimilarityStore(store_path, dtype=store_dtype or "float64")
+    session = MatchSession(store=store)
     started = time.perf_counter()
     outcomes = session.match_many(work)
     seconds = time.perf_counter() - started
@@ -106,8 +110,8 @@ def run_child(store_path: str | None, store_dtype: str | None = None) -> dict:
             digest.update(
                 f"{c.source.dotted()}|{c.target.dotted()}|{c.similarity!r}\n".encode()
             )
-    if store_path is not None:
-        session.store.close()  # flush writes + persist lifetime counters
+    if store is not None:
+        store.close()  # flush writes + persist lifetime counters
     return {
         "seconds": seconds,
         "schemas": len(schemas),
@@ -152,7 +156,7 @@ def _best_child(store_path: str | None, repeats: int = REPEATS) -> dict:
 
 def _bench_levenshtein_kernels() -> dict:
     """Kernel sweep on the campaign's name pairs: scalar DP loop vs. the
-    padded batch DP (``kernel="dp"``) vs. the Myers bit-parallel default."""
+    Myers bit-parallel batch kernel."""
     from repro.matchers.string.edit_distance import (
         levenshtein_distance_dp,
         levenshtein_distance_many,
@@ -174,24 +178,16 @@ def _bench_levenshtein_kernels() -> dict:
     scalar_seconds, scalar = best_of(
         lambda: [levenshtein_distance_dp(a, b) for a, b in pairs], repeats=1
     )
-    dp_seconds, dp_batch = best_of(
-        lambda: levenshtein_distance_many(pairs, kernel="dp")
-    )
     bit_seconds, bit_batch = best_of(lambda: levenshtein_distance_many(pairs))
 
-    if dp_batch.tolist() != scalar:
-        raise AssertionError("batch-DP Levenshtein disagrees with the scalar DP")
     if bit_batch.tolist() != scalar:
         raise AssertionError("bit-parallel Levenshtein disagrees with the scalar DP")
     return {
         "unique_names": len(names),
         "pairs": len(pairs),
         "scalar_dp_seconds": round(scalar_seconds, 4),
-        "batch_dp_seconds": round(dp_seconds, 4),
         "bitparallel_seconds": round(bit_seconds, 4),
-        "speedup_batch_dp_vs_scalar": round(scalar_seconds / dp_seconds, 2),
         "speedup_bitparallel_vs_scalar": round(scalar_seconds / bit_seconds, 2),
-        "speedup_bitparallel_vs_batch_dp": round(dp_seconds / bit_seconds, 2),
     }
 
 
@@ -314,10 +310,8 @@ def _print_results(results: dict) -> None:
     print(
         f"Levenshtein kernels on {kernels['pairs']} unique pairs: "
         f"scalar DP {kernels['scalar_dp_seconds']:.3f}s, "
-        f"batch DP {kernels['batch_dp_seconds']:.3f}s, "
         f"bit-parallel {kernels['bitparallel_seconds']:.3f}s "
-        f"({kernels['speedup_bitparallel_vs_batch_dp']:.1f}x over batch DP, "
-        f"{kernels['speedup_bitparallel_vs_scalar']:.1f}x over scalar)"
+        f"({kernels['speedup_bitparallel_vs_scalar']:.1f}x over scalar)"
     )
     for dtype, entry in results["store_dtypes"].items():
         ratio = entry.get("payload_ratio_vs_float64")
@@ -339,10 +333,8 @@ def test_persistent_reuse_speedup():
     # every pair was served from the store, none executed matchers
     cache = results["warm_session_cache"]
     assert cache["store_hits"] == results["operations"] and cache["store_misses"] == 0
-    # the kernel ladder: bit-parallel >= 2x over the padded batch DP (and
-    # both leave the scalar loop far behind)
+    # the bit-parallel kernel beats the scalar DP loop
     kernels = results["levenshtein_kernels"]
-    assert kernels["speedup_bitparallel_vs_batch_dp"] >= 2.0, kernels
     assert kernels["speedup_bitparallel_vs_scalar"] > 1.0, kernels
     # the quantized store tier stores at most 30% of the float64 payload
     sweep = results["store_dtypes"]

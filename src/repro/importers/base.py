@@ -12,6 +12,7 @@ import abc
 import pathlib
 from typing import Union
 
+from repro.exceptions import ImportError_
 from repro.model.schema import Schema
 
 #: Anything an importer accepts as source text: a string or a path to a file.
@@ -32,10 +33,16 @@ class SchemaImporter(abc.ABC):
         """Parse schema ``text`` into the internal representation named ``name``."""
 
     def import_file(self, path: SchemaSource, name: str | None = None) -> Schema:
-        """Read a file and import it; the schema name defaults to the file stem."""
+        """Read a file and import it; the schema name defaults to the file stem.
+
+        A file that cannot be read as UTF-8 text raises
+        :class:`~repro.exceptions.ImportError_` naming the path.
+        """
         file_path = pathlib.Path(path)
-        with open(file_path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            text = file_path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as error:
+            raise ImportError_(f"cannot read schema file {str(path)!r}: {error}") from error
         return self.import_text(text, name or file_path.stem)
 
     def accepts(self, path: SchemaSource) -> bool:

@@ -51,14 +51,14 @@ WORD_BITS = 64
 #: Longest pattern (shorter string of a pair) the batch kernel accepts, in
 #: 64-bit words.  Figure-8-scale schema names are 1 word; 8 words (512 code
 #: points) covers any plausible element name, and longer degenerate inputs
-#: fall back to the batch DP upstream.
+#: take the scalar kernel upstream.
 MAX_PATTERN_WORDS = 8
 
 #: The same cap in code points.
 MAX_PATTERN_LENGTH = WORD_BITS * MAX_PATTERN_WORDS
 
 #: Peak size of one block's ``Peq`` table, in bytes.  Blocks beyond the
-#: budget are split into chunks, mirroring the batch DP's cell budget.
+#: budget are split into chunks.
 _PEQ_BUDGET_BYTES = 32 * 2**20
 
 _ONE = np.uint64(1)

@@ -6,7 +6,7 @@ transform one string to another one (the Levenshtein metric)."
 The similarity is ``1 - distance / max(len(a), len(b))`` so that identical
 strings score 1.0 and completely different strings of equal length score 0.0.
 
-Three kernels implement the metric:
+Two kernels implement the metric:
 
 * :func:`levenshtein_distance` -- the scalar entry point, backed by Myers'
   bit-parallel recurrence (:func:`repro.matchers.string.bitparallel
@@ -23,13 +23,13 @@ Three kernels implement the metric:
   :data:`~repro.matchers.string.bitparallel.MAX_PATTERN_LENGTH` code points)
   run through the vectorized Myers kernel
   (:func:`repro.matchers.string.bitparallel.distances_into`), which advances
-  64 pattern positions per uint64 word per step; degenerate shapes fall back
-  to the padded numpy batch DP (:func:`_batch_dp`), whose inner recurrence is
-  a vectorized prefix-scan.  Equal and empty pairs (the cases the
+  64 pattern positions per uint64 word per step; longer pairs take the
+  scalar Myers kernel.  Equal and empty pairs (the cases the
   length-difference bound decides outright) never enter either kernel.
-* :func:`levenshtein_distance_dp` -- the classic two-row dynamic program
-  (O(len(a) * len(b)) time, O(min) space), kept as the independent scalar
-  reference the fuzz suites compare everything against.
+
+:func:`levenshtein_distance_dp`, the classic two-row dynamic program
+(O(len(a) * len(b)) time, O(min) space), is kept as the independent scalar
+reference the fuzz suites compare both kernels against.
 
 :class:`EditDistanceMatcher` normalises case once per *unique* string (not
 once per pair), batches all unique pairs through the vectorized kernel, and
@@ -117,16 +117,7 @@ def levenshtein_distance_dp(a: str, b: str) -> int:
     return previous[len(b)]
 
 
-#: Working-set budget of one batch-DP chunk, in DP-row cells.  The DP keeps a
-#: handful of ``chunk x (max_inner + 1)`` int arrays alive, so ~2M cells caps
-#: the kernel's peak memory around tens of MB regardless of how many unique
-#: pairs a huge schema pair funnels in at once.
-_BATCH_CELL_BUDGET = 2_000_000
-
-
-def levenshtein_distance_many(
-    pairs: Sequence[Tuple[str, str]], kernel: str = "auto"
-) -> np.ndarray:
+def levenshtein_distance_many(pairs: Sequence[Tuple[str, str]]) -> np.ndarray:
     """Exact Levenshtein distances of many string pairs, computed in one batch.
 
     Pairs whose shorter string fits the bit-parallel ladder (at most
@@ -134,119 +125,31 @@ def levenshtein_distance_many(
     points -- effectively every schema element name) run through the
     vectorized Myers kernel: 64 pattern positions per uint64 word, one
     Python-level step per text character, every word operation spanning the
-    whole batch.  Degenerate shapes fall back to the padded batch DP
-    (:func:`_batch_dp`), whose insertion recurrence is resolved with
-    ``np.minimum.accumulate`` -- also without an inner Python loop.
-
-    Pairs decided by the length-difference lower bound without any kernel
-    work (equal strings, one side empty) are short-circuited, and large
-    batches are processed in bounded-memory chunks (the scalar loop this
-    replaces ran in O(1) memory; the batch stays within a fixed working-set
-    budget however many pairs arrive).
-
-    ``kernel`` selects the implementation: ``"auto"`` (default) dispatches
-    as above; ``"dp"`` forces every pair through the batch DP -- the knob the
-    benchmark sweep and the differential tests use to compare kernels.
+    whole batch.  Longer pairs take the scalar Myers kernel
+    (:func:`~repro.matchers.string.bitparallel.myers_distance`).  Pairs
+    decided by the length-difference lower bound without any kernel work
+    (equal strings, one side empty) are short-circuited.
 
     Examples
     --------
     >>> levenshtein_distance_many([("kitten", "sitting"), ("", "abc"), ("x", "x")])
     array([3, 3, 0])
     """
-    if kernel not in ("auto", "dp"):
-        raise ValueError(f"unknown kernel {kernel!r}, expected 'auto' or 'dp'")
-    count = len(pairs)
-    distances = np.zeros(count, dtype=np.intp)
+    distances = np.zeros(len(pairs), dtype=np.intp)
     bit_eligible: List[int] = []
-    dp_indices: List[int] = []
     for index, (a, b) in enumerate(pairs):
         if a == b:
             continue  # distance 0
         if not a or not b:
             # Length-difference bound is tight here: distance == abs diff.
             distances[index] = abs(len(a) - len(b))
-            continue
-        if kernel == "auto" and min(len(a), len(b)) <= bitparallel.MAX_PATTERN_LENGTH:
+        elif min(len(a), len(b)) <= bitparallel.MAX_PATTERN_LENGTH:
             bit_eligible.append(index)
         else:
-            dp_indices.append(index)
+            distances[index] = bitparallel.myers_distance(a, b)
     if bit_eligible:
         bitparallel.distances_into(pairs, bit_eligible, distances)
-    if not dp_indices:
-        return distances
-    # Budget per pair: a handful of (max_inner + 1)-wide DP rows plus one
-    # max_outer-wide code row, so one very long string on either side cannot
-    # blow the chunk's working set.
-    widest_inner = 0
-    widest_outer = 0
-    for index in dp_indices:
-        a, b = pairs[index]
-        shorter, longer = sorted((len(a), len(b)))
-        widest_inner = max(widest_inner, shorter)
-        widest_outer = max(widest_outer, longer)
-    per_pair_cells = 4 * (widest_inner + 1) + widest_outer
-    chunk_size = max(256, _BATCH_CELL_BUDGET // per_pair_cells)
-    for start in range(0, len(dp_indices), chunk_size):
-        _batch_dp(pairs, dp_indices[start : start + chunk_size], distances)
     return distances
-
-
-def _batch_dp(
-    pairs: Sequence[Tuple[str, str]],
-    active_indices: List[int],
-    distances: np.ndarray,
-) -> None:
-    """Run the simultaneous DP for one chunk, writing into ``distances``."""
-    # The longer string of each pair drives the outer loop; the shorter one
-    # spans the DP row, keeping the padded row matrix as narrow as possible.
-    outers: List[str] = []
-    inners: List[str] = []
-    for index in active_indices:
-        a, b = pairs[index]
-        if len(a) >= len(b):
-            outers.append(a)
-            inners.append(b)
-        else:
-            outers.append(b)
-            inners.append(a)
-    batch = len(active_indices)
-    outer_lengths = np.array([len(s) for s in outers], dtype=np.intp)
-    inner_lengths = np.array([len(s) for s in inners], dtype=np.intp)
-    max_outer = int(outer_lengths.max())
-    max_inner = int(inner_lengths.max())
-
-    # Padded code-point matrices; 0 never collides with a real character
-    # because padding is only read past a pair's own length, where the row
-    # values are never consulted for that pair's result.
-    outer_codes = np.zeros((batch, max_outer), dtype=np.int64)
-    inner_codes = np.zeros((batch, max_inner), dtype=np.int64)
-    for row, (outer, inner) in enumerate(zip(outers, inners)):
-        outer_codes[row, : len(outer)] = [ord(c) for c in outer]
-        inner_codes[row, : len(inner)] = [ord(c) for c in inner]
-
-    column = np.arange(max_inner + 1, dtype=np.intp)
-    previous = np.tile(column, (batch, 1))
-    current = np.empty_like(previous)
-    scratch = np.empty_like(previous)
-    row_index = np.arange(batch)
-    for i in range(1, max_outer + 1):
-        # candidate[j] = min(deletion, substitution); insertion is folded in
-        # below by the prefix scan.
-        np.not_equal(inner_codes, outer_codes[:, i - 1 : i], out=scratch[:, 1:])
-        scratch[:, 1:] += previous[:, :-1]          # substitution
-        np.minimum(previous[:, 1:] + 1, scratch[:, 1:], out=current[:, 1:])
-        current[:, 0] = i
-        # current[j] = min_{k <= j} candidate[k] + (j - k): subtract the
-        # column index, take the running minimum, add it back.
-        current -= column
-        np.minimum.accumulate(current, axis=1, out=current)
-        current += column
-        finished = outer_lengths == i
-        if finished.any():
-            rows = row_index[finished]
-            for row in rows.tolist():
-                distances[active_indices[row]] = current[row, inner_lengths[row]]
-        previous, current = current, previous
 
 
 class EditDistanceMatcher(StringMatcher):
@@ -255,7 +158,7 @@ class EditDistanceMatcher(StringMatcher):
     The batch entry point (:meth:`similarity_many`) folds case once per
     unique input string, deduplicates the folded strings, serves known pairs
     from the process-wide kernel memo pool and pushes only the remaining
-    distinct pairs through the vectorized batch DP
+    distinct pairs through the vectorized batch kernel
     (:func:`levenshtein_distance_many`).
     """
 
@@ -321,7 +224,7 @@ class EditDistanceMatcher(StringMatcher):
 
     @staticmethod
     def _batch_kernel(pairs: Sequence[Tuple[str, str]]) -> np.ndarray:
-        """Similarities of (already case-folded) string pairs via the batch DP."""
+        """Similarities of (already case-folded) string pairs via the batch kernel."""
         values = np.zeros(len(pairs), dtype=float)
         lively: List[int] = []
         for index, (a, b) in enumerate(pairs):

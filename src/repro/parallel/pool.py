@@ -132,7 +132,7 @@ class ProcessSessionPool:
         stored by any earlier process.
     repository_path:
         Optional SQLite repository file for repository-backed matchers in the
-        workers (opened per worker, ``threadsafe=True``).
+        workers (opened per worker).
     default_strategy:
         The strategy spec workers fall back to when a request names none.
     start_method:
@@ -334,7 +334,9 @@ class ProcessSessionPool:
                 worker.process.join(timeout=5.0)
         with self._fallback_lock:
             if self._fallback_session is not None:
-                self._fallback_session.close()
+                from repro.parallel.worker import _close_session
+
+                _close_session(self._fallback_session)
                 self._fallback_session = None
 
     def __enter__(self) -> "ProcessSessionPool":

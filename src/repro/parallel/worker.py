@@ -57,15 +57,28 @@ def _build_session(options: Dict[str, object]):
     if repository_path:
         from repro.repository.repository import Repository
 
-        # threadsafe: the session's store writer thread and the request loop
-        # may both touch repository-backed reuse matchers.
-        repository = Repository(str(repository_path), threadsafe=True)
+        repository = Repository(str(repository_path))
+    store = None
+    store_path = options.get("store_path")
+    if store_path:
+        from repro.repository.store import SimilarityStore
+
+        store = SimilarityStore(
+            str(store_path), dtype=options.get("store_dtype") or "float64"
+        )
     return MatchSession(
         repository=repository,
-        store=options.get("store_path") or None,
-        store_dtype=options.get("store_dtype") or None,
+        store=store,
         strategy=options.get("default_strategy") or None,
     )
+
+
+def _close_session(session) -> None:
+    """Close a session from :func:`_build_session`, then the store it was given."""
+    store = session.store
+    session.close()
+    if store is not None:
+        store.close()
 
 
 def _handle_match(
@@ -178,5 +191,5 @@ def worker_main(connection, options: Dict[str, object]) -> None:
             except (BrokenPipeError, OSError):
                 break
     finally:
-        session.close()
+        _close_session(session)
         connection.close()

@@ -22,7 +22,6 @@ protocol, so it can be handed directly to the reuse matchers via
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import sqlite3
@@ -35,12 +34,14 @@ from repro.matchers.reuse.provider import MappingRow, StoredMapping
 from repro.model.mapping import MatchResult
 from repro.model.schema import Schema
 from repro.repository.serialization import schema_from_json, schema_to_json
+from repro.repository.sqlite import Layout, open_database
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.strategy import MatchStrategy
     from repro.matchers.registry import MatcherLibrary
 
 _SCHEMA_DDL = """
+PRAGMA foreign_keys = ON;
 CREATE TABLE IF NOT EXISTS schemas (
     name        TEXT PRIMARY KEY,
     format      TEXT NOT NULL DEFAULT 'internal',
@@ -78,9 +79,20 @@ CREATE TABLE IF NOT EXISTS strategies (
 );
 """
 
+#: Mappings and named strategies may be user-confirmed work, so the
+#: repository keeps SQLite's ``synchronous=FULL``: a commit survives a
+#: power cut.
+_REPOSITORY_LAYOUT = Layout(
+    label="repository",
+    error=RepositoryError,
+    tables=("schemas", "mappings", "mapping_rows", "cube_entries", "strategies"),
+    ddl=_SCHEMA_DDL,
+    synchronous=None,
+)
+
 
 def _locked(method):
-    """Run ``method`` under the repository lock (a no-op lock by default)."""
+    """Run ``method`` under the repository lock."""
 
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
@@ -94,29 +106,20 @@ class Repository:
     """SQLite-backed store for schemas, mappings and similarity cubes.
 
     Every write method commits as one transaction, or rolls back entirely
-    when it raises.
+    when it raises.  The file opens through :mod:`repro.repository.sqlite`,
+    so processes may share it, and every method runs under an internal
+    reentrant lock, so threads may share one repository.
 
     Parameters
     ----------
     path:
         The database file (``":memory:"`` for an in-memory repository).
-    threadsafe:
-        When True, the single underlying connection may be used from any
-        thread and every repository method runs under an internal reentrant
-        lock (statement sequences such as a mapping insert stay atomic).
-        This is how the :mod:`repro.service` layer shares one repository
-        across its worker sessions.  The default (False) keeps SQLite's
-        same-thread check for single-threaded use.
     """
 
-    def __init__(self, path: str = ":memory:", threadsafe: bool = False):
+    def __init__(self, path: str = ":memory:"):
         self._path = path
-        self._threadsafe = bool(threadsafe)
-        self._lock = threading.RLock() if threadsafe else contextlib.nullcontext()
-        self._connection = sqlite3.connect(path, check_same_thread=not threadsafe)
-        self._connection.execute("PRAGMA foreign_keys = ON")
-        self._connection.executescript(_SCHEMA_DDL)
-        self._connection.commit()
+        self._lock = threading.RLock()
+        self._connection = open_database(path, _REPOSITORY_LAYOUT)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -124,11 +127,6 @@ class Repository:
     def path(self) -> str:
         """The database path (``":memory:"`` for an in-memory repository)."""
         return self._path
-
-    @property
-    def threadsafe(self) -> bool:
-        """Whether this repository serialises cross-thread access internally."""
-        return self._threadsafe
 
     @_locked
     def close(self) -> None:

@@ -65,6 +65,7 @@ from repro.linguistic.tokenizer import NameTokenizer
 from repro.model.datatypes import TypeCompatibilityTable
 from repro.model.schema import Schema
 from repro.repository.serialization import schema_to_json
+from repro.repository.sqlite import Layout, open_database
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.matchers.registry import MatcherLibrary
@@ -154,6 +155,24 @@ CREATE TABLE IF NOT EXISTS subtrees (
     created_at      REAL NOT NULL DEFAULT (julianday('now'))
 );
 """
+
+#: Files created before the dtype contract lack the newer ``cubes`` columns
+#: (their rows are unreachable anyway -- the format version is in every
+#: digest -- but the occupancy queries still touch them), and files created
+#: before rematch lack ``subtrees``, which read-only opens therefore do not
+#: require.
+_STORE_LAYOUT = Layout(
+    label="similarity store",
+    error=RepositoryError,
+    tables=("cubes", "tokens", "counters"),
+    ddl=_STORE_DDL,
+    migrations=(
+        "ALTER TABLE cubes ADD COLUMN dtype TEXT NOT NULL DEFAULT 'float64'",
+        "ALTER TABLE cubes ADD COLUMN payload_bytes INTEGER NOT NULL DEFAULT 0",
+        "ALTER TABLE cubes ADD COLUMN external INTEGER NOT NULL DEFAULT 0",
+    ),
+)
+
 
 def encode_stack(stack: np.ndarray, dtype: str) -> bytes:
     """Encode a float64 cube stack into the given storage dtype's payload.
@@ -331,15 +350,14 @@ class SimilarityStore:
     readonly:
         Open for inspection only (``coma stats --store``): the file is
         opened ``mode=ro`` (a missing path fails instead of creating an
-        empty database), no DDL or migrations run, and the open validates
-        that the file actually contains the store tables -- pointing the
-        flag at some *other* SQLite database raises
-        :class:`~repro.exceptions.RepositoryError` instead of mutating it or
-        reporting zeros.  Implies ``writer=False``.
+        empty database), no DDL or migrations run, and a file without the
+        store tables raises :class:`~repro.exceptions.RepositoryError`
+        instead of reporting zeros.  Implies ``writer=False``.
 
-    Thread safety: one internal lock serialises database access; reads run on
-    the caller thread, writes on the writer thread.  The store may be shared
-    by any number of sessions.
+    The file opens through :mod:`repro.repository.sqlite` (WAL, 30 s busy
+    timeout, ``synchronous=NORMAL``).  Thread safety: one internal lock
+    serialises database access; reads run on the caller thread, writes on
+    the writer thread.  The store may be shared by any number of sessions.
 
     Examples
     --------
@@ -348,12 +366,6 @@ class SimilarityStore:
     0
     >>> store.close()
     """
-
-    #: How long a connection waits on another process's write lock before
-    #: giving up.  30s comfortably covers a slow checkpoint; the store's read
-    #: paths additionally degrade lock errors to cache misses, so this bound
-    #: is a latency ceiling, not a correctness knob.
-    BUSY_TIMEOUT_SECONDS = 30.0
 
     def __init__(
         self,
@@ -377,80 +389,7 @@ class SimilarityStore:
         self._mmap_threshold = mmap_threshold
         self._readonly = bool(readonly)
         self._lock = threading.RLock()
-        try:
-            if readonly:
-                # An inspection-only open (`coma stats --store`) must neither
-                # create a database out of a typo'd path nor run DDL against
-                # a file that is *some other* SQLite database -- mode=ro
-                # fails on a missing file and guarantees zero mutation.
-                self._connection = sqlite3.connect(
-                    f"file:{path}?mode=ro",
-                    uri=True,
-                    check_same_thread=False,
-                    timeout=self.BUSY_TIMEOUT_SECONDS,
-                )
-            else:
-                self._connection = sqlite3.connect(
-                    path, check_same_thread=False, timeout=self.BUSY_TIMEOUT_SECONDS
-                )
-            # One store file is routinely shared by many *processes* (every
-            # worker of `coma serve --backend process` opens its own
-            # connection).  WAL lets those readers proceed while a writer
-            # commits -- the rollback-journal default would instead escalate
-            # concurrent access into SQLITE_BUSY storms (and its
-            # writer-vs-reader lock upgrade can deadlock outright, which a
-            # busy timeout only converts into a 30s stall).  The busy timeout
-            # then serialises concurrent writers.  synchronous=NORMAL is the
-            # documented WAL pairing: commits stop waiting on fsync, and a
-            # power-cut loses at most the final commits of a *cache*.
-            self._connection.execute(
-                f"PRAGMA busy_timeout = {int(self.BUSY_TIMEOUT_SECONDS * 1000)}"
-            )
-            if readonly:
-                # No DDL, no migrations: verify the file actually is a
-                # similarity store instead of silently reporting zeros over
-                # (or worse, later mutating) an unrelated database.
-                present = {
-                    row[0]
-                    for row in self._connection.execute(
-                        "SELECT name FROM sqlite_master WHERE type = 'table'"
-                    )
-                }
-                missing = {"cubes", "tokens", "counters"} - present
-                if missing:
-                    self._connection.close()
-                    raise RepositoryError(
-                        f"{path!r} is not a similarity store (missing "
-                        f"table(s): {', '.join(sorted(missing))})"
-                    )
-            else:
-                if path != ":memory:":
-                    try:
-                        self._connection.execute("PRAGMA journal_mode = WAL")
-                        self._connection.execute("PRAGMA synchronous = NORMAL")
-                    except sqlite3.Error:
-                        # Some filesystems cannot memory-map the WAL side files;
-                        # the store still works, just with coarser locking.
-                        pass
-                self._connection.executescript(_STORE_DDL)
-                # Files created before the dtype contract lack the newer columns
-                # (their rows are unreachable anyway -- the format version is in
-                # every digest -- but the occupancy queries still touch them).
-                for migration in (
-                    "ALTER TABLE cubes ADD COLUMN dtype TEXT NOT NULL DEFAULT 'float64'",
-                    "ALTER TABLE cubes ADD COLUMN payload_bytes INTEGER NOT NULL DEFAULT 0",
-                    "ALTER TABLE cubes ADD COLUMN external INTEGER NOT NULL DEFAULT 0",
-                ):
-                    with contextlib.suppress(sqlite3.OperationalError):
-                        self._connection.execute(migration)
-                self._connection.commit()
-        except sqlite3.Error as error:
-            # A corrupt file, a non-SQLite file passed by mistake, or an
-            # unwritable path must surface as a clean library error, not a
-            # raw sqlite traceback.
-            raise RepositoryError(
-                f"cannot open similarity store {path!r}: {error}"
-            ) from error
+        self._connection = open_database(path, _STORE_LAYOUT, readonly=readonly)
         self._hits = 0
         self._misses = 0
         self._writes = 0
@@ -656,10 +595,9 @@ class SimilarityStore:
             return
         removed = False
         with contextlib.suppress(sqlite3.Error):
-            with self._lock:
+            with self._lock, self._connection:
                 self._connection.execute("DELETE FROM cubes WHERE key = ?", (key,))
-                self._connection.commit()
-                removed = True
+            removed = True
         with contextlib.suppress(OSError):
             os.remove(self._side_path(key))
         if removed:
@@ -723,13 +661,13 @@ class SimilarityStore:
             int(external),
         )
         with self._lock:
-            self._connection.execute(
-                "INSERT OR REPLACE INTO cubes (key, source_digest, target_digest, "
-                "matchers, config_digest, matcher_names, shape, data, dtype, "
-                "payload_bytes, external) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                record,
-            )
-            self._connection.commit()
+            with self._connection:
+                self._connection.execute(
+                    "INSERT OR REPLACE INTO cubes (key, source_digest, target_digest, "
+                    "matchers, config_digest, matcher_names, shape, data, dtype, "
+                    "payload_bytes, external) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    record,
+                )
             self._writes += 1
         if not external:
             # An earlier write of this key may have used the external tier;
@@ -760,17 +698,17 @@ class SimilarityStore:
         if max_cubes < 0:
             raise RepositoryError(f"max_cubes must be >= 0, got {max_cubes}")
         with self._lock:
-            doomed = self._connection.execute(
-                "SELECT key, external FROM cubes WHERE key NOT IN ("
-                "SELECT key FROM cubes ORDER BY created_at DESC, key LIMIT ?)",
-                (max_cubes,),
-            ).fetchall()
-            cursor = self._connection.execute(
-                "DELETE FROM cubes WHERE key NOT IN ("
-                "SELECT key FROM cubes ORDER BY created_at DESC, key LIMIT ?)",
-                (max_cubes,),
-            )
-            self._connection.commit()
+            with self._connection:
+                doomed = self._connection.execute(
+                    "SELECT key, external FROM cubes WHERE key NOT IN ("
+                    "SELECT key FROM cubes ORDER BY created_at DESC, key LIMIT ?)",
+                    (max_cubes,),
+                ).fetchall()
+                cursor = self._connection.execute(
+                    "DELETE FROM cubes WHERE key NOT IN ("
+                    "SELECT key FROM cubes ORDER BY created_at DESC, key LIMIT ?)",
+                    (max_cubes,),
+                )
             if cursor.rowcount:
                 # VACUUM rewrites the main database file without the freed
                 # pages; the checkpoint then truncates the WAL side file.
@@ -814,12 +752,12 @@ class SimilarityStore:
             (config_digest, name, json.dumps(list(tokens))) for name, tokens in items
         ]
         with self._lock:
-            self._connection.executemany(
-                "INSERT OR REPLACE INTO tokens (config_digest, name, tokens) "
-                "VALUES (?, ?, ?)",
-                rows,
-            )
-            self._connection.commit()
+            with self._connection:
+                self._connection.executemany(
+                    "INSERT OR REPLACE INTO tokens (config_digest, name, tokens) "
+                    "VALUES (?, ?, ?)",
+                    rows,
+                )
             self._writes += 1
 
     def store_tokens_async(self, *args, **kwargs) -> None:
@@ -874,12 +812,12 @@ class SimilarityStore:
 
         payload = json.dumps(list(signatures))
         with self._lock:
-            self._connection.execute(
-                "INSERT OR REPLACE INTO subtrees "
-                "(schema_digest, digest_version, signatures) VALUES (?, ?, ?)",
-                (schema_digest, DIGEST_VERSION, payload),
-            )
-            self._connection.commit()
+            with self._connection:
+                self._connection.execute(
+                    "INSERT OR REPLACE INTO subtrees "
+                    "(schema_digest, digest_version, signatures) VALUES (?, ?, ?)",
+                    (schema_digest, DIGEST_VERSION, payload),
+                )
             self._writes += 1
 
     def store_path_signatures_async(self, *args, **kwargs) -> None:
@@ -970,14 +908,12 @@ class SimilarityStore:
                 ("corrupt", self._corrupt),
                 ("quarantined", self._quarantined),
             )
-            for name, value in deltas:
-                if value:
-                    self._connection.execute(
-                        "INSERT INTO counters (name, value) VALUES (?, ?) "
-                        "ON CONFLICT(name) DO UPDATE SET value = value + excluded.value",
-                        (name, value),
-                    )
-            self._connection.commit()
+            with self._connection:
+                self._connection.executemany(
+                    "INSERT INTO counters (name, value) VALUES (?, ?) "
+                    "ON CONFLICT(name) DO UPDATE SET value = value + excluded.value",
+                    [(name, value) for name, value in deltas if value],
+                )
             self._hits = 0
             self._misses = 0
             self._corrupt = 0
@@ -1021,12 +957,11 @@ class SimilarityStore:
                 return
             kind, args, kwargs = item
             try:
-                self._apply_write(kind, args, kwargs)
-            except Exception:  # noqa: BLE001 - a failed write must not kill the writer
                 # Persistence is an optimisation: losing one write degrades
-                # reuse, never correctness, so the writer soldiers on.
+                # reuse, never correctness, so the writer soldiers on.  The
+                # failed write rolled itself back.
                 with contextlib.suppress(Exception):
-                    self._connection.rollback()
+                    self._apply_write(kind, args, kwargs)
             finally:
                 self._queue.task_done()
 

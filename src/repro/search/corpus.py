@@ -27,8 +27,8 @@ small SQLite database holding three indexed structures:
 The corpus lives in its own SQLite file (or ``":memory:"``) alongside the
 :class:`~repro.repository.repository.Repository` and the
 :class:`~repro.repository.store.SimilarityStore` -- same deployment model,
-same thread-safety discipline (one internal lock, connections opened with
-``check_same_thread=False``).  All vocabulary extraction goes through one
+same SQLite layer (:mod:`repro.repository.sqlite`), same thread-safety
+discipline (one internal lock).  All vocabulary extraction goes through one
 tokenizer whose configuration digest is pinned in the corpus metadata:
 opening a corpus with a differently configured tokenizer raises rather than
 silently producing disjoint query/index vocabularies.
@@ -52,6 +52,7 @@ from repro.exceptions import SearchError
 from repro.linguistic.tokenizer import NameTokenizer
 from repro.model.schema import Schema
 from repro.repository.serialization import schema_from_json, schema_to_json
+from repro.repository.sqlite import Layout, open_database
 from repro.repository.store import schema_content_digest, tokenizer_digest
 from repro.search.intervals import IntervalNode, interval_encode
 
@@ -111,6 +112,15 @@ CREATE TABLE IF NOT EXISTS corpus_nodes (
 CREATE INDEX IF NOT EXISTS corpus_nodes_by_label_size
     ON corpus_nodes (label, size);
 """
+
+_CORPUS_LAYOUT = Layout(
+    label="schema corpus",
+    error=SearchError,
+    tables=(
+        "corpus_meta", "corpus_schemas", "corpus_terms", "corpus_postings", "corpus_nodes"
+    ),
+    ddl=_CORPUS_DDL,
+)
 
 
 def schema_vocabulary(
@@ -298,21 +308,7 @@ class SchemaCorpus:
         self._loaded: Dict[int, Tuple[str, Schema]] = {}
         #: Loaded by the first rank(), never by registrations before it.
         self._index: Optional[_RankIndex] = None
-        try:
-            self._connection = sqlite3.connect(
-                path, check_same_thread=False, timeout=30.0
-            )
-            self._connection.execute("PRAGMA busy_timeout = 30000")
-            if path != ":memory:":
-                with contextlib.suppress(sqlite3.Error):
-                    self._connection.execute("PRAGMA journal_mode = WAL")
-                    self._connection.execute("PRAGMA synchronous = NORMAL")
-            self._connection.executescript(_CORPUS_DDL)
-            self._connection.commit()
-        except sqlite3.Error as error:
-            raise SearchError(
-                f"cannot open schema corpus {path!r}: {error}"
-            ) from error
+        self._connection = open_database(path, _CORPUS_LAYOUT)
         pinned = self._meta("tokenizer_digest")
         if pinned is None:
             self._set_meta("tokenizer_digest", self._tokenizer_digest)
@@ -362,12 +358,11 @@ class SchemaCorpus:
         return row[0] if row is not None else None
 
     def _set_meta(self, key: str, value: str) -> None:
-        with self._lock:
+        with self._lock, self._connection:
             self._connection.execute(
                 "INSERT OR REPLACE INTO corpus_meta (key, value) VALUES (?, ?)",
                 (key, value),
             )
-            self._connection.commit()
 
     # -- registration ----------------------------------------------------------
 
@@ -469,23 +464,18 @@ class SchemaCorpus:
 
     @contextlib.contextmanager
     def _transaction(self) -> Iterator[None]:
-        """One write: committed when the block completes, rolled back on any error.
+        """One write, committed or rolled back as a whole.
 
-        A failed write must leave nothing behind for the next commit, and the
-        in-memory index is dropped so the next :meth:`rank` reloads it.
+        The in-memory index is patched only after the commit, so a failed
+        write leaves it in step with the rolled-back file.
         """
         try:
-            yield
-            self._connection.commit()
-        except BaseException as error:
-            with contextlib.suppress(sqlite3.Error):
-                self._connection.rollback()
-            self._index = None
-            if isinstance(error, sqlite3.Error):
-                raise SearchError(
-                    f"write to schema corpus {self._path!r} failed: {error}"
-                ) from error
-            raise
+            with self._connection:
+                yield
+        except sqlite3.Error as error:
+            raise SearchError(
+                f"write to schema corpus {self._path!r} failed: {error}"
+            ) from error
 
     def _index_after_commit_locked(self) -> Optional[_RankIndex]:
         """The in-memory index, if this handle's own commit is all it missed.

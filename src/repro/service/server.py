@@ -107,9 +107,9 @@ class MatchService:
         ``docs/service.md`` for the selection guide.
     repository_path:
         Optional SQLite file backing the strategy registry (and the reuse
-        matchers of every worker session).  Opened ``threadsafe=True`` and
-        shared by all shards; strategies stored through the service are
-        visible to other sessions over the same file.
+        matchers of every worker session), shared by all shards;
+        strategies stored through the service are visible to other sessions
+        over the same file.
     store_path:
         Optional persistent similarity store
         (:class:`~repro.repository.store.SimilarityStore`) shared by all
@@ -204,7 +204,7 @@ class MatchService:
         if repository_path:
             from repro.repository.repository import Repository
 
-            self._repository = Repository(repository_path, threadsafe=True)
+            self._repository = Repository(repository_path)
         if store_dtype is not None:
             from repro.repository.store import CUBE_DTYPES
 

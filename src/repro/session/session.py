@@ -224,9 +224,7 @@ class MatchSession:
         operation (individual calls may override it).
     repository:
         An optional :class:`~repro.repository.repository.Repository` used by
-        reuse matchers and for persisting named strategies.  Pass a
-        repository opened with ``threadsafe=True`` when the session is
-        shared across threads.
+        reuse matchers and for persisting named strategies.
     store:
         An optional persistent :class:`~repro.repository.store.SimilarityStore`
         (or a path string, opened on the spot and closed by :meth:`close`):
@@ -239,13 +237,8 @@ class MatchSession:
         matcher library consult it at all -- stored cubes are addressed by
         matcher name, which is sound only when every process resolves those
         names identically; a custom ``library`` silently bypasses the store.
-    store_dtype:
-        The storage dtype for cubes written by a store the session *opens
-        itself* (``store`` given as a path string): ``"float64"`` (default,
-        bit-identical round trips), ``"float32"``, or quantized ``"uint16"``
-        (see :data:`repro.repository.store.CUBE_DTYPES`).  Passing it next
-        to an already-open :class:`SimilarityStore` object with a different
-        dtype raises :class:`SessionError` rather than silently disagreeing.
+        A path string opens a ``float64`` store; pass
+        ``SimilarityStore(path, dtype=...)`` for a compact cube dtype.
     cache_cubes:
         Keep similarity cubes per (schema pair, matcher usage) so repeated
         matches of a pair (e.g. under different combination strategies) skip
@@ -291,7 +284,6 @@ class MatchSession:
         feedback: Optional[UserFeedbackStore] = None,
         repository: Optional["Repository"] = None,
         store: "SimilarityStore | str | None" = None,
-        store_dtype: Optional[str] = None,
         corpus: "SchemaCorpus | str | None" = None,
         cache_cubes: bool = True,
         max_cached_cubes: Optional[int] = DEFAULT_MAX_CACHED_CUBES,
@@ -360,24 +352,10 @@ class MatchSession:
                 if isinstance(store, str):
                     from repro.repository.store import SimilarityStore
 
-                    store = SimilarityStore(store, dtype=store_dtype or "float64")
+                    store = SimilarityStore(store)
                     self._owns_store = True
-                elif store_dtype is not None and store.dtype != store_dtype:
-                    raise SessionError(
-                        f"store_dtype={store_dtype!r} conflicts with the "
-                        f"attached store's dtype {store.dtype!r}; configure "
-                        f"the SimilarityStore itself or pass a path string"
-                    )
                 self._store = store
                 self._refresh_store_digests()
-        elif store_dtype is not None:
-            from repro.repository.store import CUBE_DTYPES
-
-            if store_dtype not in CUBE_DTYPES:
-                raise SessionError(
-                    f"unknown store_dtype {store_dtype!r}, "
-                    f"expected one of {CUBE_DTYPES}"
-                )
         self._corpus: Optional["SchemaCorpus"] = None
         self._owns_corpus = False
         self._searcher: Optional["CorpusSearcher"] = None
@@ -1469,12 +1447,11 @@ class MatchSession:
             repository_path = (
                 self._repository.path if self._repository is not None else None
             )
-            store_dtype = self._store.dtype if self._store is not None else None
             owned = process_pool = ProcessSessionPool(
                 processes,
                 store_path=store_path,
                 repository_path=repository_path,
-                store_dtype=store_dtype if store_path is not None else None,
+                store_dtype=self._store.dtype if store_path is not None else None,
             )
         try:
             if process_pool.config_digest != self.config_digest():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.similarity_flooding import SimilarityFloodingMatcher
-from repro.cli import main
+from repro.cli import console_main, main
 from repro.datasets.figure1 import PO1_DDL, PO2_XSD
 from repro.exceptions import ComaError
 
@@ -141,6 +141,29 @@ class TestCli:
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "All(Max,Both,Thr(0.6),Dice)" in captured
+
+    def test_unreadable_schema_files_exit_1(self, schema_files, tmp_path, capsys):
+        """A missing, directory or non-UTF-8 schema path: one error line, exit 1."""
+        from repro.search import SchemaCorpus
+
+        source, target = schema_files
+        corpus = str(tmp_path / "corpus.db")
+        SchemaCorpus(corpus).close()
+        (tmp_path / "folder.sql").mkdir()
+        (tmp_path / "latin1.sql").write_bytes("CREATE TABLE caf\xe9 (a INT);".encode("latin-1"))
+        for bad in ("missing.sql", "folder.sql", "latin1.sql"):
+            path = str(tmp_path / bad)
+            for command in (
+                ["match", path, target],
+                ["rematch", source, path, target],
+                ["stats", path],
+                ["search", path, "--corpus", corpus],
+                ["corpus", corpus, "add", path],
+            ):
+                assert console_main(command) == 1, command
+                error = capsys.readouterr().err
+                assert error.startswith("error: ") and error.count("\n") == 1, error
+                assert path in error, error
 
     def test_strategies_save_requires_repository(self):
         with pytest.raises(ComaError):

@@ -98,6 +98,7 @@ class TestDoctests:
         "module_name",
         [
             "repro.core.processor",
+            "repro.repository.sqlite",
             "repro.session",
             "repro.session.session",
             "repro.engine.engine",

@@ -2,7 +2,7 @@
 
 The batch kernel (:func:`repro.matchers.string.edit_distance
 .levenshtein_distance_many`) routes pairs through the vectorized Myers
-bit-parallel recurrence (with a padded batch-DP fallback); these tests pin
+bit-parallel recurrence (with a scalar Myers fallback); these tests pin
 it -- and the scalar Myers kernel behind :func:`levenshtein_distance` -- to
 the classic two-row DP reference on arbitrary unicode input, including the
 edges the bit packing has to get right (empty strings, equal strings,
@@ -82,32 +82,12 @@ class TestBatchEqualsScalar:
     def test_empty_batch(self):
         assert levenshtein_distance_many([]).tolist() == []
 
-    def test_chunked_batches_agree_with_scalar(self):
-        """Chunked execution (the bounded-memory path) matches the scalar DP."""
-        import repro.matchers.string.edit_distance as module
-
-        pairs = [(f"name{i}", f"label{i % 7}") for i in range(40)]
-        distances = np.zeros(len(pairs), dtype=np.intp)
-        indices = list(range(len(pairs)))
-        for start in range(0, len(indices), 3):  # force 3-pair chunks
-            module._batch_dp(pairs, indices[start : start + 3], distances)
-        assert distances.tolist() == [scalar_reference(a, b) for a, b in pairs]
-        # The public entry point (whose chunk size floors at 1024) agrees too.
-        assert module.levenshtein_distance_many(pairs).tolist() == distances.tolist()
-
     def test_mixed_lengths_in_one_batch(self):
         # Pairs finishing at very different outer iterations share one batch:
         # each must record its result at exactly its own final DP row.
         pairs = [("a" * n, "b" * (17 - n)) for n in range(1, 17)]
         batch = levenshtein_distance_many(pairs)
         assert batch.tolist() == [scalar_reference(a, b) for a, b in pairs]
-
-    def test_forced_dp_kernel_agrees(self):
-        pairs = [("kitten", "sitting"), ("a" * 70, "b" * 70), ("", "xy")]
-        forced = levenshtein_distance_many(pairs, kernel="dp")
-        assert forced.tolist() == [scalar_reference(a, b) for a, b in pairs]
-        with pytest.raises(ValueError):
-            levenshtein_distance_many(pairs, kernel="simd")
 
 
 class TestBitParallelKernel:
@@ -160,8 +140,8 @@ class TestBitParallelKernel:
         assert levenshtein_distance_many(pairs).tolist() == [0, 3, 3, 1]
 
     def test_fallback_beyond_ladder_cap(self):
-        # Patterns longer than MAX_PATTERN_LENGTH take the batch-DP fallback
-        # inside levenshtein_distance_many; results stay exact.
+        # Patterns longer than MAX_PATTERN_LENGTH take the scalar Myers
+        # kernel inside levenshtein_distance_many; results stay exact.
         m = bitparallel.MAX_PATTERN_LENGTH + 5
         pairs = [("a" * m, "a" * (m - 3) + "bcd"), ("ab" * m, "ba" * m), ("s", "t")]
         batch = levenshtein_distance_many(pairs)

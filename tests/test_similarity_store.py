@@ -663,50 +663,27 @@ class TestPruneReclaimsDisk:
 
 class TestSessionDtypePlumbing:
     def test_path_store_honours_store_dtype(self, store_path):
-        session = MatchSession(store=store_path, store_dtype="uint16")
-        try:
+        with SimilarityStore(store_path, dtype="uint16") as store:
+            session = MatchSession(store=store)
             assert session.store.dtype == "uint16"
             session.match(load_po1(), load_po2())
             session.store.flush()
             breakdown = session.store.info()["cube_dtypes"]
             assert set(breakdown) == {"uint16"}
-        finally:
-            session.close()
-
-    def test_conflicting_object_store_dtype_raises(self, store_path):
-        from repro.exceptions import SessionError
-
-        shared = SimilarityStore(store_path)  # float64 writer
-        try:
-            with pytest.raises(SessionError):
-                MatchSession(store=shared, store_dtype="uint16")
-            # A matching hint is fine.
-            MatchSession(store=shared, store_dtype="float64").close()
-        finally:
-            shared.close()
-
-    def test_unknown_store_dtype_raises(self):
-        from repro.exceptions import SessionError
-
-        with pytest.raises(SessionError):
-            MatchSession(store_dtype="float16")
 
     def test_warm_uint16_session_is_within_tolerance(self, store_path):
         source, target = load_po1(), load_po2()
         baseline = outcome_rows(MatchSession().match(source, target))
-        first = MatchSession(store=store_path, store_dtype="uint16")
-        first.match(source, target)
-        first.close()
-        second = MatchSession(store=store_path, store_dtype="uint16")
-        try:
+        with SimilarityStore(store_path, dtype="uint16") as store:
+            MatchSession(store=store).match(source, target)
+        with SimilarityStore(store_path, dtype="uint16") as store:
+            second = MatchSession(store=store)
             warm = second.match(source, target)
             assert second.cache_info()["store_hits"] == 1
             rows = outcome_rows(warm)
             assert [(s, t) for s, t, _ in rows] == [(s, t) for s, t, _ in baseline]
             for (_, _, got), (_, _, want) in zip(rows, baseline):
                 assert abs(got - want) <= 1e-4
-        finally:
-            second.close()
 
 
 class TestServiceIntegration:

@@ -1,13 +1,13 @@
-"""Multi-process SimilarityStore stress: concurrent writers, no lost writes.
+"""Multi-process SimilarityStore and Repository stress: no lost writes.
 
 Every worker of ``coma serve --backend process`` opens its own connection to
-one shared store file, so the store must survive concurrent cross-process
-readers and writers: no ``sqlite3.OperationalError`` may escape its public
-API, no committed write may be lost, and the lifetime hit/miss counters each
-process folds in at close must sum exactly.  This is what the WAL +
-busy-timeout configuration in :class:`~repro.repository.store.SimilarityStore`
-exists for; a child that trips a locking error crashes and leaves no result
-file, which the parent reports.
+one shared store file (and repository file), so both must survive concurrent
+cross-process readers and writers: no ``sqlite3.OperationalError`` may escape
+their public API, no committed write may be lost, and the lifetime hit/miss
+counters each process folds in at close must sum exactly.  This is what the
+WAL + busy-timeout configuration of :mod:`repro.repository.sqlite` exists
+for; a child that trips a locking error crashes and leaves no result file,
+which the parent reports.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import multiprocessing
 import os
 
 import numpy as np
+import pytest
 
 WORKERS = 4
 OPS = 25
@@ -281,17 +282,115 @@ def test_corruption_under_concurrent_writers_never_escapes(tmp_path):
         assert scrubbed >= info["corrupt"]
 
 
-def test_wal_mode_is_active_on_file_stores(tmp_path):
+@pytest.mark.parametrize(
+    "component, synchronous",
+    [("SimilarityStore", 1), ("SchemaCorpus", 1), ("Repository", 2)],
+    ids=["SimilarityStore", "SchemaCorpus", "Repository"],
+)
+def test_wal_mode_is_active_on_file_stores(tmp_path, component, synchronous):
+    """Every component opens WAL with a 30 s busy timeout and its durability.
+
+    The repository holds user-confirmed mappings, so it keeps SQLite's
+    ``synchronous=FULL`` (2); the store and the corpus run ``NORMAL`` (1).
+    """
     import sqlite3
 
-    from repro.repository.store import SimilarityStore
+    from repro.repository import Repository, SimilarityStore
+    from repro.search import SchemaCorpus
 
-    store_path = str(tmp_path / "wal-store.db")
-    with SimilarityStore(store_path, writer=False) as store:
-        assert store.cube_count() == 0
-    connection = sqlite3.connect(store_path)
+    classes = {
+        "SimilarityStore": SimilarityStore,
+        "SchemaCorpus": SchemaCorpus,
+        "Repository": Repository,
+    }
+    path = str(tmp_path / "wal.db")
+    with classes[component](path) as handle:
+        handle_connection = handle._connection
+        assert handle_connection.execute("PRAGMA busy_timeout").fetchone()[0] == 30000
+        assert handle_connection.execute("PRAGMA synchronous").fetchone()[0] == synchronous
+    connection = sqlite3.connect(path)
     try:
         mode = connection.execute("PRAGMA journal_mode").fetchone()[0]
     finally:
         connection.close()
     assert mode.lower() == "wal"
+
+
+REPOSITORY_WRITERS = 4
+REPOSITORY_OPS = 10
+REPOSITORY_ROWS = 3
+
+
+def repository_writer(path: str, index: int) -> None:
+    """Store mappings and named strategies; crashes on any repository error."""
+    from repro.matchers.reuse.provider import StoredMapping
+    from repro.repository.repository import Repository
+
+    rows = tuple((f"S.a{row}", f"T.b{row}", 0.5) for row in range(REPOSITORY_ROWS))
+    with Repository(path) as repository:
+        for op in range(REPOSITORY_OPS):
+            repository.store_mapping(StoredMapping(f"S{index}", "T", rows, "manual"))
+            repository.store_strategy(f"tuned-{index}-{op}", "All(Max,Both,Thr(0.6),Dice)")
+
+
+def repository_reader(path: str, stop_path: str, result_path: str) -> None:
+    """List mappings and strategies until the stop file appears.
+
+    Every listing sees whole mappings only, and the counts never shrink.
+    """
+    from repro.repository.repository import Repository
+
+    last, reads = (0, 0), 0
+    with Repository(path) as repository:
+        while not os.path.exists(stop_path):
+            mappings = repository.stored_mappings()
+            assert all(len(m.rows) == REPOSITORY_ROWS for m in mappings), mappings
+            counts = (len(mappings), len(repository.strategy_names()))
+            assert counts[0] >= last[0] and counts[1] >= last[1], (counts, last)
+            last, reads = counts, reads + 1
+    with open(result_path, "w") as handle:
+        json.dump({"reads": reads}, handle)
+
+
+def test_concurrent_processes_share_one_repository(tmp_path):
+    """Four writer processes and a reader share one repository file."""
+    from repro.repository.repository import Repository
+
+    path = str(tmp_path / "repository.db")
+    stop_path = str(tmp_path / "stop-reading")
+    result_path = str(tmp_path / "reader.json")
+    Repository(path).close()  # the reader opens an existing file
+    context = multiprocessing.get_context("spawn")
+    reader = context.Process(
+        target=repository_reader, args=(path, stop_path, result_path)
+    )
+    writers = [
+        context.Process(target=repository_writer, args=(path, index))
+        for index in range(REPOSITORY_WRITERS)
+    ]
+    reader.start()
+    try:
+        for process in writers:
+            process.start()
+        for process in writers:
+            process.join(timeout=180)
+    finally:
+        open(stop_path, "w").close()
+        reader.join(timeout=60)
+    for index, process in enumerate(writers):
+        assert process.exitcode == 0, (
+            f"repository writer {index} crashed (exit {process.exitcode}): an "
+            f"error escaped under cross-process contention"
+        )
+    assert reader.exitcode == 0, f"the reader crashed (exit {reader.exitcode})"
+    assert json.load(open(result_path))["reads"] >= 1
+
+    with Repository(path) as repository:
+        expected = REPOSITORY_WRITERS * REPOSITORY_OPS
+        assert repository.mapping_count() == expected
+        assert len(repository.strategy_names()) == expected
+        mappings = repository.stored_mappings()
+        assert all(len(mapping.rows) == REPOSITORY_ROWS for mapping in mappings)
+        assert sorted(
+            {mapping.source_schema for mapping in mappings}
+        ) == [f"S{index}" for index in range(REPOSITORY_WRITERS)]
