@@ -12,14 +12,38 @@ S1 and S2 with ``|S2| <= |S1|`` (S1 the larger schema):
 
 The direction strategy consumes the aggregated similarity matrix (rows = S1
 paths, columns = S2 paths, in *input* order, regardless of size) together with
-a :class:`~repro.combination.selection.SelectionStrategy` and produces the set
-of selected ``(source path, target path, similarity)`` triples.
+a :class:`~repro.combination.selection.SelectionStrategy` and produces the
+selected ``(source path, target path, similarity)`` triples.
+
+Everything runs on matrix indices.  Each direction is one boolean mask over
+the matrix (:meth:`DirectionStrategy.mask`): the selection rule applied to the
+matrix, one row per source, or to its transpose, one row per target; ``Both``
+is the AND of the two.  Candidates rank by the axes' dense name ranks
+(:meth:`~repro.combination.matrix.SimilarityMatrix.name_ranks`).  The kept
+cells come out ordered by source name, then target name, then source and
+target position, and only they become path triples.  Pairs whose name tuples
+tie on both sides therefore come in axis order.  Element ids never order the
+output: they come from a process-wide counter, so the same two schemas would
+serialize differently depending on what the process built before.
+
+Examples
+--------
+Two source paths share the name ``City``; both pairs are kept and come in
+axis order:
+
+>>> from repro.combination.selection import Threshold
+>>> from repro.model.element import SchemaElement
+>>> source, target = SchemaElement("S"), SchemaElement("T")
+>>> cities = [SchemaPath([source, SchemaElement("City")]) for _ in range(2)]
+>>> town = SchemaPath([target, SchemaElement("Town")])
+>>> matrix = SimilarityMatrix(cities, [town], np.array([[0.8], [0.8]]))
+>>> [(cities.index(s), str(t), v) for s, t, v in BOTH.select_pairs(matrix, Threshold(0.5))]
+[(0, 'T.Town', 0.8), (1, 'T.Town', 0.8)]
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Iterator, List, Sequence, Set, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -32,61 +56,48 @@ from repro.model.path import SchemaPath
 SelectedPair = Tuple[SchemaPath, SchemaPath, float]
 
 
-def _selected_cells(
-    values: np.ndarray, candidates: Sequence[SchemaPath], selection: SelectionStrategy
-) -> Iterator[Tuple[int, int, float]]:
-    """The ``(row, candidate, similarity)`` cells ``selection`` keeps in ``values``.
-
-    Cells come in ranking order: rows in axis order, each row's candidates by
-    descending similarity, ties by candidate name and then position -- the
-    order of :meth:`SimilarityMatrix.ranked_targets`.  Callers insert them
-    into a set in this order, so the set (and the order of equal-name pairs
-    after sorting) is the same as when every row was ranked on its own.
-    """
-    order = np.array(
-        sorted(range(len(candidates)), key=lambda j: candidates[j].names), dtype=np.intp
-    )
-    rank = np.argsort(order)
-    rows, columns = np.nonzero(selection.mask(values, order))
-    similarities = values[rows, columns]
-    sequence = np.lexsort((rank[columns], -similarities, rows))
-    return zip(
-        rows[sequence].tolist(), columns[sequence].tolist(), similarities[sequence].tolist()
-    )
+def _kept(values: np.ndarray, candidate_ranks: np.ndarray, selection: SelectionStrategy):
+    """``selection``'s mask over ``values``: one row per element, candidates by name."""
+    return selection.mask(values, np.argsort(candidate_ranks, kind="stable"))
 
 
-def _select_source_to_target(
-    matrix: SimilarityMatrix, selection: SelectionStrategy
-) -> Set[SelectedPair]:
-    """For each source (row) element, select candidates among the targets."""
-    sources, targets = matrix.source_paths, matrix.target_paths
-    return {
-        (sources[i], targets[j], similarity)
-        for i, j, similarity in _selected_cells(matrix.values, targets, selection)
-    }
+def _forward(matrix: SimilarityMatrix, selection: SelectionStrategy) -> np.ndarray:
+    """For each source (row) element, the candidates selected among the targets."""
+    return _kept(matrix.values, matrix.name_ranks()[1], selection)
 
 
-def _select_target_to_source(
-    matrix: SimilarityMatrix, selection: SelectionStrategy
-) -> Set[SelectedPair]:
-    """For each target (column) element, select candidates among the sources."""
-    sources, targets = matrix.source_paths, matrix.target_paths
-    return {
-        (sources[i], targets[j], similarity)
-        for j, i, similarity in _selected_cells(matrix.values.T, sources, selection)
-    }
+def _backward(matrix: SimilarityMatrix, selection: SelectionStrategy) -> np.ndarray:
+    """For each target (column) element, the candidates selected among the sources."""
+    return _kept(matrix.values.T, matrix.name_ranks()[0], selection).T
 
 
-class DirectionStrategy(abc.ABC):
+class DirectionStrategy:
     """Base class for match direction strategies."""
 
     name: str = "direction"
 
-    @abc.abstractmethod
+    def mask(self, matrix: SimilarityMatrix, selection: SelectionStrategy) -> np.ndarray:
+        """The cells of ``matrix`` that ``selection`` keeps in this direction."""
+        raise NotImplementedError(f"{self.name} selects pairs without a cell mask")
+
     def select_pairs(
         self, matrix: SimilarityMatrix, selection: SelectionStrategy
     ) -> List[SelectedPair]:
-        """Apply ``selection`` in the configured direction(s) over ``matrix``."""
+        """Apply ``selection`` in the configured direction(s) over ``matrix``.
+
+        The pairs come ordered by source name, target name, source position
+        and target position.
+        """
+        rows, columns = np.nonzero(self.mask(matrix, selection))
+        source_ranks, target_ranks = matrix.name_ranks()
+        order = np.lexsort((columns, rows, target_ranks[columns], source_ranks[rows]))
+        rows, columns = rows[order], columns[order]
+        sources, targets = matrix.source_paths, matrix.target_paths
+        return list(zip(
+            [sources[i] for i in rows.tolist()],
+            [targets[j] for j in columns.tolist()],
+            matrix.values[rows, columns].tolist(),
+        ))
 
     @staticmethod
     def _source_is_larger(matrix: SimilarityMatrix) -> bool:
@@ -110,26 +121,18 @@ class DirectionStrategy(abc.ABC):
     def __hash__(self) -> int:
         return hash(str(self))
 
-    @staticmethod
-    def _sorted(pairs: Set[SelectedPair]) -> List[SelectedPair]:
-        return sorted(pairs, key=lambda p: (p[0].names, p[1].names))
-
 
 class LargeSmall(DirectionStrategy):
     """Rank and select elements of the larger schema for each smaller-schema element."""
 
     name = "LargeSmall"
 
-    def select_pairs(
-        self, matrix: SimilarityMatrix, selection: SelectionStrategy
-    ) -> List[SelectedPair]:
+    def mask(self, matrix: SimilarityMatrix, selection: SelectionStrategy) -> np.ndarray:
+        # S1 (rows) is larger: select S1 candidates for each S2 element, and
+        # the other way round otherwise.
         if self._source_is_larger(matrix):
-            # S1 (rows) is larger: select S1 candidates for each S2 element.
-            pairs = _select_target_to_source(matrix, selection)
-        else:
-            # S2 (columns) is larger: select S2 candidates for each S1 element.
-            pairs = _select_source_to_target(matrix, selection)
-        return self._sorted(pairs)
+            return _backward(matrix, selection)
+        return _forward(matrix, selection)
 
 
 class SmallLarge(DirectionStrategy):
@@ -137,14 +140,10 @@ class SmallLarge(DirectionStrategy):
 
     name = "SmallLarge"
 
-    def select_pairs(
-        self, matrix: SimilarityMatrix, selection: SelectionStrategy
-    ) -> List[SelectedPair]:
+    def mask(self, matrix: SimilarityMatrix, selection: SelectionStrategy) -> np.ndarray:
         if self._source_is_larger(matrix):
-            pairs = _select_source_to_target(matrix, selection)
-        else:
-            pairs = _select_target_to_source(matrix, selection)
-        return self._sorted(pairs)
+            return _forward(matrix, selection)
+        return _backward(matrix, selection)
 
 
 class Both(DirectionStrategy):
@@ -152,12 +151,8 @@ class Both(DirectionStrategy):
 
     name = "Both"
 
-    def select_pairs(
-        self, matrix: SimilarityMatrix, selection: SelectionStrategy
-    ) -> List[SelectedPair]:
-        forward = _select_source_to_target(matrix, selection)
-        backward = _select_target_to_source(matrix, selection)
-        return self._sorted(forward & backward)
+    def mask(self, matrix: SimilarityMatrix, selection: SelectionStrategy) -> np.ndarray:
+        return _forward(matrix, selection) & _backward(matrix, selection)
 
 
 #: Canonical instances.

@@ -3,7 +3,9 @@
 Every matcher produces an ``m x n`` matrix of similarity values, with rows
 indexed by the source (S1) paths and columns by the target (S2) paths.  The
 matrix is numpy-backed, but exposes path-aware accessors so that the rest of
-the system never has to juggle integer indices.
+the system never has to juggle integer indices.  The path -> index dicts
+behind those accessors are built on first use: the combination step works on
+indices and name ranks only.
 """
 
 from __future__ import annotations
@@ -14,6 +16,20 @@ import numpy as np
 
 from repro.exceptions import CombinationError
 from repro.model.path import SchemaPath
+
+
+def dense_name_ranks(paths: Sequence[SchemaPath]) -> np.ndarray:
+    """Each path's rank among the distinct name tuples of ``paths``.
+
+    >>> from repro.model.element import SchemaElement
+    >>> root = SchemaElement("S")
+    >>> paths = [SchemaPath([root, SchemaElement(name)]) for name in ("b", "a", "b")]
+    >>> dense_name_ranks(paths).tolist()
+    [1, 0, 1]
+    """
+    names = [path.names for path in paths]
+    rank = {name: position for position, name in enumerate(sorted(set(names)))}
+    return np.fromiter(map(rank.__getitem__, names), dtype=np.intp, count=len(names))
 
 
 class SimilarityMatrix:
@@ -39,12 +55,8 @@ class SimilarityMatrix:
                     f"value array shape {array.shape} does not match path counts {shape}"
                 )
             self._values = array.copy()
-        self._source_index: Dict[SchemaPath, int] = {
-            path: i for i, path in enumerate(self._source_paths)
-        }
-        self._target_index: Dict[SchemaPath, int] = {
-            path: j for j, path in enumerate(self._target_paths)
-        }
+        self._index: Optional[Tuple[Dict[SchemaPath, int], Dict[SchemaPath, int]]] = None
+        self._ranks: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- construction helpers ---------------------------------------------------
 
@@ -118,11 +130,36 @@ class SimilarityMatrix:
         view.flags.writeable = False
         return view
 
+    def name_ranks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The :func:`dense_name_ranks` of the row and column paths.
+
+        Computed on first use, unless :meth:`use_name_ranks` supplied them.
+        """
+        if self._ranks is None:
+            self._ranks = (
+                dense_name_ranks(self._source_paths), dense_name_ranks(self._target_paths)
+            )
+        return self._ranks
+
+    def use_name_ranks(self, source_ranks: np.ndarray, target_ranks: np.ndarray) -> None:
+        """Adopt precomputed :meth:`name_ranks`, e.g. a cached profile's."""
+        self._ranks = (source_ranks, target_ranks)
+
     # -- element access ------------------------------------------------------------
+
+    def _positions(self) -> Tuple[Dict[SchemaPath, int], Dict[SchemaPath, int]]:
+        """The path -> index dicts of the row and column axes, built on first use."""
+        if self._index is None:
+            self._index = (
+                {path: i for i, path in enumerate(self._source_paths)},
+                {path: j for j, path in enumerate(self._target_paths)},
+            )
+        return self._index
 
     def get(self, source: SchemaPath, target: SchemaPath) -> float:
         """The similarity stored for ``(source, target)``."""
-        return float(self._values[self._source_index[source], self._target_index[target]])
+        rows, columns = self._positions()
+        return float(self._values[rows[source], columns[target]])
 
     def set(self, source: SchemaPath, target: SchemaPath, similarity: float) -> None:
         """Store a similarity for ``(source, target)`` (must be within [0, 1])."""
@@ -130,23 +167,24 @@ class SimilarityMatrix:
             raise CombinationError(
                 f"similarity must be within [0, 1], got {similarity!r} for {source} / {target}"
             )
-        self._values[self._source_index[source], self._target_index[target]] = float(similarity)
+        rows, columns = self._positions()
+        self._values[rows[source], columns[target]] = float(similarity)
 
     def has_source(self, source: SchemaPath) -> bool:
         """True if ``source`` is on the row axis."""
-        return source in self._source_index
+        return source in self._positions()[0]
 
     def has_target(self, target: SchemaPath) -> bool:
         """True if ``target`` is on the column axis."""
-        return target in self._target_index
+        return target in self._positions()[1]
 
     def row(self, source: SchemaPath) -> np.ndarray:
         """The similarity row of ``source`` over all targets (copy)."""
-        return self._values[self._source_index[source], :].copy()
+        return self._values[self._positions()[0][source], :].copy()
 
     def column(self, target: SchemaPath) -> np.ndarray:
         """The similarity column of ``target`` over all sources (copy)."""
-        return self._values[:, self._target_index[target]].copy()
+        return self._values[:, self._positions()[1][target]].copy()
 
     # -- bulk operations ----------------------------------------------------------------
 
@@ -161,7 +199,7 @@ class SimilarityMatrix:
 
     def ranked_targets(self, source: SchemaPath) -> List[Tuple[SchemaPath, float]]:
         """Targets ranked by descending similarity to ``source`` (ties: path order)."""
-        row = self._values[self._source_index[source], :]
+        row = self._values[self._positions()[0][source], :]
         order = sorted(
             range(len(self._target_paths)), key=lambda j: (-row[j], self._target_paths[j].names)
         )
@@ -169,7 +207,7 @@ class SimilarityMatrix:
 
     def ranked_sources(self, target: SchemaPath) -> List[Tuple[SchemaPath, float]]:
         """Sources ranked by descending similarity to ``target`` (ties: path order)."""
-        column = self._values[:, self._target_index[target]]
+        column = self._values[:, self._positions()[1][target]]
         order = sorted(
             range(len(self._source_paths)),
             key=lambda i: (-column[i], self._source_paths[i].names),

@@ -118,11 +118,16 @@ class MaxN(SelectionStrategy):
         self.name = f"MaxN({self.n})"
 
     def mask(self, values: np.ndarray, order: np.ndarray) -> np.ndarray:
-        # A stable sort of the name-ordered candidates ranks equal values by
-        # name; the first n of each row are kept.
-        best = order[np.argsort(-values[:, order], axis=1, kind="stable")[:, : self.n]]
+        # The first n of a stable descending sort of the name-ordered
+        # candidates: n times, the first maximum of what is left, so equal
+        # values rank by name.
+        ranked = values[:, order]
+        rows = np.arange(len(values))
         kept = np.zeros(values.shape, dtype=bool)
-        np.put_along_axis(kept, best, True, axis=1)
+        for _ in range(min(self.n, len(order))):
+            best = ranked.argmax(axis=1)
+            kept[rows, order[best]] = True
+            ranked[rows, best] = -np.inf
         return kept & (values > 0.0)
 
 

@@ -17,9 +17,11 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.auxiliary.synonyms import SynonymDictionary, default_purchase_order_synonyms
 from repro.combination.cube import SimilarityCube
-from repro.combination.matrix import SimilarityMatrix
+from repro.combination.matrix import SimilarityMatrix, dense_name_ranks
 from repro.combination.strategy import CombinationStrategy
 from repro.core.strategy import MatchStrategy
 from repro.linguistic.tokenizer import NameTokenizer
@@ -27,6 +29,7 @@ from repro.matchers.base import MatchContext
 from repro.matchers.simple.user_feedback import UserFeedbackMatcher, UserFeedbackStore
 from repro.model.datatypes import DEFAULT_TYPE_COMPATIBILITY, TypeCompatibilityTable
 from repro.model.mapping import Correspondence, MatchResult
+from repro.model.path import SchemaPath
 from repro.model.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -92,6 +95,16 @@ def build_context(
     return context
 
 
+def _name_ranks(context: MatchContext, paths: Tuple[SchemaPath, ...]) -> np.ndarray:
+    """The dense name ranks of a cube axis.
+
+    An axis whose profile is cached takes the profile's ranks, so every match
+    over a schema in one session shares one rank array.
+    """
+    profile = context.profile_cache.get(paths)
+    return dense_name_ranks(paths) if profile is None else profile.name_ranks()
+
+
 def combine_cube(
     cube: SimilarityCube,
     combination: CombinationStrategy,
@@ -102,6 +115,9 @@ def combine_cube(
     aggregated = combination.aggregate(cube)
     if apply_feedback_overrides and context.feedback:
         aggregated = UserFeedbackMatcher().apply_overrides(aggregated, context)
+    aggregated.use_name_ranks(
+        _name_ranks(context, cube.source_paths), _name_ranks(context, cube.target_paths)
+    )
     selected = combination.select(aggregated)
     result = MatchResult(context.source_schema, context.target_schema)
     for source, target, similarity in selected:

@@ -25,6 +25,7 @@ from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple, T
 
 import numpy as np
 
+from repro.combination.matrix import dense_name_ranks
 from repro.linguistic.tokenizer import NameTokenizer
 from repro.model.datatypes import GenericType
 from repro.model.path import SchemaPath
@@ -104,25 +105,41 @@ class PathTree:
                 height[up] = max(height[up], height[index] + 1)
         self.height = np.array(height, dtype=np.intp)
 
-        names = [path.names for path in paths]
-        order = sorted(range(count), key=names.__getitem__)
-        rank = [0] * count
-        dense = [0] * count
-        previous, current = None, -1
-        for position, index in enumerate(order):
-            rank[index] = position
-            if names[index] != previous:
-                previous, current = names[index], current + 1
-            dense[index] = current
-        self.dense = np.array(dense, dtype=np.intp)
-
-        by_rank = rank.__getitem__
+        self.dense = dense_name_ranks(paths)
+        # Each path's position in name order, ties by position.
+        by_rank = np.argsort(np.argsort(self.dense, kind="stable")).tolist().__getitem__
         self.children = [sorted(group, key=by_rank) for group in children]
         leaves = np.flatnonzero(self.leaf)
         low = np.searchsorted(leaves, np.arange(1, count + 1)).tolist()
         high = np.searchsorted(leaves, self.end).tolist()
         leaves = leaves.tolist()
         self.leaves = [sorted(leaves[start:stop], key=by_rank) for start, stop in zip(low, high)]
+
+    @classmethod
+    def concatenated(cls, paths: Sequence[SchemaPath], parts: Sequence["PathTree"]) -> "PathTree":
+        """``PathTree(paths)`` for ``paths`` the parts' paths concatenated, from the parts' trees.
+
+        The containment fields are the parts' shifted by their offsets; only
+        ``dense`` is ranked again, over all of ``paths``.
+        """
+        tree = cls.__new__(cls)
+        offsets = np.cumsum([0] + [len(part.paths) for part in parts[:-1]]).tolist()
+        tree.paths = paths
+        tree.end = np.concatenate([part.end + offset for part, offset in zip(parts, offsets)])
+        tree.leaf = np.concatenate([part.leaf for part in parts])
+        tree.height = np.concatenate([part.height for part in parts])
+        tree.dense = dense_name_ranks(paths)
+        tree.children = [
+            [index + offset for index in group]
+            for part, offset in zip(parts, offsets)
+            for group in part.children
+        ]
+        tree.leaves = [
+            [index + offset for index in group]
+            for part, offset in zip(parts, offsets)
+            for group in part.leaves
+        ]
+        return tree
 
     def index_of(self, paths: Sequence[SchemaPath]) -> np.ndarray:
         """Positions of ``paths`` in the preorder."""
@@ -184,6 +201,7 @@ class PathSetProfile:
         self._ngram_sets: Dict[Tuple[int, bool], List[FrozenSet[str]]] = {}
         self._soundex_codes: Dict[int, List[str]] = {}
         self._tree: Optional[PathTree] = None
+        self._name_ranks: Optional[np.ndarray] = None
 
     # -- token lists ---------------------------------------------------------
 
@@ -266,6 +284,16 @@ class PathSetProfile:
 
         return [soundex_code(name, length) for name in self.unique_names]
 
+    # -- name order ------------------------------------------------------------
+
+    def name_ranks(self) -> np.ndarray:
+        """The :func:`~repro.combination.matrix.dense_name_ranks` of the paths (cached)."""
+        if self._name_ranks is None:
+            with self._lock:
+                if self._name_ranks is None:
+                    self._name_ranks = dense_name_ranks(self.paths)
+        return self._name_ranks
+
     # -- containment structure ---------------------------------------------------
 
     def path_tree(self) -> PathTree:
@@ -276,8 +304,11 @@ class PathSetProfile:
         if self._tree is None:
             with self._lock:
                 if self._tree is None:
-                    self._tree = PathTree(self.paths)
+                    self._tree = self._build_tree()
         return self._tree
+
+    def _build_tree(self) -> PathTree:
+        return PathTree(self.paths)
 
     # -- misc ------------------------------------------------------------------
 
@@ -328,8 +359,8 @@ class ForestProfile(PathSetProfile):
     derived value of a path -- token tuples, n-gram sets, soundex codes,
     generic types -- is read from its own schema's profile, so a name is
     tokenized, n-grammed and soundexed once however many batches its schema
-    joins.  Only the unique indices over the concatenation and the
-    :class:`PathTree` are rebuilt.
+    joins.  Only the unique indices over the concatenation are rebuilt; the
+    :class:`PathTree` joins the parts' cached trees.
     """
 
     def __init__(self, parts: Sequence[PathSetProfile]):
@@ -358,3 +389,6 @@ class ForestProfile(PathSetProfile):
 
     def _derive_soundex_codes(self, length: int) -> List[str]:
         return self._from_parts([part.soundex_codes(length) for part in self._parts])
+
+    def _build_tree(self) -> PathTree:
+        return PathTree.concatenated(self.paths, [part.path_tree() for part in self._parts])

@@ -70,9 +70,7 @@ from repro.combination.combined import (
     CombinedSimilarityStrategy,
     DiceCombined,
 )
-from repro.combination.direction import BOTH
 from repro.combination.matrix import SimilarityMatrix
-from repro.combination.selection import MaxN
 from repro.exceptions import MatcherError
 from repro.matchers.base import MatchContext, Matcher
 from repro.matchers.hybrid.type_name import TypeNameMatcher
@@ -178,12 +176,14 @@ def _set_similarity_block(values, source, target, row_sets, column_sets, combine
     component, column = np.nonzero(mutual)
     pair = owner[component] * columns + column
     similarity = row_best[component, column]
-    source_names = source.dense[rows_flat[component]]
-    target_names = target.dense[columns_flat[row_choice[component, column]]]
-    # The order select_pairs returns kept pairs in: by source, then target names.
-    order = np.lexsort((target_names, source_names, pair))
+    source_index = rows_flat[component]
+    target_index = columns_flat[row_choice[component, column]]
+    # The order select_pairs returns kept pairs in: by source name, target
+    # name, source position, target position.
+    order = np.lexsort((
+        target_index, source_index, target.dense[target_index], source.dense[source_index], pair
+    ))
     pair, similarity = pair[order], similarity[order]
-    source_names, target_names = source_names[order], target_names[order]
 
     totals = (row_sizes[:, None] + column_sizes[None, :]).ravel()
     if isinstance(combined, DiceCombined):
@@ -200,26 +200,6 @@ def _set_similarity_block(values, source, target, row_sets, column_sets, combine
         ]
         result = (sums + sums) / totals
     np.clip(result, 0.0, 1.0, out=result)
-
-    # Kept cells with equal source and equal target names are ordered by the
-    # set select_pairs builds; such pairs take that pipeline on their block.
-    tied = (
-        (pair[1:] == pair[:-1])
-        & (source_names[1:] == source_names[:-1])
-        & (target_names[1:] == target_names[:-1])
-    )
-    for index in np.unique(pair[1:][tied]).tolist():
-        row, column = divmod(index, columns)
-        row_set = np.sort(rows_flat[row_offsets[row]:][: row_sizes[row]])
-        column_set = np.sort(columns_flat[column_offsets[column]:][: column_sizes[column]])
-        matrix = SimilarityMatrix(
-            [source.paths[i] for i in row_set],
-            [target.paths[j] for j in column_set],
-            values[np.ix_(row_set, column_set)],
-        )
-        result[index] = combined.combine(
-            BOTH.select_pairs(matrix, MaxN(1)), len(row_set), len(column_set)
-        )
     return result.reshape(rows, columns)
 
 

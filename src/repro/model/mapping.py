@@ -68,6 +68,7 @@ class MatchResult:
         self._target_schema = target_schema
         self._name = name or f"{source_schema.name}<->{target_schema.name}"
         self._by_pair: Dict[Tuple[SchemaPath, SchemaPath], Correspondence] = {}
+        self._sorted: Optional[Tuple[Correspondence, ...]] = None
         for correspondence in correspondences or ():
             self.add(correspondence)
 
@@ -101,6 +102,7 @@ class MatchResult:
         existing = self._by_pair.get(key)
         if existing is None or correspondence.similarity > existing.similarity:
             self._by_pair[key] = correspondence
+            self._sorted = None
 
     def add_pair(self, source: SchemaPath, target: SchemaPath, similarity: float = 1.0) -> None:
         """Convenience wrapper building and adding a :class:`Correspondence`."""
@@ -108,16 +110,25 @@ class MatchResult:
 
     def remove_pair(self, source: SchemaPath, target: SchemaPath) -> bool:
         """Remove the correspondence for ``(source, target)``; returns True if present."""
-        return self._by_pair.pop((source, target), None) is not None
+        if self._by_pair.pop((source, target), None) is None:
+            return False
+        self._sorted = None
+        return True
 
     # -- access ----------------------------------------------------------------
 
     @property
     def correspondences(self) -> Tuple[Correspondence, ...]:
-        """All correspondences, ordered by (source path, target path) names."""
-        return tuple(
-            sorted(self._by_pair.values(), key=lambda c: (c.source.names, c.target.names))
-        )
+        """All correspondences, ordered by (source path, target path) names.
+
+        Equal name pairs keep the order they were added in.  The sorted tuple
+        is kept until the next change.
+        """
+        if self._sorted is None:
+            self._sorted = tuple(
+                sorted(self._by_pair.values(), key=lambda c: (c.source.names, c.target.names))
+            )
+        return self._sorted
 
     def pairs(self) -> Tuple[Tuple[SchemaPath, SchemaPath], ...]:
         """The set of matched ``(source, target)`` path pairs, sorted."""

@@ -20,17 +20,19 @@ class SchemaPath:
 
     A path is hashable and compares by the sequence of element identities it
     traverses, so two distinct paths ending at the same shared element are not
-    equal.  The human-readable dotted form (e.g.
+    equal.  Its hash is computed once: paths key every dict of the combination
+    and profile layers.  The human-readable dotted form (e.g.
     ``PO2.DeliverTo.Address.City``) is available via :meth:`dotted` / ``str``.
     """
 
-    __slots__ = ("_elements", "_key", "_names")
+    __slots__ = ("_elements", "_key", "_hash", "_names")
 
     def __init__(self, elements: Sequence[SchemaElement]):
         if not elements:
             raise ValueError("a schema path must contain at least one element")
         self._elements: Tuple[SchemaElement, ...] = tuple(elements)
         self._key: Tuple[int, ...] = tuple(e.element_id for e in self._elements)
+        self._hash = hash(self._key)
         self._names: Optional[Tuple[str, ...]] = None
 
     # -- basic accessors -------------------------------------------------
@@ -125,7 +127,7 @@ class SchemaPath:
         return self._elements[index]
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SchemaPath):

@@ -847,15 +847,21 @@ class SimilarityStore:
         ``coma stats --store`` without instrumenting the service.
         """
         with self._lock:
+            # A read-only handle over a file from before the dtype columns
+            # reads it as the migrations would leave it.
+            columns = {row[1] for row in self._connection.execute("PRAGMA table_info(cubes)")}
+            size = (
+                "CASE WHEN payload_bytes > 0 THEN payload_bytes ELSE LENGTH(data) END"
+                if "payload_bytes" in columns else "LENGTH(data)"
+            )
+            dtype = "dtype" if "dtype" in columns else "'float64'"
+            external = "external" if "external" in columns else "0"
             cube_rows = self._connection.execute(
-                "SELECT COUNT(*), "
-                "COALESCE(SUM(CASE WHEN payload_bytes > 0 THEN payload_bytes ELSE LENGTH(data) END), 0) FROM cubes"
+                f"SELECT COUNT(*), COALESCE(SUM({size}), 0) FROM cubes"
             ).fetchone()
             dtype_rows = self._connection.execute(
-                "SELECT dtype, COUNT(*), "
-                "COALESCE(SUM(CASE WHEN payload_bytes > 0 THEN payload_bytes ELSE LENGTH(data) END), 0), "
-                "COALESCE(SUM(external), 0) "
-                "FROM cubes GROUP BY dtype ORDER BY dtype"
+                f"SELECT {dtype} AS name, COUNT(*), COALESCE(SUM({size}), 0), "
+                f"COALESCE(SUM({external}), 0) FROM cubes GROUP BY name ORDER BY name"
             ).fetchall()
             token_rows = self._connection.execute(
                 "SELECT COUNT(*) FROM tokens"

@@ -931,7 +931,7 @@ class MatchService:
                 k=k,
                 strategy=validated["strategy"],
                 candidates=validated["candidates"],
-                match_many=self._pool.match_many,
+                match_many=self._survivor_matcher(validated["schema"]),
             )
         # A full search round trip is the recovery probe: the corpus served
         # its index again, so the degradation mark comes off.
@@ -952,6 +952,24 @@ class MatchService:
             ],
             "count": len(results),
         }
+
+    def _survivor_matcher(self, query: Schema):
+        """The ``match_many`` that matches a search's survivors against ``query``.
+
+        On the thread backend the shard keeps the query's profile for the
+        batch only, unless it held it before
+        (:meth:`~repro.session.session.MatchSession.transient_profile`), so
+        a stream of searches does not evict the warm profiles of uploaded
+        schemas.  Process workers keep their own bounded profile caches.
+        """
+        if not isinstance(self._pool, SessionPool):
+            return self._pool.match_many
+
+        def match_many(items):
+            with self._pool.session() as session, session.transient_profile(query):
+                return session.match_many(items)
+
+        return match_many
 
     def _search(self, payload: dict) -> dict:
         """``POST /search``: top-K pruned corpus search for an uploaded schema."""

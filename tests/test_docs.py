@@ -98,6 +98,8 @@ class TestDoctests:
         "module_name",
         [
             "repro.core.processor",
+            "repro.combination.direction",
+            "repro.combination.matrix",
             "repro.repository.sqlite",
             "repro.session",
             "repro.session.session",

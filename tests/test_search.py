@@ -616,6 +616,31 @@ class TestServiceSearch:
             ]
         assert served == expected  # exact float equality: byte-identical
 
+    def test_search_leaves_no_query_profile_in_the_shard(self):
+        """The shard keeps the survivors' profiles, and the query's only if it had it."""
+        from repro.service.server import MatchService
+
+        service = MatchService(pool_size=1, corpus_path=":memory:")
+        try:
+            _upload_paper_schemas(service)
+            status, payload = service.handle_request(
+                "POST", "/search", {"source": "CIDX", "k": 4}
+            )
+            assert status == 200 and payload["count"] == 4
+            assert service.pool.cache_info()["profiles"] == 4
+            status, _ = service.handle_request(
+                "POST", "/match", {"source": "CIDX", "target": "Excel"}
+            )
+            assert status == 200
+            warm = service.pool.cache_info()["profiles"]
+            status, _ = service.handle_request(
+                "POST", "/search", {"source": "CIDX", "k": 4}
+            )
+            assert status == 200
+            assert service.pool.cache_info()["profiles"] == warm
+        finally:
+            service.close()
+
     def test_corpus_endpoint_and_delete(self):
         from repro.service.server import MatchService
 

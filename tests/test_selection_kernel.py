@@ -4,9 +4,10 @@ Direction and selection used to run one Python sort per row and per column
 of the aggregated matrix.  That code is kept below as the oracle: a ranked
 candidate list per element, the list-based strategy rules, and a set of
 selected triples per direction.  The kernel must agree with it exactly --
-the same triples in the same order (including pairs whose name tuples are
-equal, which only the set's iteration order separates), the same float bits
-and the same combined similarity.
+the same triples in the same order, the same float bits and the same
+combined similarity.  Pairs whose name tuples are equal on both sides come
+in axis order (source position, then target position), never in the order
+element ids would give them.
 """
 
 from __future__ import annotations
@@ -36,8 +37,11 @@ from repro.combination import (
 )
 from repro.datasets.figure1 import load_po1, load_po2
 from repro.datasets.generators import generate_pair
+from repro.model import element
+from repro.model.builder import SchemaBuilder
 from repro.model.element import SchemaElement
 from repro.model.path import SchemaPath
+from repro.model.schema import Schema
 from repro.session import MatchSession
 
 # -- the oracle: per-row ranking and list-based rules -------------------------
@@ -108,7 +112,14 @@ def oracle_select_pairs(direction, matrix: SimilarityMatrix, selection) -> List[
         )
     else:
         raise TypeError(f"no oracle for {direction!r}")
-    return sorted(pairs, key=lambda p: (p[0].names, p[1].names))
+    source_position = {path: i for i, path in enumerate(matrix.source_paths)}
+    target_position = {path: j for j, path in enumerate(matrix.target_paths)}
+    return sorted(
+        pairs,
+        key=lambda p: (
+            p[0].names, p[1].names, source_position[p[0]], target_position[p[1]]
+        ),
+    )
 
 
 # -- comparison helpers ----------------------------------------------------------
@@ -195,7 +206,7 @@ def test_kernel_matches_the_per_row_oracle_on_tie_heavy_matrices(seed):
 
 
 def test_equal_name_pairs_keep_the_oracle_order():
-    """Four cells share one name-tuple pair; only insertion order separates them."""
+    """Four cells share one name-tuple pair; they come in axis order."""
     source_root, target_root = SchemaElement("S"), SchemaElement("T")
     sources = [SchemaPath([source_root, SchemaElement("Comment")]) for _ in range(2)]
     targets = [SchemaPath([target_root, SchemaElement("Note")]) for _ in range(2)]
@@ -203,7 +214,10 @@ def test_equal_name_pairs_keep_the_oracle_order():
     for direction in DIRECTIONS:
         for selection in (Threshold(0.5), MaxN(2), MaxDelta(0.02)):
             selected = _assert_same_selection(direction, matrix, selection)
-            assert len(selected) == 4
+            assert [(s, t) for s, t, _ in selected] == [
+                (sources[0], targets[0]), (sources[0], targets[1]),
+                (sources[1], targets[0]), (sources[1], targets[1]),
+            ]
 
 
 def test_all_zero_matrix_selects_nothing():
@@ -212,6 +226,31 @@ def test_all_zero_matrix_selects_nothing():
     for direction in DIRECTIONS:
         for selection in SELECTIONS:
             assert _assert_same_selection(direction, matrix, selection) == []
+
+
+def _address_schema(name: str, city_types) -> Schema:
+    builder = SchemaBuilder(name)
+    with builder.inner("Address"):
+        for city_type in city_types:
+            builder.leaf("City", city_type)
+        builder.leaf("Zip", "string")
+    return builder.build()
+
+
+def test_equal_name_pairs_do_not_depend_on_element_ids():
+    """Element ids come from a process-wide counter; the mapping must not see them."""
+    results = set()
+    for offset in range(60):
+        for _ in range(offset):
+            element._next_element_id()
+        source = _address_schema("S", ("string", "integer"))
+        target = _address_schema("T", ("string", "decimal"))
+        result = MatchSession().match(source, target).result
+        results.add(tuple((s, t, similarity.hex()) for s, t, similarity in result.as_tuples()))
+        cities = [(c.source.source_type, c.target.source_type)
+                  for c in result if c.source.name == "City"]
+        assert cities == [("string", "string"), ("integer", "decimal")]
+    assert len(results) == 1
 
 
 @pytest.mark.parametrize("selection", SELECTIONS, ids=str)

@@ -10,7 +10,7 @@ from repro.core.strategy import MatchStrategy, default_strategy
 from repro.datasets.generators import generate_schema, mutate_schema
 from repro.datasets.gold_standard import load_all_tasks
 from repro.engine.engine import MatchEngine
-from repro.engine.profiles import PathSetProfile
+from repro.engine.profiles import ForestProfile, PathSetProfile, PathTree
 from repro.exceptions import SessionError
 from repro.matchers.hybrid import NameMatcher
 from repro.model.builder import SchemaBuilder
@@ -250,6 +250,16 @@ class TestBatchedMatchMany:
         )
         for target, outcome in zip(targets, outcomes):
             _assert_identical(outcome, MatchSession(engine=engine).match(query, target))
+
+    def test_forest_path_tree_equals_the_tree_of_its_paths(self):
+        session = MatchSession()
+        parts = [session.profile_for(target) for target in _batch_targets()]
+        forest = ForestProfile(parts).path_tree()
+        reference = PathTree(forest.paths)
+        assert vars(forest).keys() == vars(reference).keys()
+        for field in ("end", "leaf", "height", "dense"):
+            assert getattr(forest, field).tolist() == getattr(reference, field).tolist()
+        assert (forest.children, forest.leaves) == (reference.children, reference.leaves)
 
     def test_store_hits_and_misses_match_per_pair_matching(self, tmp_path):
         query, targets = _batch_query(), _batch_targets()

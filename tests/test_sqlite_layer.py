@@ -80,10 +80,21 @@ class TestOlderFiles:
             "PRIMARY KEY (config_digest, name));"
             "CREATE TABLE counters (name TEXT PRIMARY KEY, value INTEGER);"
             "INSERT INTO counters VALUES ('hits', 7);"
+            "INSERT INTO cubes (key, data) VALUES ('cube', x'00112233');"
         )
         connection.close()
+        original = (tmp_path / "old-store.db").read_bytes()
         with SimilarityStore(path, readonly=True) as store:
             assert store.subtree_count() == 0 and store.token_count() == 0
+            # The columns the migrations add read as their defaults.
+            old_info = store.info()
+        assert (tmp_path / "old-store.db").read_bytes() == original
+        assert old_info["cube_bytes"] == 4
+        assert old_info["cube_dtypes"] == {"float64": {"cubes": 1, "bytes": 4, "external": 0}}
+        with SimilarityStore(path, writer=False):
+            pass  # the first writable open migrates the file
+        with SimilarityStore(path, readonly=True) as store:
+            assert store.info() == old_info
         with SimilarityStore(path, writer=False) as store:
             store.store_path_signatures("digest", ["a", "b"])
             assert store.load_path_signatures("digest") == ("a", "b")
