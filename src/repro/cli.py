@@ -208,8 +208,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "bytes at a ~1e-5 tolerance); requires --store")
     serve_parser.add_argument("--corpus", default=None,
                               help="schema corpus file enabling POST /search and "
-                                   "GET /corpus; uploaded schemas are indexed "
-                                   "automatically (see docs/search.md)")
+                                   "GET /corpus; it also keeps uploaded schemas, "
+                                   "so a restarted service still lists, matches "
+                                   "and searches them (see docs/search.md)")
     serve_parser.add_argument("--max-queue", type=int, default=DEFAULT_MAX_QUEUE,
                               help="admit at most this many requests at once; "
                                    "the next is answered 429 with Retry-After "
@@ -519,7 +520,6 @@ def _command_corpus(arguments: argparse.Namespace) -> int:
                 "paths": info["paths"],
                 "terms": info["terms"],
                 "postings": info["postings"],
-                "nodes": info["nodes"],
             }]
             print(format_table(rows, title=f"Schema corpus ({info['path']})"))
     return 0

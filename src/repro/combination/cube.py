@@ -2,14 +2,15 @@
 
 The result of the matcher execution phase with ``k`` matchers, ``m`` S1
 elements and ``n`` S2 elements is a ``k x m x n`` cube of similarity values
-(Section 3), which is stored in the repository for the later combination and
-selection steps.  The cube keeps the matcher names so aggregation strategies
+(Section 3), which is kept (in the session's cache and the
+:class:`~repro.repository.store.SimilarityStore`) for the later combination
+and selection steps.  The cube keeps the matcher names so aggregation strategies
 such as ``Weighted`` can address individual layers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -128,19 +129,6 @@ class SimilarityCube:
                     restricted.set(source, target, matrix.get(source, target))
             sub.add_layer(name, restricted)
         return sub
-
-    # -- serialisation helpers (for the repository) -------------------------------------------
-
-    def as_records(self) -> List[Tuple[str, str, str, float]]:
-        """Flatten to ``(matcher, source dotted, target dotted, similarity)`` rows."""
-        records: List[Tuple[str, str, str, float]] = []
-        for name, matrix in self.layers():
-            for source in self._source_paths:
-                for target in self._target_paths:
-                    value = matrix.get(source, target)
-                    if value > 0.0:
-                        records.append((name, source.dotted(), target.dotted(), value))
-        return records
 
     # -- dunder protocol --------------------------------------------------------------------------
 

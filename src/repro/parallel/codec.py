@@ -19,7 +19,7 @@ followed by raw buffers, so
 
 Frame layout (all integers big-endian)::
 
-    magic   4 bytes   b"CPF1"
+    magic   4 bytes   b"CPF2"
     hlen    u32       length of the JSON header
     header  hlen      UTF-8 JSON object (must carry a "kind" key)
     count   u32       number of raw buffers
@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Frame magic; bump the digit when the layout changes so a version-skewed
 #: worker fails loudly instead of misreading buffers.
-MAGIC = b"CPF1"
+MAGIC = b"CPF2"
 
 _PREFIX = struct.Struct(">4sI")
 _COUNT = struct.Struct(">I")
@@ -130,7 +130,8 @@ def encode_outcomes(outcomes: Sequence["MatchOutcome"]) -> bytes:
     """Encode a batch of match outcomes as one ``outcomes`` frame.
 
     Per outcome the header carries the matcher names, the cube shape, the
-    selected ``(source, target)`` dotted-path pairs and the strategy spec
+    selected pairs as ``(row, column)`` indexes into the cube's path axes
+    (names may repeat on an axis, indexes do not) and the strategy spec
     actually used; three raw ``float64`` buffers carry the cube stack, the
     aggregated matrix and the correspondence similarities (with the combined
     schema similarity appended as the final element), so every float
@@ -140,6 +141,8 @@ def encode_outcomes(outcomes: Sequence["MatchOutcome"]) -> bytes:
     buffers: List[object] = []
     for outcome in outcomes:
         stack = outcome.cube.as_array()
+        rows = {path: index for index, path in enumerate(outcome.cube.source_paths)}
+        columns = {path: index for index, path in enumerate(outcome.cube.target_paths)}
         sims = np.array(
             [c.similarity for c in outcome.result.correspondences]
             + [outcome.schema_similarity],
@@ -150,7 +153,7 @@ def encode_outcomes(outcomes: Sequence["MatchOutcome"]) -> bytes:
                 "matchers": list(outcome.cube.matcher_names),
                 "shape": list(stack.shape),
                 "pairs": [
-                    [c.source.dotted(), c.target.dotted()]
+                    [rows[c.source], columns[c.target]]
                     for c in outcome.result.correspondences
                 ],
                 "strategy": outcome.strategy.to_spec(),
@@ -177,7 +180,8 @@ def rebuild_outcome(
     ``source`` / ``target`` are the *parent's* schema objects -- the worker
     matched content-identical reconstructions, so the path axes line up by
     construction (a shape mismatch means the schema mutated between digesting
-    and dispatching and is reported as a :class:`ServiceError`).  All floats
+    and dispatching and is reported as a :class:`ServiceError`, as is a pair
+    index outside the cube).  All floats
     are taken from the raw buffers, never from JSON, so the rebuilt outcome
     is bit-identical to the worker's.
     """
@@ -217,20 +221,16 @@ def rebuild_outcome(
         ),
     )
     aggregated = SimilarityMatrix(source_paths, target_paths, aggregated_values)
-    by_source = {path.dotted(): path for path in source_paths}
-    by_target = {path.dotted(): path for path in target_paths}
     result = MatchResult(source, target)
-    try:
-        for (source_dotted, target_dotted), similarity in zip(pairs, sims):
-            result.add(
-                Correspondence(
-                    by_source[source_dotted], by_target[target_dotted], float(similarity)
-                )
+    for (row, column), similarity in zip(pairs, sims):
+        if not (0 <= row < shape[1] and 0 <= column < shape[2]):
+            raise ServiceError(
+                f"match worker returned a correspondence at ({row}, {column}), "
+                f"outside its {shape[1]} x {shape[2]} cube"
             )
-    except KeyError as error:
-        raise ServiceError(
-            f"match worker returned a correspondence over unknown path {error}"
-        ) from error
+        result.add(
+            Correspondence(source_paths[row], target_paths[column], float(similarity))
+        )
     return MatchOutcome(
         result=result,
         cube=cube,

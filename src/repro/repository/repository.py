@@ -1,19 +1,18 @@
 """The DBMS-based repository (Section 3 / Section 8), backed by SQLite.
 
-The repository stores four kinds of objects:
+The repository stores three kinds of objects:
 
 * **schemas** -- the imported schema graphs (loss-lessly serialised),
 * **mappings** -- complete (possibly user-confirmed) match results in the
   relational representation of Figure 3c, labelled with an origin
   (``manual`` / ``automatic`` / ``composed``) so the SchemaM / SchemaA reuse
   variants can filter them,
-* **similarity cubes** -- the intermediate matcher-specific similarity values
-  of a match task, so combination strategies can be re-run without re-running
-  the matchers,
 * **strategies** -- named declarative strategy specs (see
   :mod:`repro.core.spec`), stored in both the compact spec form (for listing)
   and the complete dict/JSON form (for loss-less reload), so tuned strategies
   are addressable by name from sessions, the CLI and configuration.
+
+Cubes live in the :class:`~repro.repository.store.SimilarityStore`.
 
 The class implements the :class:`~repro.matchers.reuse.provider.MappingProvider`
 protocol, so it can be handed directly to the reuse matchers via
@@ -26,9 +25,8 @@ import functools
 import json
 import sqlite3
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.combination.cube import SimilarityCube
 from repro.exceptions import ComaError, RepositoryError
 from repro.matchers.reuse.provider import MappingRow, StoredMapping
 from repro.model.mapping import MatchResult
@@ -64,14 +62,6 @@ CREATE INDEX IF NOT EXISTS idx_mappings_pair
     ON mappings (source_schema, target_schema, origin);
 CREATE INDEX IF NOT EXISTS idx_mapping_rows_mapping
     ON mapping_rows (mapping_id);
-CREATE TABLE IF NOT EXISTS cube_entries (
-    task         TEXT NOT NULL,
-    matcher      TEXT NOT NULL,
-    source_path  TEXT NOT NULL,
-    target_path  TEXT NOT NULL,
-    similarity   REAL NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_cube_task ON cube_entries (task, matcher);
 CREATE TABLE IF NOT EXISTS strategies (
     name       TEXT PRIMARY KEY,
     spec       TEXT NOT NULL,
@@ -81,12 +71,14 @@ CREATE TABLE IF NOT EXISTS strategies (
 
 #: Mappings and named strategies may be user-confirmed work, so the
 #: repository keeps SQLite's ``synchronous=FULL``: a commit survives a
-#: power cut.
+#: power cut.  Older files also hold a cube table that nothing read; their
+#: first writable open drops it.
 _REPOSITORY_LAYOUT = Layout(
     label="repository",
     error=RepositoryError,
-    tables=("schemas", "mappings", "mapping_rows", "cube_entries", "strategies"),
+    tables=("schemas", "mappings", "mapping_rows", "strategies"),
     ddl=_SCHEMA_DDL,
+    migrations=("DROP TABLE IF EXISTS cube_entries",),
     synchronous=None,
 )
 
@@ -103,7 +95,7 @@ def _locked(method):
 
 
 class Repository:
-    """SQLite-backed store for schemas, mappings and similarity cubes.
+    """SQLite-backed store for schemas, mappings and named strategies.
 
     Every write method commits as one transaction, or rolls back entirely
     when it raises.  The file opens through :mod:`repro.repository.sqlite`,
@@ -415,44 +407,3 @@ class Repository:
         with self._connection:
             cursor = self._connection.execute("DELETE FROM strategies WHERE name = ?", (name,))
         return cursor.rowcount > 0
-
-    # -- similarity cubes ----------------------------------------------------------------------
-
-    @_locked
-    def store_cube(self, task: str, cube: SimilarityCube, replace: bool = True) -> None:
-        """Persist the non-zero entries of a similarity cube under a task label."""
-        with self._connection:
-            if replace:
-                self._connection.execute("DELETE FROM cube_entries WHERE task = ?", (task,))
-            self._connection.executemany(
-                "INSERT INTO cube_entries (task, matcher, source_path, target_path, similarity) "
-                "VALUES (?, ?, ?, ?, ?)",
-                [(task, matcher, s, t, v) for matcher, s, t, v in cube.as_records()],
-            )
-
-    @_locked
-    def load_cube_entries(
-        self, task: str, matcher: Optional[str] = None
-    ) -> Tuple[Tuple[str, str, str, float], ...]:
-        """The stored ``(matcher, source path, target path, similarity)`` rows of a task."""
-        if matcher is None:
-            rows = self._connection.execute(
-                "SELECT matcher, source_path, target_path, similarity FROM cube_entries "
-                "WHERE task = ? ORDER BY matcher, source_path, target_path",
-                (task,),
-            ).fetchall()
-        else:
-            rows = self._connection.execute(
-                "SELECT matcher, source_path, target_path, similarity FROM cube_entries "
-                "WHERE task = ? AND matcher = ? ORDER BY source_path, target_path",
-                (task, matcher),
-            ).fetchall()
-        return tuple((r[0], r[1], r[2], float(r[3])) for r in rows)
-
-    @_locked
-    def cube_tasks(self) -> Tuple[str, ...]:
-        """All task labels for which cube entries are stored."""
-        rows = self._connection.execute(
-            "SELECT DISTINCT task FROM cube_entries ORDER BY task"
-        ).fetchall()
-        return tuple(r[0] for r in rows)

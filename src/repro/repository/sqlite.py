@@ -21,7 +21,8 @@ through :func:`open_database`, which
   last commits: fine for the store and the corpus, which can be rebuilt.
   The repository holds user-confirmed mappings and named strategies and
   keeps SQLite's default ``FULL``;
-* runs the component's DDL and the migrations for files of older versions.
+* runs the component's DDL and the migrations for files of older versions:
+  added columns, and dropped tables that nothing reads any more.
 
 Components write inside ``with connection:``, which commits the block or
 rolls it back as a whole.
@@ -67,8 +68,10 @@ class Layout:
     tables: Tuple[str, ...]
     #: ``CREATE ... IF NOT EXISTS`` statements, run by every writable open.
     ddl: str
-    #: Statements that bring a file of an older version up to date; each one
-    #: fails, and is skipped, on a file that already has its change.
+    #: Statements that bring a file of an older version up to date, run by
+    #: every writable open.  On a file that already has its change each one
+    #: fails and is skipped (``ALTER TABLE ... ADD COLUMN``) or does nothing
+    #: (``DROP TABLE IF EXISTS``), so a second open changes nothing.
     migrations: Tuple[str, ...] = ()
     #: ``PRAGMA synchronous`` of writable opens; None keeps SQLite's ``FULL``.
     synchronous: Optional[str] = "NORMAL"

@@ -2,18 +2,17 @@
 
 This subsystem answers the repository-scale question the pairwise API cannot:
 *"find the best match targets for this schema among thousands"*.  It is built
-from three pieces:
+from two pieces:
 
-* :mod:`repro.search.intervals` -- pre/post-order interval encoding of a
-  schema's path tree (the XPath-accelerator pattern), turning structural
-  containment into integers a relational index can range-scan;
 * :mod:`repro.search.corpus` -- :class:`SchemaCorpus`, a persistent SQLite
   inverted index over the profile vocabularies (name tokens, n-grams,
-  soundex codes) plus the interval tables and the schema documents
-  themselves, with idf-weighted numpy candidate ranking;
+  soundex codes) plus the schema documents themselves, with idf-weighted
+  numpy candidate ranking;
 * :mod:`repro.search.searcher` -- :class:`CorpusSearcher`, which prunes the
   corpus to a top-K survivor pool via the index and runs the full
   :class:`~repro.session.session.MatchSession` pipeline only on survivors.
+
+(:mod:`repro.search.intervals` encodes path trees for the rematch digests.)
 
 The subsystem is wired through all three public layers:
 ``MatchSession.search(schema, k=...)``, ``POST /search`` (+ corpus
@@ -24,7 +23,6 @@ registration on ``POST /schemas``) in :mod:`repro.service`, and the
 from repro.search.corpus import (
     CandidateScore,
     SchemaCorpus,
-    SubtreeHit,
     schema_vocabulary,
     vocabulary_norm,
 )
@@ -41,7 +39,6 @@ __all__ = [
     "IntervalNode",
     "SchemaCorpus",
     "SearchResult",
-    "SubtreeHit",
     "candidate_pool_size",
     "interval_encode",
     "schema_vocabulary",

@@ -4,7 +4,7 @@ Corpus-scale matching ("find the best targets for this schema among
 thousands") cannot afford the full matcher pipeline per candidate -- the
 pipeline is milliseconds per pair, and a repository holds thousands of pairs
 per query.  A :class:`SchemaCorpus` therefore registers every schema into a
-small SQLite database holding three indexed structures:
+small SQLite database holding two structures:
 
 * an **inverted term index** over the unique-key vocabularies the batch
   engine already extracts per :class:`~repro.engine.profiles.PathSetProfile`:
@@ -14,11 +14,6 @@ small SQLite database holding three indexed structures:
   (see :meth:`SchemaCorpus.rank`).  Each handle ranks from an in-memory copy
   of these tables, loaded at its first ranking and kept current by its own
   writes; ``PRAGMA data_version`` tells it when another connection wrote;
-* a **node interval table**: the pre/post-order encoding of each schema's
-  path tree (:mod:`repro.search.intervals`), so structural filtering --
-  "schemas containing a subtree labelled like X with roughly this many
-  descendants" -- is an indexed B-tree range query over ``(label, size)``
-  instead of a graph traversal per schema;
 * the **schema documents** themselves (the canonical JSON serialisation), so
   pruned survivors can be loaded and pushed through the full
   :class:`~repro.session.session.MatchSession` pipeline without a separate
@@ -54,7 +49,6 @@ from repro.model.schema import Schema
 from repro.repository.serialization import schema_from_json, schema_to_json
 from repro.repository.sqlite import Layout, open_database
 from repro.repository.store import schema_content_digest, tokenizer_digest
-from repro.search.intervals import IntervalNode, interval_encode
 
 #: Term kinds of the inverted index, with their contribution weights in the
 #: candidate score.  Tokens are the strongest signal (they survive the
@@ -99,27 +93,16 @@ CREATE TABLE IF NOT EXISTS corpus_postings (
 ) WITHOUT ROWID;
 CREATE INDEX IF NOT EXISTS corpus_postings_by_schema
     ON corpus_postings (schema_id);
-CREATE TABLE IF NOT EXISTS corpus_nodes (
-    schema_id  INTEGER NOT NULL,
-    pre        INTEGER NOT NULL,
-    post       INTEGER NOT NULL,
-    depth      INTEGER NOT NULL,
-    size       INTEGER NOT NULL,
-    label      TEXT NOT NULL,
-    dotted     TEXT NOT NULL,
-    PRIMARY KEY (schema_id, pre)
-) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS corpus_nodes_by_label_size
-    ON corpus_nodes (label, size);
 """
 
+#: Older files also hold a node interval table that nothing read; their
+#: first writable open drops it.
 _CORPUS_LAYOUT = Layout(
     label="schema corpus",
     error=SearchError,
-    tables=(
-        "corpus_meta", "corpus_schemas", "corpus_terms", "corpus_postings", "corpus_nodes"
-    ),
+    tables=("corpus_meta", "corpus_schemas", "corpus_terms", "corpus_postings"),
     ddl=_CORPUS_DDL,
+    migrations=("DROP TABLE IF EXISTS corpus_nodes",),
 )
 
 
@@ -175,16 +158,6 @@ class CandidateScore:
     schema_id: int
     digest: str
     path_count: int
-
-
-@dataclasses.dataclass(frozen=True)
-class SubtreeHit:
-    """One structural hit of :meth:`SchemaCorpus.find_subtrees`."""
-
-    schema_name: str
-    dotted: str
-    size: int
-    depth: int
 
 
 def _chunks(items: Sequence, size: int = _SQL_CHUNK) -> Iterable[Sequence]:
@@ -372,7 +345,7 @@ class SchemaCorpus:
         replace: bool = True,
         profile: Optional[PathSetProfile] = None,
     ) -> int:
-        """Register a schema: index its vocabulary and intervals, store its document.
+        """Register a schema: index its vocabulary and store its document.
 
         Parameters
         ----------
@@ -407,7 +380,6 @@ class SchemaCorpus:
             profile = PathSetProfile(schema.paths(), self._tokenizer)
         vocabulary = schema_vocabulary(profile)
         norm = vocabulary_norm(vocabulary)
-        nodes = interval_encode(schema)
         document = schema_to_json(schema)
         digest = schema_content_digest(schema)
         path_count = len(schema.paths())
@@ -433,22 +405,6 @@ class SchemaCorpus:
                 )
                 schema_id = int(cursor.lastrowid)
                 term_ids = self._index_terms_locked(schema_id, entries)
-                self._connection.executemany(
-                    "INSERT INTO corpus_nodes (schema_id, pre, post, depth, size, "
-                    "label, dotted) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    [
-                        (
-                            schema_id,
-                            node.pre,
-                            node.post,
-                            node.depth,
-                            node.size,
-                            node.name.lower(),
-                            node.dotted,
-                        )
-                        for node in nodes
-                    ],
-                )
             index = self._index_after_commit_locked()
             if index is not None:
                 if removed is not None:
@@ -556,9 +512,6 @@ class SchemaCorpus:
         )
         self._connection.execute("DELETE FROM corpus_terms WHERE df <= 0")
         self._connection.execute(
-            "DELETE FROM corpus_nodes WHERE schema_id = ?", (schema_id,)
-        )
-        self._connection.execute(
             "DELETE FROM corpus_schemas WHERE schema_id = ?", (schema_id,)
         )
         self._loaded.pop(schema_id, None)
@@ -653,16 +606,12 @@ class SchemaCorpus:
             postings = self._connection.execute(
                 "SELECT COUNT(*) FROM corpus_postings"
             ).fetchone()[0]
-            nodes = self._connection.execute(
-                "SELECT COUNT(*) FROM corpus_nodes"
-            ).fetchone()[0]
         return {
             "path": self._path,
             "schemas": int(schemas),
             "paths": int(paths),
             "terms": int(terms),
             "postings": int(postings),
-            "nodes": int(nodes),
             "tokenizer_digest": self._tokenizer_digest,
         }
 
@@ -793,62 +742,6 @@ class SchemaCorpus:
         return self.rank(
             schema_vocabulary(profile), limit=limit, exclude_digests=exclude
         )
-
-    # -- structural filtering --------------------------------------------------
-
-    def find_subtrees(
-        self,
-        label: str,
-        min_size: int = 1,
-        max_size: Optional[int] = None,
-        limit: int = 100,
-    ) -> List[SubtreeHit]:
-        """Schemas containing a subtree with this (lower-cased) root label.
-
-        This is the XPath-accelerator payoff: the pre/post interval encoding
-        materialises each node's subtree ``size``, so "a subtree labelled
-        ``address`` with 3..12 descendants" is one indexed range scan over
-        ``(label, size)`` -- no schema graph is loaded, let alone walked.
-
-        Parameters
-        ----------
-        label:
-            The element name of the subtree root (matched lower-cased).
-        min_size / max_size:
-            Bounds on the subtree's node count (including the root).
-        limit:
-            Maximum hits returned (ordered by size descending, then schema
-            name and document order).
-        """
-        if min_size < 1:
-            raise SearchError(f"min_size must be >= 1, got {min_size}")
-        statement = (
-            "SELECT s.name, n.dotted, n.size, n.depth "
-            "FROM corpus_nodes n JOIN corpus_schemas s "
-            "ON s.schema_id = n.schema_id "
-            "WHERE n.label = ? AND n.size >= ?"
-        )
-        parameters: List[object] = [label.lower(), int(min_size)]
-        if max_size is not None:
-            statement += " AND n.size <= ?"
-            parameters.append(int(max_size))
-        statement += " ORDER BY n.size DESC, s.name, n.pre LIMIT ?"
-        parameters.append(int(limit))
-        with self._lock:
-            rows = self._connection.execute(statement, parameters).fetchall()
-        return [
-            SubtreeHit(schema_name=name, dotted=dotted, size=int(size), depth=int(depth))
-            for name, dotted, size, depth in rows
-        ]
-
-    def schemas_with_subtree(
-        self, label: str, min_size: int = 1, max_size: Optional[int] = None
-    ) -> Tuple[str, ...]:
-        """Distinct names of schemas containing a matching subtree (sorted)."""
-        hits = self.find_subtrees(
-            label, min_size=min_size, max_size=max_size, limit=1_000_000
-        )
-        return tuple(sorted({hit.schema_name for hit in hits}))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SchemaCorpus(path={self._path!r}, schemas={len(self)})"

@@ -16,13 +16,13 @@ method   path                  purpose
 =======  ====================  ==============================================
 GET      ``/health``           liveness probe with registry/pool counts
 GET      ``/stats``            cache occupancy + request counters per shard
-GET      ``/schemas``          list the uploaded schemas
+GET      ``/schemas``          list the registered schemas
 POST     ``/schemas``          upload a schema through the importers registry
-GET      ``/schemas/{name}``   statistics of one uploaded schema
-DELETE   ``/schemas/{name}``   remove one uploaded schema
-POST     ``/match``            match two uploaded schemas
+GET      ``/schemas/{name}``   statistics of one registered schema
+DELETE   ``/schemas/{name}``   remove one registered schema
+POST     ``/match``            match two registered schemas
 POST     ``/match/batch``      match many pairs in one session acquisition
-POST     ``/search``           top-K corpus search for an uploaded schema
+POST     ``/search``           top-K corpus search for a registered schema
 GET      ``/corpus``           schema-corpus occupancy and registered names
 POST     ``/jobs``             start a background batch/search campaign (202)
 GET      ``/jobs``             the jobs table (per-state counts + snapshots)
@@ -60,7 +60,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.strategy import MatchStrategy
-from repro.exceptions import ComaError, FaultInjected, ServiceError
+from repro.exceptions import ComaError, FaultInjected, SearchError, ServiceError
 from repro.importers.registry import DEFAULT_IMPORTERS, ImporterRegistry
 from repro.model.schema import Schema
 from repro.service.jobs import JobEventStream, JobManager
@@ -127,10 +127,10 @@ class MatchService:
     corpus_path:
         Optional schema corpus (:class:`~repro.search.corpus.SchemaCorpus`
         SQLite file, or ``":memory:"``) enabling the ``POST /search`` /
-        ``GET /corpus`` endpoints.  Uploaded schemas are registered into the
-        corpus automatically (and deregistered on delete), so a service
-        fed schemas over ``POST /schemas`` builds its search index as it
-        goes; survivor matching fans out over the configured backend.  See
+        ``GET /corpus`` endpoints.  It also keeps the uploaded schemas
+        (:meth:`schema` looks there second), so a service restarted on the
+        same file still lists, matches and searches them; survivor
+        matching fans out over the configured backend.  See
         ``docs/search.md``.
     importers:
         The importer registry resolving upload formats (default: the
@@ -267,6 +267,8 @@ class MatchService:
         self._schemas: Dict[str, Schema] = {}
         self._strategies: Dict[str, MatchStrategy] = {}
         self._state_lock = threading.RLock()
+        #: Serialises uploads and deletes over the corpus and the dict.
+        self._registry_lock = threading.Lock()
         self._request_counts: Dict[str, int] = {}
         self._started = time.monotonic()
         self._jobs = JobManager(self)
@@ -292,37 +294,58 @@ class MatchService:
         return self._jobs
 
     def schema(self, name: str) -> Schema:
-        """The uploaded schema registered under ``name``.
+        """The schema registered under ``name``, in memory or else in the corpus.
 
         Raises
         ------
         ServiceError
-            With status 404 when no schema of that name was uploaded.
+            With status 404 when neither holds the name, 503 when the corpus
+            cannot be read.
         """
-        with self._state_lock:
-            schema = self._schemas.get(name)
-            known = ", ".join(sorted(self._schemas)) or "none uploaded yet"
+        schema = self._find_schema(name)
         if schema is None:
+            known = ", ".join(self.schema_names()) or "none uploaded yet"
             raise ServiceError(
                 f"no schema named {name!r}; known schemas: {known}", status=404
             )
         return schema
 
+    def _find_schema(self, name: str) -> Optional[Schema]:
+        with self._state_lock:
+            schema = self._schemas.get(name)
+        if schema is None and self._corpus is not None:
+            with self._corpus_guard():
+                if self._corpus.has(name):
+                    schema = self._corpus.load(name)
+        return schema
+
+    def schema_names(self) -> Tuple[str, ...]:
+        """Sorted names of all registered schemas (memory + corpus)."""
+        with self._state_lock:
+            names = set(self._schemas)
+        if self._corpus is not None:
+            with self._corpus_guard():
+                names.update(self._corpus.names())
+        return tuple(sorted(names))
+
     def register_schema(self, schema: Schema) -> bool:
         """Register a schema under its own name; True when it replaced one.
 
-        With a corpus attached, the schema is also indexed for
-        ``POST /search`` (replacing any previous registration of the name).
+        An attached corpus is written first, so a failed write changes nothing.
         """
-        with self._state_lock:
-            replaced = schema.name in self._schemas
-            self._schemas[schema.name] = schema
-        if self._corpus is not None:
-            self._corpus.add(
-                schema,
-                replace=True,
-                profile=self._search_session.profile_for(schema),
-            )
+        replaced = False
+        with self._registry_lock:
+            if self._corpus is not None:
+                with self._corpus_guard():
+                    replaced = self._corpus.has(schema.name)
+                    self._corpus.add(
+                        schema,
+                        replace=True,
+                        profile=self._search_session.profile_for(schema),
+                    )
+            with self._state_lock:
+                replaced = schema.name in self._schemas or replaced
+                self._schemas[schema.name] = schema
         return replaced
 
     def resolve_strategy(self, reference: StrategyLike) -> Optional[MatchStrategy]:
@@ -352,20 +375,24 @@ class MatchService:
                 return MatchStrategy.parse(reference, library=self._library)
             except ComaError as error:
                 raise ServiceError(f"invalid strategy spec: {error}", status=400)
+        return self._stored_strategy(reference)
+
+    def _stored_strategy(self, name: str) -> MatchStrategy:
+        """A stored strategy by name: the registry, then the repository (else 404)."""
         with self._state_lock:
-            stored = self._strategies.get(reference)
-        if stored is not None:
-            return stored
-        if self._repository is not None and self._repository.has_strategy(reference):
-            loaded = self._repository.load_strategy(reference, library=self._library)
+            strategy = self._strategies.get(name)
+        if strategy is None and self._repository is not None \
+                and self._repository.has_strategy(name):
+            strategy = self._repository.load_strategy(name, library=self._library)
             with self._state_lock:
-                self._strategies.setdefault(reference, loaded)
-            return loaded
-        known = ", ".join(self.strategy_names()) or "none stored yet"
-        raise ServiceError(
-            f"no stored strategy named {reference!r}; stored strategies: {known}",
-            status=404,
-        )
+                strategy = self._strategies.setdefault(name, strategy)
+        if strategy is None:
+            known = ", ".join(self.strategy_names()) or "none stored yet"
+            raise ServiceError(
+                f"no stored strategy named {name!r}; stored strategies: {known}",
+                status=404,
+            )
+        return strategy
 
     def strategy_names(self) -> Tuple[str, ...]:
         """Sorted names of all stored strategies (registry + repository)."""
@@ -529,8 +556,10 @@ class MatchService:
         return components
 
     def _health(self) -> dict:
-        with self._state_lock:
-            schema_count = len(self._schemas)
+        try:
+            schema_count: Optional[int] = len(self.schema_names())
+        except ServiceError:  # an unreadable corpus; reported as degraded below
+            schema_count = None
         jobs = self._jobs.info()["by_state"]
         components = self.component_health()
         degraded = any(
@@ -557,12 +586,11 @@ class MatchService:
 
         with self._state_lock:
             requests = dict(sorted(self._request_counts.items()))
-            schema_count = len(self._schemas)
         return {
             "uptime_seconds": round(time.monotonic() - self._started, 3),
             "backend": self._backend,
             "frontend": self.frontend_stats() if self.frontend_stats else None,
-            "schemas": schema_count,
+            "schemas": len(self.schema_names()),
             "strategies": len(self.strategy_names()),
             "requests": {"total": sum(requests.values()), "by_route": requests},
             "pool": {
@@ -606,12 +634,12 @@ class MatchService:
             self._fault_plan = None
 
     def _list_schemas(self) -> dict:
-        with self._state_lock:
-            schemas = dict(self._schemas)
+        found = ((name, self._find_schema(name)) for name in self.schema_names())
         return {
             "schemas": [
                 {"name": name, "paths": len(schema.paths())}
-                for name, schema in sorted(schemas.items())
+                for name, schema in found
+                if schema is not None  # deleted since the names were read
             ]
         }
 
@@ -661,12 +689,15 @@ class MatchService:
         }
 
     def _delete_schema(self, name: str) -> Tuple[int, dict]:
-        with self._state_lock:
-            removed = self._schemas.pop(name, None)
-        if removed is None:
+        removed = False
+        with self._registry_lock:
+            if self._corpus is not None:
+                with self._corpus_guard():
+                    removed = self._corpus.remove(name)
+            with self._state_lock:
+                removed = self._schemas.pop(name, None) is not None or removed
+        if not removed:
             raise ServiceError(f"no schema named {name!r}", status=404)
-        if self._corpus is not None:
-            self._corpus.remove(name)
         return 200, {"deleted": name}
 
     def _match_request(
@@ -806,6 +837,8 @@ class MatchService:
                     default_min_similarity=default_threshold,
                 )
             except ServiceError as error:
+                if error.status >= 500:  # the corpus failed, not the request
+                    raise
                 invalid.append({"index": index, "error": str(error)})
                 continue
             items.append((source, target, strategy if strategy is not None else default))
@@ -849,13 +882,16 @@ class MatchService:
         Bad *requests* (unknown schema, invalid strategy) keep their 4xx
         semantics; this guard only catches the failure classes that mean the
         corpus itself is unhealthy -- sqlite errors (index loss, locked or
-        torn database), OS errors (unreadable file) and injected faults.
-        The component is marked degraded for ``GET /health``; the next
-        successful search clears the mark.
+        torn database, a failed write), OS errors (unreadable file) and
+        injected faults.  The component is marked degraded for
+        ``GET /health``; the next successful search clears the mark.
         """
         try:
             yield
-        except (sqlite3.Error, OSError, FaultInjected) as error:
+        except (sqlite3.Error, OSError, FaultInjected, SearchError) as error:
+            if isinstance(error, SearchError) and \
+                    not isinstance(error.__cause__, sqlite3.Error):
+                raise  # a bad request (the corpus wraps failed writes)
             detail = f"{type(error).__name__}: {error}"
             with self._state_lock:
                 self._degraded["corpus"] = detail
@@ -880,23 +916,13 @@ class MatchService:
         this so an invalid search campaign is rejected at submit time, then
         hand the returned dict to :meth:`run_search` on the job thread.
         """
-        corpus = self._require_corpus()
+        self._require_corpus()
         if not isinstance(payload, dict) or not isinstance(payload.get("source"), str):
             raise ServiceError(
-                "search requests need a 'source' schema name "
-                "(an uploaded or corpus-registered schema)", status=400,
+                "search requests need a 'source' schema name", status=400,
             )
         name = payload["source"]
-        with self._state_lock:
-            schema = self._schemas.get(name)
-        if schema is None:
-            if not corpus.has(name):
-                raise ServiceError(
-                    f"no schema named {name!r} uploaded or registered in the "
-                    f"corpus", status=404,
-                )
-            with self._corpus_guard():
-                schema = corpus.load(name)
+        schema = self.schema(name)
         strategy = self.resolve_strategy(payload.get("strategy"))
         try:
             k = int(payload.get("k", 10))
@@ -972,7 +998,7 @@ class MatchService:
         return match_many
 
     def _search(self, payload: dict) -> dict:
-        """``POST /search``: top-K pruned corpus search for an uploaded schema."""
+        """``POST /search``: top-K pruned corpus search for a registered schema."""
         return self.run_search(self.validate_search(payload))
 
     def _list_strategies(self) -> dict:
@@ -1015,19 +1041,7 @@ class MatchService:
     def _strategy_details(self, name: str) -> dict:
         # A *stored-name* lookup only: resolve_strategy would happily parse a
         # spec-shaped name and answer 200 for something never stored.
-        with self._state_lock:
-            strategy = self._strategies.get(name)
-        if strategy is None and self._repository is not None \
-                and self._repository.has_strategy(name):
-            strategy = self._repository.load_strategy(name, library=self._library)
-            with self._state_lock:
-                strategy = self._strategies.setdefault(name, strategy)
-        if strategy is None:
-            known = ", ".join(self.strategy_names()) or "none stored yet"
-            raise ServiceError(
-                f"no stored strategy named {name!r}; stored strategies: {known}",
-                status=404,
-            )
+        strategy = self._stored_strategy(name)
         return {"name": name, "spec": strategy.to_spec(), "document": strategy.to_dict()}
 
     def _delete_strategy(self, name: str) -> Tuple[int, dict]:

@@ -111,16 +111,6 @@ class TestSimilarityCube:
         with pytest.raises(CombinationError):
             cube.layer("Name")
 
-    def test_as_records_skips_zero(self, axes):
-        sources, targets = axes
-        cube = SimilarityCube(sources, targets)
-        matrix = SimilarityMatrix(sources, targets)
-        matrix.set(sources[0], targets[0], 0.9)
-        cube.add_layer("Name", matrix)
-        records = cube.as_records()
-        assert len(records) == 1
-        assert records[0][0] == "Name"
-
     def test_sub_cube(self, axes):
         sources, targets = axes
         cube = SimilarityCube(sources, targets)

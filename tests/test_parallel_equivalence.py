@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.datasets.generators import generate_pair
 from repro.exceptions import SessionError
+from repro.model.builder import SchemaBuilder
 from repro.parallel import ProcessSessionPool
 from repro.session import MatchSession
 
@@ -100,6 +101,16 @@ def _pair_sweep():
     return pairs
 
 
+def _address_schema(name: str, city_types):
+    """``name``.Address with one ``City`` leaf per type, then ``Zip``."""
+    builder = SchemaBuilder(name)
+    with builder.inner("Address"):
+        for city_type in city_types:
+            builder.leaf("City", city_type)
+        builder.leaf("Zip", "string")
+    return builder.build()
+
+
 class TestHundredPairSweep:
     """The acceptance sweep: >= 100 generated pairs, two backends, one truth."""
 
@@ -110,6 +121,15 @@ class TestHundredPairSweep:
             (pair.source, pair.target, SPECS[index % len(SPECS)])
             for index, pair in enumerate(pairs)
         ]
+        # Two kept pairs with equal dotted names (S.Address.City twice): the
+        # wire must tell them apart.
+        requests.append(
+            (
+                _address_schema("S", ("string", "integer")),
+                _address_schema("T", ("string", "decimal")),
+                SPECS[0],
+            )
+        )
         serial = MatchSession().match_many(requests)
         processed = MatchSession().match_many(requests, process_pool=process_pool)
         assert len(serial) == len(processed) == len(requests)

@@ -8,6 +8,7 @@ import pytest
 from repro.datasets.figure1 import load_po1, load_po2
 from repro.exceptions import ServiceError
 from repro.parallel import ProcessSessionPool, decode_frame, encode_frame
+from repro.parallel import codec
 from repro.parallel.codec import MAGIC
 from repro.session import MatchSession
 
@@ -34,12 +35,28 @@ class TestCodec:
         frame[:4] = b"NOPE"
         with pytest.raises(ServiceError):
             decode_frame(bytes(frame))
-        assert MAGIC == b"CPF1"
+        assert MAGIC == b"CPF2"
 
     def test_truncated_frame_is_rejected(self):
         frame = encode_frame({"kind": "x"}, [b"0123456789"])
         with pytest.raises(ServiceError):
             decode_frame(frame[: len(frame) - 4])
+
+    def test_pair_index_outside_the_cube_is_rejected(self):
+        po1, po2 = load_po1(), load_po2()
+        outcome = MatchSession().match(po1, po2)
+        header, buffers = decode_frame(codec.encode_outcomes([outcome]))
+        item = header["items"][0]
+        rebuilt = codec.rebuild_outcome(
+            item, buffers, po1, po2, outcome.strategy, outcome.context
+        )
+        assert rebuilt.result.as_tuples() == outcome.result.as_tuples()
+        for bad in ([len(po1.paths()), 0], [0, -1]):
+            item["pairs"][0] = bad
+            with pytest.raises(ServiceError, match="outside its"):
+                codec.rebuild_outcome(
+                    item, buffers, po1, po2, outcome.strategy, outcome.context
+                )
 
 
 class TestPoolMechanics:

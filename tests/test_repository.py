@@ -3,9 +3,7 @@
 import pytest
 
 from repro.core.match_operation import build_context
-from repro.engine.engine import MatchEngine
 from repro.exceptions import RepositoryError
-from repro.matchers.hybrid import NameMatcher
 from repro.matchers.reuse.provider import StoredMapping
 from repro.matchers.reuse.schema_reuse import SchemaReuseMatcher
 from repro.model.mapping import MatchResult
@@ -122,36 +120,6 @@ class TestRepositoryMappings:
             ) == pytest.approx(0.9)
 
 
-class TestRepositoryCubes:
-    def test_store_and_load_cube(self, po1, po2):
-        context = build_context(po1, po2)
-        cube = MatchEngine().execute([NameMatcher()], context)
-        with Repository() as repository:
-            repository.store_cube("PO1<->PO2", cube)
-            assert repository.cube_tasks() == ("PO1<->PO2",)
-            entries = repository.load_cube_entries("PO1<->PO2")
-            assert entries
-            assert all(matcher == "Name" for matcher, *_ in entries)
-            name_entries = repository.load_cube_entries("PO1<->PO2", matcher="Name")
-            assert len(name_entries) == len(entries)
-
-    def test_replace_cube(self, po1, po2):
-        context = build_context(po1, po2)
-        cube = MatchEngine().execute([NameMatcher()], context)
-        with Repository() as repository:
-            repository.store_cube("t", cube)
-            first_count = len(repository.load_cube_entries("t"))
-            repository.store_cube("t", cube)
-            assert len(repository.load_cube_entries("t")) == first_count
-
-
-class _BrokenCube:
-    """A cube whose records fail mid-write."""
-
-    def as_records(self):
-        raise ValueError("corrupt cube")
-
-
 class TestRepositoryTransactions:
     """A write that raises leaves nothing behind for the next write to commit."""
 
@@ -163,13 +131,3 @@ class TestRepositoryTransactions:
             repository.store_mapping(StoredMapping("A", "B", (("A.x", "B.y", 0.5),)))
             assert repository.mapping_count() == 1
             assert [m.rows for m in repository.stored_mappings()] == [(("A.x", "B.y", 0.5),)]
-
-    def test_failed_cube_replace_keeps_the_old_entries(self, po1, po2):
-        cube = MatchEngine().execute([NameMatcher()], build_context(po1, po2))
-        with Repository() as repository:
-            repository.store_cube("t", cube)
-            entries = repository.load_cube_entries("t")
-            with pytest.raises(ValueError):
-                repository.store_cube("t", _BrokenCube())
-            repository.store_schema(po1)  # the next write commits
-            assert repository.load_cube_entries("t") == entries

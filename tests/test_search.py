@@ -126,7 +126,7 @@ class TestSchemaCorpus:
             ]
             assert after == before
             info_after = reopened.info()
-            for key in ("schemas", "terms", "postings", "nodes"):
+            for key in ("schemas", "terms", "postings"):
                 assert info_after[key] == info_before[key]
             # The stored documents rebuild the identical schemas.
             for schema in schemas:
@@ -168,7 +168,7 @@ class TestSchemaCorpus:
         assert [c.score for c in removed] == pytest.approx(
             [c.score for c in reference]
         )
-        for key in ("schemas", "terms", "postings", "nodes"):
+        for key in ("schemas", "terms", "postings"):
             assert both.info()[key] == without.info()[key]
         without.close()
         both.close()
@@ -200,23 +200,6 @@ class TestSchemaCorpus:
         different = NameTokenizer(abbreviations={"po": "PurchaseOrder"})
         with pytest.raises(SearchError, match="tokenizer"):
             SchemaCorpus(path, tokenizer=different)
-
-    def test_find_subtrees_range_query(self):
-        corpus = SchemaCorpus(":memory:")
-        corpus.add_many(load_all_schemas().values())
-        hits = corpus.find_subtrees("address", min_size=2)
-        assert hits, "the purchase-order schemas all contain Address subtrees"
-        assert all(hit.size >= 2 for hit in hits)
-        assert all(
-            "address" in hit.dotted.lower().split(".")[-1] for hit in hits
-        )
-        bounded = corpus.find_subtrees("address", min_size=2, max_size=4)
-        assert all(2 <= hit.size <= 4 for hit in bounded)
-        names = corpus.schemas_with_subtree("address", min_size=2)
-        assert set(names) <= set(corpus.names())
-        with pytest.raises(SearchError):
-            corpus.find_subtrees("address", min_size=0)
-        corpus.close()
 
     def test_vocabulary_counts_per_path_occurrence(self):
         session = MatchSession()
@@ -315,9 +298,9 @@ class TestCorpusIndex:
 
         clean = SchemaCorpus(":memory:")
         clean.add_many([po1, po2, extra])
-        for key in ("schemas", "terms", "postings", "nodes"):
+        for key in ("schemas", "terms", "postings"):
             assert corpus.info()[key] == clean.info()[key], key
-        assert corpus.info()["postings"] == 134 and corpus.info()["nodes"] == 32
+        assert corpus.info()["postings"] == 134
         for query in (po1, po2, extra):
             assert _ranking(corpus.rank(_vocabulary(query))) == _ranking(
                 clean.rank(_vocabulary(query))
