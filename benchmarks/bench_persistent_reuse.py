@@ -23,11 +23,7 @@ Two secondary measurements ride along:
 * a **kernel sweep** of :func:`~repro.matchers.string.edit_distance
   .levenshtein_distance_many` on the campaign's unique name-pair set: the
   scalar DP loop vs. the Myers bit-parallel ladder (gated faster than the
-  scalar loop);
-* a **store-dtype sweep**: the campaign persisted under ``float64`` /
-  ``float32`` / quantized ``uint16`` cube storage, recording payload bytes
-  and the reloaded warm mapping digests (gated: ``uint16`` stores at most
-  30% of the ``float64`` payload bytes).
+  scalar loop).
 
 Results are recorded in ``BENCH_reuse.json`` at the repository root.
 
@@ -90,7 +86,7 @@ def _campaign_pairs():
     ]
 
 
-def run_child(store_path: str | None, store_dtype: str | None = None) -> dict:
+def run_child(store_path: str | None) -> dict:
     """Run the all-pairs campaign once in *this* process and report on it."""
     from repro.matchers.memo import DEFAULT_MEMO_POOL
     from repro.repository.store import SimilarityStore
@@ -99,7 +95,7 @@ def run_child(store_path: str | None, store_dtype: str | None = None) -> dict:
     schemas, work = _campaign_pairs()
     store = None
     if store_path is not None:
-        store = SimilarityStore(store_path, dtype=store_dtype or "float64")
+        store = SimilarityStore(store_path)
     session = MatchSession(store=store)
     started = time.perf_counter()
     outcomes = session.match_many(work)
@@ -125,7 +121,7 @@ def run_child(store_path: str | None, store_dtype: str | None = None) -> dict:
 # -- the parent: orchestrate real process restarts -------------------------------
 
 
-def _spawn(store_path: str | None, store_dtype: str | None = None) -> dict:
+def _spawn(store_path: str | None) -> dict:
     environment = dict(os.environ)
     environment["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + environment["PYTHONPATH"] if environment.get("PYTHONPATH") else ""
@@ -133,8 +129,6 @@ def _spawn(store_path: str | None, store_dtype: str | None = None) -> dict:
     command = [sys.executable, str(Path(__file__).resolve()), "--child"]
     if store_path is not None:
         command.append(store_path)
-        if store_dtype is not None:
-            command.append(store_dtype)
     completed = subprocess.run(
         command, capture_output=True, text=True, env=environment, check=False
     )
@@ -191,66 +185,6 @@ def _bench_levenshtein_kernels() -> dict:
     }
 
 
-def _store_disk_bytes(store_path: str) -> int:
-    """The store's total on-disk footprint: db + WAL + external side files."""
-    total = 0
-    for candidate in (store_path, store_path + "-wal", store_path + "-shm"):
-        if os.path.exists(candidate):
-            total += os.path.getsize(candidate)
-    blobs = store_path + ".blobs"
-    if os.path.isdir(blobs):
-        total += sum(
-            os.path.getsize(os.path.join(blobs, name)) for name in os.listdir(blobs)
-        )
-    return total
-
-
-def _bench_store_dtypes(float64_store_path: str, float64_warm: dict) -> dict:
-    """The campaign persisted under each cube storage dtype.
-
-    The ``float64`` entry reuses the main run's populated store and warm
-    child; the compact tiers each populate a fresh store in one child and
-    reload it in another, so the recorded warm digests really cross a
-    process restart.
-    """
-    from repro.repository.store import SimilarityStore
-
-    sweep = {}
-    for dtype in ("float64", "float32", "uint16"):
-        if dtype == "float64":
-            path, warm = float64_store_path, float64_warm
-        else:
-            path = os.path.join(
-                tempfile.mkdtemp(prefix=f"coma-bench-store-{dtype}-"), "store.db"
-            )
-            _spawn(path, dtype)  # populate
-            warm = _spawn(path, dtype)
-        with SimilarityStore(path, writer=False) as store:
-            info = store.info()
-        cache = warm["session_cache"]
-        if cache["store_hits"] != warm["operations"] or cache["store_misses"]:
-            raise AssertionError(
-                f"{dtype} warm child was not fully served from the store: {cache}"
-            )
-        sweep[dtype] = {
-            "cube_payload_bytes": info["cube_bytes"],
-            "store_disk_bytes": _store_disk_bytes(path),
-            "cubes": info["cubes"],
-            "warm_mapping_digest": warm["mapping_digest"],
-        }
-    for dtype in ("float32", "uint16"):
-        sweep[dtype]["matches_float64_mapping"] = (
-            sweep[dtype]["warm_mapping_digest"]
-            == sweep["float64"]["warm_mapping_digest"]
-        )
-        sweep[dtype]["payload_ratio_vs_float64"] = round(
-            sweep[dtype]["cube_payload_bytes"]
-            / sweep["float64"]["cube_payload_bytes"],
-            4,
-        )
-    return sweep
-
-
 def collect_results() -> dict:
     store_path = os.path.join(tempfile.mkdtemp(prefix="coma-bench-store-"), "store.db")
     populate = _spawn(store_path)  # first run writes the store
@@ -284,7 +218,6 @@ def collect_results() -> dict:
         "warm_session_cache": warm["session_cache"],
         "cold_kernel_memo": cold["kernel_memo"],
         "levenshtein_kernels": _bench_levenshtein_kernels(),
-        "store_dtypes": _bench_store_dtypes(store_path, warm),
     }
 
 
@@ -313,13 +246,6 @@ def _print_results(results: dict) -> None:
         f"bit-parallel {kernels['bitparallel_seconds']:.3f}s "
         f"({kernels['speedup_bitparallel_vs_scalar']:.1f}x over scalar)"
     )
-    for dtype, entry in results["store_dtypes"].items():
-        ratio = entry.get("payload_ratio_vs_float64")
-        suffix = f", {ratio:.0%} of float64" if ratio is not None else ""
-        print(
-            f"store dtype {dtype}: {entry['cube_payload_bytes'] / 1e6:.2f} MB "
-            f"cube payload over {entry['cubes']} cubes{suffix}"
-        )
 
 
 def test_persistent_reuse_speedup():
@@ -336,17 +262,12 @@ def test_persistent_reuse_speedup():
     # the bit-parallel kernel beats the scalar DP loop
     kernels = results["levenshtein_kernels"]
     assert kernels["speedup_bitparallel_vs_scalar"] > 1.0, kernels
-    # the quantized store tier stores at most 30% of the float64 payload
-    sweep = results["store_dtypes"]
-    assert sweep["uint16"]["payload_ratio_vs_float64"] <= 0.30, sweep
-    assert sweep["float32"]["payload_ratio_vs_float64"] <= 0.55, sweep
 
 
 if __name__ == "__main__":
     if len(sys.argv) > 1 and sys.argv[1] == "--child":
         child_store = sys.argv[2] if len(sys.argv) > 2 else None
-        child_dtype = sys.argv[3] if len(sys.argv) > 3 else None
-        print(json.dumps(run_child(child_store, child_dtype)))
+        print(json.dumps(run_child(child_store)))
     else:
         collected = collect_results()
         destination = write_results(collected)

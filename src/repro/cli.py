@@ -22,7 +22,6 @@ Usage examples::
     coma serve --backend process --workers 4  # worker processes: warm throughput
                                               # scales with the cores, not the GIL
     coma serve --store coma-store.db      # ... warm across restarts (persistent reuse)
-    coma serve --store coma-store.db --store-dtype uint16  # quantized cube storage
 
 The CLI is intentionally thin: everything it does is a few calls into the
 session-based public API, so it doubles as a usage example.  ``--strategy``
@@ -200,12 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="persistent similarity store shared by all worker "
                                    "sessions: a restarted service stays warm across "
                                    "processes (see docs/service.md)")
-    serve_parser.add_argument("--store-dtype", default=None,
-                              choices=("float64", "float32", "uint16"),
-                              help="storage dtype for cubes the store writes: "
-                                   "float64 (default; bit-identical round trips), "
-                                   "float32, or quantized uint16 (quarter the "
-                                   "bytes at a ~1e-5 tolerance); requires --store")
     serve_parser.add_argument("--corpus", default=None,
                               help="schema corpus file enabling POST /search and "
                                    "GET /corpus; it also keeps uploaded schemas, "
@@ -443,6 +436,7 @@ def _print_reuse_stats(store_path: str) -> None:
     store_rows = [{
         "cubes": info["cubes"],
         "cube_mb": round(info["cube_bytes"] / 1e6, 2),
+        "mmap_files": info["external"],
         "tokens": info["tokens"],
         "lifetime_hits": info["lifetime_hits"],
         "lifetime_misses": info["lifetime_misses"],
@@ -451,20 +445,6 @@ def _print_reuse_stats(store_path: str) -> None:
         "quarantined": info["lifetime_quarantined"],
     }]
     print(format_table(store_rows, title=f"Persistent similarity store ({info['path']})"))
-    dtype_rows = [
-        {
-            "dtype": name,
-            "cubes": entry["cubes"],
-            "bytes": entry["bytes"],
-            "mmap_files": entry["external"],
-        }
-        for name, entry in sorted(info.get("cube_dtypes", {}).items())
-    ]
-    if dtype_rows:
-        print()
-        print(format_table(
-            dtype_rows, title="Cube payload bytes by storage dtype"
-        ))
     memo = DEFAULT_MEMO_POOL.info()
     print()
     if memo["hits"] or memo["misses"]:
@@ -579,8 +559,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
             f"unknown --backend {arguments.backend!r}: choose 'thread' "
             f"(one process, pooled sessions) or 'process' (worker processes)"
         )
-    if arguments.store_dtype is not None and not arguments.store:
-        raise ComaError("--store-dtype requires --store <file>")
     if arguments.max_queue < 1:
         raise ComaError(f"--max-queue must be >= 1, got {arguments.max_queue}")
     if not arguments.read_timeout > 0:
@@ -615,7 +593,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         backend=arguments.backend,
         repository_path=arguments.repository,
         store_path=arguments.store,
-        store_dtype=arguments.store_dtype,
         corpus_path=arguments.corpus,
         max_queue=arguments.max_queue,
         read_timeout=arguments.read_timeout,

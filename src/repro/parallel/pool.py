@@ -135,14 +135,6 @@ class ProcessSessionPool:
         workers (opened per worker).
     default_strategy:
         The strategy spec workers fall back to when a request names none.
-    start_method:
-        The multiprocessing start method (default ``"spawn"``, the only one
-        safe from threaded parents; ``"fork"``/``"forkserver"`` are accepted
-        where the platform offers them).
-    store_dtype:
-        The storage dtype workers write cubes to the shared store with
-        (``"float64"`` default, ``"float32"``, ``"uint16"`` -- see the
-        :class:`~repro.repository.store.SimilarityStore` dtype contract).
 
     Raises
     ------
@@ -168,27 +160,17 @@ class ProcessSessionPool:
         store_path: Optional[str] = None,
         repository_path: Optional[str] = None,
         default_strategy: Optional[str] = None,
-        start_method: str = "spawn",
         schema_cache_bound: Optional[int] = None,
-        store_dtype: Optional[str] = None,
         fault_plan: Optional[Dict[str, object]] = None,
-        breaker_threshold: int = BREAKER_THRESHOLD,
     ):
         if size < 1:
             raise ServiceError(f"a process pool needs size >= 1, got {size}")
-        from repro.repository.store import CUBE_DTYPES
-
-        if store_dtype is not None and store_dtype not in CUBE_DTYPES:
-            raise ServiceError(
-                f"unknown store_dtype {store_dtype!r}, expected one of {CUBE_DTYPES}"
-            )
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context("spawn")
         self._options: Dict[str, object] = {
             "store_path": store_path,
             "repository_path": repository_path,
             "default_strategy": default_strategy,
             "schema_cache_bound": schema_cache_bound,
-            "store_dtype": store_dtype,
             # An explicit plan document, or None: _spawn() then ships the
             # plan armed in this process, so workers (and respawns) always
             # run under the same fault model as their parent.
@@ -202,7 +184,6 @@ class ProcessSessionPool:
         self._backoff = [0.0] * size  # next respawn sleep per slot
         self._respawns = 0
         self._watchdog_kills = 0
-        self._breaker_threshold = max(1, int(breaker_threshold))
         self._consecutive_failures = 0
         self._breaker_open = False
         self._breaker_trips = 0
@@ -470,7 +451,7 @@ class ProcessSessionPool:
             self._consecutive_failures += 1
             if (
                 not self._breaker_open
-                and self._consecutive_failures >= self._breaker_threshold
+                and self._consecutive_failures >= BREAKER_THRESHOLD
             ):
                 self._breaker_open = True
                 self._breaker_trips += 1
@@ -781,7 +762,7 @@ class ProcessSessionPool:
             return {
                 "breaker": {
                     "state": "open" if self._breaker_open else "closed",
-                    "threshold": self._breaker_threshold,
+                    "threshold": BREAKER_THRESHOLD,
                     "consecutive_failures": self._consecutive_failures,
                     "trips": self._breaker_trips,
                     "probes": self._breaker_probes,

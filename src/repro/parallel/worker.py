@@ -63,9 +63,7 @@ def _build_session(options: Dict[str, object]):
     if store_path:
         from repro.repository.store import SimilarityStore
 
-        store = SimilarityStore(
-            str(store_path), dtype=options.get("store_dtype") or "float64"
-        )
+        store = SimilarityStore(str(store_path))
     return MatchSession(
         repository=repository,
         store=store,

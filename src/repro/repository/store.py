@@ -7,14 +7,10 @@ match tasks start from work already done.  The in-process session caches
 restarts.  A :class:`SimilarityStore` is a small SQLite database holding
 
 * **similarity cubes** -- the matcher-specific ``k x m x n`` layers of a match
-  execution, stored under an explicit **layer-dtype contract**: ``float64``
-  (the default) keeps a reloaded cube bit-identical to the computed one
-  (mappings derived from it are therefore byte-identical to the uncached
-  path), while ``float32`` and quantized ``uint16`` (similarities live in
-  ``[0, 1]``; scale :data:`UINT16_SCALE`, maximum absolute round-trip error
-  :data:`UINT16_MAX_ERROR`) trade that byte-identity for 2x / 4x smaller
-  blobs.  Every blob carries a versioned header recording its dtype, so one
-  store file remains readable whatever dtype later sessions configure;
+  execution, stored as the raw ``float64`` bytes of the computed stack: a
+  reloaded cube is bit-identical to the computed one, so mappings derived
+  from it are byte-identical to the uncached path.  Every blob carries a
+  versioned header with a crc32 of its payload;
 * **token artifacts** -- the name -> token-list memo feeding
   :class:`~repro.engine.profiles.PathSetProfile`, so a fresh process skips
   re-tokenizing names it has seen in any earlier run.
@@ -73,39 +69,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Bump when the stored representation changes; part of every digest, so old
 #: stores age out instead of being misread.  Version 2 introduced the
-#: per-blob dtype header and the external (mmap) blob tier.
+#: per-blob header and the external (mmap) blob tier.
 STORE_FORMAT_VERSION = 2
-
-#: The cube storage dtypes a store accepts, smallest-loss first.
-CUBE_DTYPES = ("float64", "float32", "uint16")
-
-#: Quantization scale of the ``uint16`` tier (similarities live in [0, 1]).
-UINT16_SCALE = 65535
-
-#: Maximum absolute error of a ``uint16`` round trip: half a quantization
-#: step, ``1 / 131070`` (~7.63e-6) -- comfortably inside the 1e-4 tolerance
-#: the compact tiers are tested against.
-UINT16_MAX_ERROR = 1.0 / (2 * UINT16_SCALE)
 
 #: Inline blobs at or above this many payload bytes move to the mmap-backed
 #: side-file tier (1 MiB by default).
 DEFAULT_MMAP_THRESHOLD = 1 << 20
 
-#: Versioned per-blob header: magic, dtype code, storage flag, 2 spare bytes,
-#: crc32 of the payload (the inline bytes after the header, or the side
-#: file's full contents).  ``CBH3`` added the checksum; legacy ``CBH2`` blobs
-#: remain readable -- they simply skip verification.
+#: Versioned per-blob header: magic, encoding code, storage flag, 2 spare
+#: bytes, crc32 of the payload (the inline bytes after the header, or the
+#: side file's full contents).  ``CBH3`` added the checksum; legacy ``CBH2``
+#: blobs remain readable -- they simply skip verification.
 _BLOB_HEADER = struct.Struct(">4sBB2xI")
 _BLOB_MAGIC = b"CBH3"
 _LEGACY_HEADER = struct.Struct(">4sBB2x")
 _LEGACY_MAGIC = b"CBH2"
-_DTYPE_CODES = {"float64": 0, "float32": 1, "uint16": 2}
-_CODE_DTYPES = {code: name for name, code in _DTYPE_CODES.items()}
-_NUMPY_DTYPES = {
-    "float64": np.dtype(np.float64),
-    "float32": np.dtype(np.float32),
-    "uint16": np.dtype(np.uint16),
-}
+#: The encoding code of a raw float64 payload, the only one written.
+_FLOAT64_CODE = 0
+#: Retired compact encodings (1 = float32, 2 = quantized uint16) read as misses.
+_RETIRED_CODES = frozenset({1, 2})
 _STORAGE_INLINE = 0
 _STORAGE_EXTERNAL = 1
 
@@ -156,11 +138,12 @@ CREATE TABLE IF NOT EXISTS subtrees (
 );
 """
 
-#: Files created before the dtype contract lack the newer ``cubes`` columns
+#: Files created before format version 2 lack the newer ``cubes`` columns
 #: (their rows are unreachable anyway -- the format version is in every
 #: digest -- but the occupancy queries still touch them), and files created
 #: before rematch lack ``subtrees``, which read-only opens therefore do not
-#: require.
+#: require.  Nothing writes ``dtype`` any more (new rows take its default);
+#: the column stays because dropping it would rewrite the table on open.
 _STORE_LAYOUT = Layout(
     label="similarity store",
     error=RepositoryError,
@@ -172,48 +155,6 @@ _STORE_LAYOUT = Layout(
         "ALTER TABLE cubes ADD COLUMN external INTEGER NOT NULL DEFAULT 0",
     ),
 )
-
-
-def encode_stack(stack: np.ndarray, dtype: str) -> bytes:
-    """Encode a float64 cube stack into the given storage dtype's payload.
-
-    ``float64`` is a raw byte copy (bit-identical round trip); ``float32``
-    rounds to single precision; ``uint16`` quantizes ``[0, 1]`` similarities
-    to ``round(value * UINT16_SCALE)`` (values are clipped into the unit
-    interval first, so out-of-range cells saturate instead of wrapping).
-    """
-    array = np.ascontiguousarray(stack, dtype=np.float64)
-    if dtype == "float64":
-        return array.tobytes()
-    if dtype == "float32":
-        return array.astype(np.float32).tobytes()
-    if dtype == "uint16":
-        clipped = np.clip(array, 0.0, 1.0)
-        return np.round(clipped * UINT16_SCALE).astype(np.uint16).tobytes()
-    raise RepositoryError(f"unknown cube dtype {dtype!r}, expected one of {CUBE_DTYPES}")
-
-
-def decode_stack(payload, dtype: str, shape: Tuple[int, ...]) -> np.ndarray:
-    """Decode a stored payload back into a *writable* float64 stack.
-
-    The compact dtypes decode through ``astype`` (which copies), and the
-    ``float64`` path copies the payload into a ``bytearray`` first -- either
-    way the result is safely mutable, never a read-only view into the blob.
-
-    >>> stack = np.array([[[0.25, 1.0]]])
-    >>> decoded = decode_stack(encode_stack(stack, "uint16"), "uint16", (1, 1, 2))
-    >>> bool(np.max(np.abs(decoded - stack)) <= UINT16_MAX_ERROR)
-    True
-    """
-    if dtype == "float64":
-        return np.frombuffer(bytearray(payload), dtype=np.float64).reshape(shape)
-    if dtype == "float32":
-        raw = np.frombuffer(payload, dtype=np.float32)
-        return raw.astype(np.float64).reshape(shape)
-    if dtype == "uint16":
-        raw = np.frombuffer(payload, dtype=np.uint16)
-        return (raw.astype(np.float64) / UINT16_SCALE).reshape(shape)
-    raise RepositoryError(f"unknown cube dtype {dtype!r}, expected one of {CUBE_DTYPES}")
 
 
 def _sha256(document: object) -> str:
@@ -334,14 +275,6 @@ class SimilarityStore:
         Run the background writer thread (default).  With ``False`` every
         ``store_*_async`` call writes inline -- useful for deterministic
         tests.
-    dtype:
-        The storage dtype for cubes **written** by this store: ``"float64"``
-        (default, bit-identical round trips), ``"float32"`` or quantized
-        ``"uint16"`` (max round-trip error :data:`UINT16_MAX_ERROR`).  Reads
-        honour the dtype recorded in each blob's header, so a store file
-        written under one dtype stays readable under any other -- but a
-        session requiring byte-identical warm restarts must only attach
-        store files written as ``float64``.
     mmap_threshold:
         Payloads of at least this many bytes are written to an mmap-backed
         side file (``<path>.blobs/<key>.cube``) instead of an inline SQLite
@@ -371,21 +304,15 @@ class SimilarityStore:
         self,
         path: str,
         writer: bool = True,
-        dtype: str = "float64",
         mmap_threshold: Optional[int] = DEFAULT_MMAP_THRESHOLD,
         readonly: bool = False,
     ):
-        if dtype not in CUBE_DTYPES:
-            raise RepositoryError(
-                f"unknown cube dtype {dtype!r}, expected one of {CUBE_DTYPES}"
-            )
         if readonly and path == ":memory:":
             raise RepositoryError(
                 "a read-only store needs an existing database file, "
                 "not ':memory:'"
             )
         self._path = path
-        self._dtype = dtype
         self._mmap_threshold = mmap_threshold
         self._readonly = bool(readonly)
         self._lock = threading.RLock()
@@ -410,11 +337,6 @@ class SimilarityStore:
     def path(self) -> str:
         """The database path."""
         return self._path
-
-    @property
-    def dtype(self) -> str:
-        """The storage dtype new cubes are written with."""
-        return self._dtype
 
     def _side_path(self, key: str) -> str:
         """The side file of one external (mmap-tier) cube payload."""
@@ -461,11 +383,11 @@ class SimilarityStore:
         The caller's path sets come from a schema whose *content* digest is
         part of ``key``, so their order and cardinality match the arrays that
         were stored; any unusable row -- a shape mismatch, a truncated blob,
-        a missing or short side file, an unknown header, a corrupt or
-        concurrently closed database -- is treated as a miss rather than an
-        error (persistence is an optimisation; a failed read must degrade to
-        recomputation, never fail the match).  Returns ``None`` when nothing
-        (usable) is stored.
+        a missing or short side file, an unknown header, a blob of a retired
+        compact encoding, a corrupt or concurrently closed database -- is
+        treated as a miss rather than an error (persistence is an
+        optimisation; a failed read must degrade to recomputation, never
+        fail the match).  Returns ``None`` when nothing (usable) is stored.
 
         Blobs written under the ``CBH3`` header additionally verify a crc32
         checksum over the payload (inline bytes or side-file contents); a
@@ -475,9 +397,8 @@ class SimilarityStore:
         same miss-and-recompute path.  Legacy ``CBH2`` blobs stay readable
         without verification.
 
-        The returned stack is decoded to float64 per the blob header's dtype
-        and is always *writable*: inline payloads are copied out of the blob,
-        external payloads are mapped copy-on-write.
+        The returned float64 stack is always *writable*: inline payloads are
+        copied out of the blob, external payloads are mapped copy-on-write.
         """
         try:
             faults.fault_point("store.load", key=key)
@@ -517,6 +438,8 @@ class SimilarityStore:
     ) -> Optional[np.ndarray]:
         """Decode one cube blob (header + inline payload, or side-file ref).
 
+        Returns ``None`` for a blob of a retired encoding: an ordinary miss,
+        whose recomputed cube the session writes back under the same key.
         Raises :class:`_CorruptBlob` on integrity evidence -- a short or
         unrecognised header, a crc32 mismatch, a missing / short / oversized
         side file, a payload whose byte count cannot hold the recorded shape.
@@ -524,7 +447,7 @@ class SimilarityStore:
         blob = faults.fault_bytes("store.blob.read", bytes(blob), key=key)
         crc: Optional[int] = None
         if len(blob) >= _BLOB_HEADER.size:
-            magic, dtype_code, storage, crc = _BLOB_HEADER.unpack_from(blob)
+            magic, code, storage, crc = _BLOB_HEADER.unpack_from(blob)
             header_size = _BLOB_HEADER.size
             if magic != _BLOB_MAGIC:
                 crc = None
@@ -533,24 +456,24 @@ class SimilarityStore:
             # checksum) or garbage (quarantined).
             if len(blob) < _LEGACY_HEADER.size:
                 raise _CorruptBlob("blob shorter than any known header")
-            magic, dtype_code, storage = _LEGACY_HEADER.unpack_from(blob)
+            magic, code, storage = _LEGACY_HEADER.unpack_from(blob)
             header_size = _LEGACY_HEADER.size
             if magic != _LEGACY_MAGIC:
                 raise _CorruptBlob(f"unknown blob magic {bytes(magic)!r}")
-        if dtype_code not in _CODE_DTYPES:
-            raise _CorruptBlob(f"unknown blob dtype code {dtype_code}")
-        dtype = _CODE_DTYPES[dtype_code]
+        if code in _RETIRED_CODES:
+            return None
+        if code != _FLOAT64_CODE:
+            raise _CorruptBlob(f"unknown blob encoding code {code}")
         if storage == _STORAGE_INLINE:
             payload = blob[header_size:]
             if crc is not None and zlib.crc32(payload) != crc:
                 raise _CorruptBlob("inline payload crc32 mismatch")
             try:
-                return decode_stack(payload, dtype, shape)
+                return np.frombuffer(bytearray(payload), dtype=np.float64).reshape(shape)
             except ValueError as error:
                 raise _CorruptBlob(f"inline payload undecodable: {error}") from error
-        numpy_dtype = _NUMPY_DTYPES[dtype]
         side_path = self._side_path(key)
-        expected_bytes = int(np.prod(shape)) * numpy_dtype.itemsize
+        expected_bytes = int(np.prod(shape)) * np.dtype(np.float64).itemsize
         try:
             actual_bytes = os.path.getsize(side_path)
         except OSError as error:
@@ -561,7 +484,7 @@ class SimilarityStore:
             )
         # mode="c" (copy-on-write): pages fault in lazily and writes land in
         # private memory, so the mapped stack is writable like any other.
-        mapped = np.memmap(side_path, dtype=numpy_dtype, mode="c")
+        mapped = np.memmap(side_path, dtype=np.float64, mode="c")
         if crc is not None:
             # Verification necessarily pages the whole file in -- the
             # integrity guarantee costs the mmap tier its laziness on first
@@ -577,9 +500,7 @@ class SimilarityStore:
                 verified = mapped
             if zlib.crc32(verified) != crc:
                 raise _CorruptBlob("side file crc32 mismatch")
-        if dtype == "float64":
-            return mapped.reshape(shape)
-        return decode_stack(mapped, dtype, shape)
+        return mapped.reshape(shape)
 
     def _quarantine(self, key: str, reason: str) -> None:
         """Remove one corrupt cube row (and side file) and count the event.
@@ -615,16 +536,16 @@ class SimilarityStore:
     ) -> None:
         """Persist a cube under its content address (synchronously).
 
-        The stack is encoded with the store's configured dtype; payloads at
-        or above the mmap threshold land in a side file (written atomically
-        via a temporary name), with only the header kept in the blob column.
+        The payload is the stack's raw float64 bytes; payloads at or above
+        the mmap threshold land in a side file (written atomically via a
+        temporary name), with only the header kept in the blob column.
         The header records the payload's crc32 *before* the bytes travel to
         disk, so anything that mangles them en route or at rest -- including
         the ``store.blob.write`` fault seam -- is caught on the next read.
         """
         faults.fault_point("store.write", key=key)
         stack = cube.as_array()  # k x m x n float64, C-order
-        payload = encode_stack(stack, self._dtype)
+        payload = np.ascontiguousarray(stack, dtype=np.float64).tobytes()
         external = (
             self._path != ":memory:"
             and self._mmap_threshold is not None
@@ -632,7 +553,7 @@ class SimilarityStore:
         )
         header = _BLOB_HEADER.pack(
             _BLOB_MAGIC,
-            _DTYPE_CODES[self._dtype],
+            _FLOAT64_CODE,
             _STORAGE_EXTERNAL if external else _STORAGE_INLINE,
             zlib.crc32(payload),
         )
@@ -656,7 +577,6 @@ class SimilarityStore:
             json.dumps(list(cube.matcher_names)),
             json.dumps(list(stack.shape)),
             blob,
-            self._dtype,
             len(payload),
             int(external),
         )
@@ -664,8 +584,8 @@ class SimilarityStore:
             with self._connection:
                 self._connection.execute(
                     "INSERT OR REPLACE INTO cubes (key, source_digest, target_digest, "
-                    "matchers, config_digest, matcher_names, shape, data, dtype, "
-                    "payload_bytes, external) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    "matchers, config_digest, matcher_names, shape, data, "
+                    "payload_bytes, external) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                     record,
                 )
             self._writes += 1
@@ -847,22 +767,18 @@ class SimilarityStore:
         ``coma stats --store`` without instrumenting the service.
         """
         with self._lock:
-            # A read-only handle over a file from before the dtype columns
+            # A read-only handle over a file from before the payload columns
             # reads it as the migrations would leave it.
             columns = {row[1] for row in self._connection.execute("PRAGMA table_info(cubes)")}
             size = (
                 "CASE WHEN payload_bytes > 0 THEN payload_bytes ELSE LENGTH(data) END"
                 if "payload_bytes" in columns else "LENGTH(data)"
             )
-            dtype = "dtype" if "dtype" in columns else "'float64'"
             external = "external" if "external" in columns else "0"
             cube_rows = self._connection.execute(
-                f"SELECT COUNT(*), COALESCE(SUM({size}), 0) FROM cubes"
+                f"SELECT COUNT(*), COALESCE(SUM({size}), 0), "
+                f"COALESCE(SUM({external}), 0) FROM cubes"
             ).fetchone()
-            dtype_rows = self._connection.execute(
-                f"SELECT {dtype} AS name, COUNT(*), COALESCE(SUM({size}), 0), "
-                f"COALESCE(SUM({external}), 0) FROM cubes GROUP BY name ORDER BY name"
-            ).fetchall()
             token_rows = self._connection.execute(
                 "SELECT COUNT(*) FROM tokens"
             ).fetchone()
@@ -879,17 +795,9 @@ class SimilarityStore:
             corrupt, quarantined = self._corrupt, self._quarantined
         return {
             "path": self._path,
-            "dtype": self._dtype,
             "cubes": int(cube_rows[0]),
             "cube_bytes": int(cube_rows[1]),
-            "cube_dtypes": {
-                name: {
-                    "cubes": int(count),
-                    "bytes": int(total),
-                    "external": int(external),
-                }
-                for name, count, total, external in dtype_rows
-            },
+            "external": int(cube_rows[2]),
             "tokens": int(token_rows[0]),
             "subtrees": int(subtree_rows[0]),
             "hits": hits,

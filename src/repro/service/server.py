@@ -117,13 +117,6 @@ class MatchService:
         disk, so a restarted service answers repeated match workloads warm
         from its very first request.  See ``docs/service.md`` for sizing and
         invalidation guidance.
-    store_dtype:
-        The storage dtype for cubes the store writes: ``"float64"``
-        (default, bit-identical round trips), ``"float32"``, or quantized
-        ``"uint16"`` (quarter the bytes at a tested ~1e-5 tolerance).
-        Applies to the service's own store handle and, on the process
-        backend, to every worker's store connection.  Requires
-        ``store_path``; see ``docs/service.md`` for the selection guide.
     corpus_path:
         Optional schema corpus (:class:`~repro.search.corpus.SchemaCorpus`
         SQLite file, or ``":memory:"``) enabling the ``POST /search`` /
@@ -164,7 +157,6 @@ class MatchService:
         backend: str = "thread",
         repository_path: Optional[str] = None,
         store_path: Optional[str] = None,
-        store_dtype: Optional[str] = None,
         corpus_path: Optional[str] = None,
         importers: Optional[ImporterRegistry] = None,
         session_factory: Optional[SessionFactory] = None,
@@ -205,21 +197,11 @@ class MatchService:
             from repro.repository.repository import Repository
 
             self._repository = Repository(repository_path)
-        if store_dtype is not None:
-            from repro.repository.store import CUBE_DTYPES
-
-            if store_dtype not in CUBE_DTYPES:
-                raise ServiceError(
-                    f"unknown store dtype {store_dtype!r}, "
-                    f"expected one of {CUBE_DTYPES}"
-                )
-            if not store_path:
-                raise ServiceError("store_dtype requires a store_path")
         self._store = None
         if store_path:
             from repro.repository.store import SimilarityStore
 
-            self._store = SimilarityStore(store_path, dtype=store_dtype or "float64")
+            self._store = SimilarityStore(store_path)
         if backend == "process":
             from repro.matchers.registry import DEFAULT_LIBRARY
             from repro.parallel.pool import ProcessSessionPool
@@ -231,7 +213,6 @@ class MatchService:
                 pool_size,
                 store_path=store_path,
                 repository_path=repository_path,
-                store_dtype=store_dtype if store_path else None,
                 default_strategy=default_strategy,
             )
             self._library = DEFAULT_LIBRARY
@@ -613,7 +594,8 @@ class MatchService:
         """Release the worker pool and persistent resources.  Idempotent.
 
         Process-backend workers are shut down (each flushes its own store
-        connection); closing the parent store folds its process-local
+        connection), then the repository, store and corpus files are
+        closed.  Closing the parent store folds its process-local
         hit/miss counters into the on-disk lifetime totals, which is what
         ``coma stats --store`` reads.  Running background jobs are cancelled
         first, so no job thread is still holding a pool shard when the pool
@@ -622,6 +604,8 @@ class MatchService:
         self._jobs.close()
         if self._backend == "process":
             self._pool.close()
+        if self._repository is not None:
+            self._repository.close()
         if self._store is not None:
             self._store.close()
         if self._corpus is not None:

@@ -237,8 +237,6 @@ class MatchSession:
         matcher library consult it at all -- stored cubes are addressed by
         matcher name, which is sound only when every process resolves those
         names identically; a custom ``library`` silently bypasses the store.
-        A path string opens a ``float64`` store; pass
-        ``SimilarityStore(path, dtype=...)`` for a compact cube dtype.
     cache_cubes:
         Keep similarity cubes per (schema pair, matcher usage) so repeated
         matches of a pair (e.g. under different combination strategies) skip
@@ -1413,18 +1411,8 @@ class MatchSession:
         """
         if self._feedback is not None or self._library is not DEFAULT_LIBRARY:
             return None
-        names: List[str] = []
-        for reference in strategy.matchers:
-            if not isinstance(reference, str):
-                return None
-            names.append(reference)
-        try:
-            infos = [self._library.info(name) for name in names]
-        except UnknownMatcherError:
+        if self._cacheable_usage(strategy) is None:
             return None
-        for info in infos:
-            if info.kind not in _CACHEABLE_KINDS or info.name == "UserFeedback":
-                return None
         return strategy.to_spec()
 
     def _match_many_processes(
@@ -1451,7 +1439,6 @@ class MatchSession:
                 processes,
                 store_path=store_path,
                 repository_path=repository_path,
-                store_dtype=self._store.dtype if store_path is not None else None,
             )
         try:
             if process_pool.config_digest != self.config_digest():
@@ -1601,16 +1588,19 @@ class MatchSession:
 
     # -- cube execution and caches ---------------------------------------------
 
-    def _cube_key(
-        self, source: Schema, target: Schema, strategy: MatchStrategy
-    ) -> Optional[tuple]:
-        """The cache key of a match execution, or ``None`` when not cacheable."""
-        if not self._cache_cubes:
-            return None
+    def _cacheable_usage(self, strategy: MatchStrategy) -> Optional[Tuple[str, ...]]:
+        """The strategy's normalised matcher names when its cube is a pure
+        function of the schema pair, else ``None``.
+
+        Every matcher must be a library name of a simple or hybrid kind other
+        than ``UserFeedback``: matcher instances may carry per-use state,
+        reuse matchers read mutable mapping stores, and ``UserFeedback``
+        reads the feedback store.
+        """
         names: List[str] = []
         for reference in strategy.matchers:
             if not isinstance(reference, str):
-                return None  # matcher instances may carry per-use state
+                return None
             names.append(reference.strip().lower())
         try:
             infos = [self._library.info(name) for name in names]
@@ -1619,7 +1609,18 @@ class MatchSession:
         for info in infos:
             if info.kind not in _CACHEABLE_KINDS or info.name == "UserFeedback":
                 return None
-        return (source.paths(), target.paths(), tuple(names))
+        return tuple(names)
+
+    def _cube_key(
+        self, source: Schema, target: Schema, strategy: MatchStrategy
+    ) -> Optional[tuple]:
+        """The cache key of a match execution, or ``None`` when not cacheable."""
+        if not self._cache_cubes:
+            return None
+        usage = self._cacheable_usage(strategy)
+        if usage is None:
+            return None
+        return (source.paths(), target.paths(), usage)
 
     def _execute(self, strategy: MatchStrategy, context: MatchContext) -> SimilarityCube:
         """Execute the strategy's matchers, serving repeats from the caches.

@@ -176,37 +176,3 @@ class TestStoreSeededWorkers:
         outcomes = session.match_many([(a, b)], processes=1)
         reference = MatchSession().match(a, b)
         assert outcomes[0].result.as_tuples() == reference.result.as_tuples()
-
-
-class TestCompactDtypes:
-    def test_dtype_options_are_validated(self):
-        with pytest.raises(ServiceError):
-            ProcessSessionPool(size=1, store_dtype="float16")
-
-    def test_workers_write_the_configured_store_dtype(self, tmp_path):
-        from repro.repository.store import SimilarityStore
-
-        store_path = str(tmp_path / "compact.db")
-        a, b = load_po1(), load_po2()
-        with ProcessSessionPool(
-            size=1, store_path=store_path, store_dtype="uint16"
-        ) as pool:
-            first = pool.match(a, b)
-        with SimilarityStore(store_path, writer=False) as store:
-            assert set(store.info()["cube_dtypes"]) == {"uint16"}
-        # A second pool over the quantized store answers warm, and the
-        # mapping-deciding floats agree exactly with the cold run (the cube
-        # tier alone carries the tested quantization error).
-        with ProcessSessionPool(
-            size=1, store_path=store_path, store_dtype="uint16"
-        ) as warm:
-            second = warm.match(a, b)
-            assert warm.cache_info()["store_hits"] >= 1
-        assert [(s, t) for s, t, _ in second.result.as_tuples()] == \
-            [(s, t) for s, t, _ in first.result.as_tuples()]
-        for (_, _, got), (_, _, want) in zip(
-            second.result.as_tuples(), first.result.as_tuples()
-        ):
-            assert abs(got - want) <= 1e-4
-        error = np.max(np.abs(second.cube.as_array() - first.cube.as_array()))
-        assert error <= 1e-4

@@ -308,6 +308,29 @@ class TestServiceRepository:
         assert status == 200
         assert payload["spec"] == "All(Max,Both,Thr(0.6),Dice)"
 
+    def test_close_releases_the_repository_file(self, tmp_path):
+        import os
+
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("counts open descriptors through /proc/self/fd")
+        database = str(tmp_path / "service.db")
+
+        def descriptors_on_database():
+            count = 0
+            for entry in os.listdir("/proc/self/fd"):
+                try:
+                    target = os.readlink(f"/proc/self/fd/{entry}")
+                except OSError:
+                    continue  # closed since the listing
+                count += target.startswith(database)
+            return count
+
+        service = MatchService(pool_size=1, repository_path=database)
+        assert descriptors_on_database() >= 1
+        service.close()
+        assert descriptors_on_database() == 0
+        service.close()  # idempotent
+
 
 class TestServiceConcurrency:
     def test_concurrent_matches_byte_identical(self, service_client):

@@ -24,6 +24,7 @@ similarities included -- must match to the byte.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import http.client
 import json
@@ -78,8 +79,36 @@ def _call(client: ServiceClient, method: str, path: str, payload=None):
         return ("error", error.status, str(error), error.details)
 
 
-def _run_script(client: ServiceClient):
-    """The full endpoint sweep; returns ``[(label, result), ...]``."""
+@contextlib.contextmanager
+def _chunks_held(service: MatchService):
+    """Hold every chunk the service's pool runs until the block exits.
+
+    A job submitted inside the block waits in its first chunk, so a DELETE
+    sent inside the block always finds it running.  The wrapper is removed
+    on exit.
+    """
+    pool = service.pool
+    released = threading.Event()
+    match_many = pool.match_many
+
+    def held(*args, **kwargs):
+        released.wait(timeout=60)
+        return match_many(*args, **kwargs)
+
+    pool.match_many = held
+    try:
+        yield
+    finally:
+        released.set()
+        del pool.match_many
+
+
+def _run_script(client: ServiceClient, service: MatchService):
+    """The full endpoint sweep; returns ``[(label, result), ...]``.
+
+    ``service`` is the service ``client`` drives; the cancel step holds its
+    pool's chunks.
+    """
     steps = []
 
     def step(label, result):
@@ -149,13 +178,14 @@ def _run_script(client: ServiceClient):
     step("job-invalid-batch", _call(client, "POST", "/jobs", {
         "requests": [{"source": "PO1", "target": "NOPE"}, {"source": "PO1"}]}))
 
-    # Long enough (a warm PO1/PO2 match is well under a millisecond) that
-    # the DELETE below always lands while the job is still running.
-    cancelled = _call(client, "POST", "/jobs", {
-        "requests": [{"source": "PO1", "target": "PO2"}] * 1024,
-        "chunk_size": 1, "cancel_on_disconnect": True})
-    step("job-submit-2", cancelled)
-    step("job-cancel", _call(client, "DELETE", f"/jobs/{cancelled[1]['job']}"))
+    # The job's chunks are held until its DELETE has answered, so the
+    # cancel always lands while the job is still running.
+    with _chunks_held(service):
+        cancelled = _call(client, "POST", "/jobs", {
+            "requests": [{"source": "PO1", "target": "PO2"}] * 4,
+            "chunk_size": 1, "cancel_on_disconnect": True})
+        step("job-submit-2", cancelled)
+        step("job-cancel", _call(client, "DELETE", f"/jobs/{cancelled[1]['job']}"))
     terminal = client.wait_job(cancelled[1]["job"])
     # A cancel races the chunk loop: `done` depends on how many chunks ran
     # before the flag was seen.  The *state* is the deterministic part.
@@ -177,8 +207,8 @@ def _run_script(client: ServiceClient):
     return steps
 
 
-def _transcript(client: ServiceClient):
-    return [(label, _digest(result)) for label, result in _run_script(client)]
+def _transcript(client: ServiceClient, service: MatchService):
+    return [(label, _digest(result)) for label, result in _run_script(client, service)]
 
 
 def _start(backend: str, pool_size: int = POOL_SIZE):
@@ -246,8 +276,8 @@ def test_front_ends_serve_sha256_identical_transcripts(backend, pool_size):
         assert http_client.health()["backend"] == backend
         assert local_client.health()["backend"] == backend
 
-        http_steps = _transcript(http_client)
-        local_steps = _transcript(local_client)
+        http_steps = _transcript(http_client, server.service)
+        local_steps = _transcript(local_client, local)
 
         assert [label for label, _ in http_steps] == \
                [label for label, _ in local_steps]
@@ -274,8 +304,9 @@ def test_backends_serve_sha256_identical_transcripts():
         assert thread_client.health()["backend"] == "thread"
         assert process_client.health()["backend"] == "process"
 
-        thread_steps = _transcript(thread_client)
-        process_steps = _transcript(process_client)
+        (thread_server, _), (process_server, _) = servers
+        thread_steps = _transcript(thread_client, thread_server.service)
+        process_steps = _transcript(process_client, process_server.service)
 
         assert [label for label, _ in thread_steps] == \
                [label for label, _ in process_steps]

@@ -415,83 +415,6 @@ def store_one(store, outcome, key="key"):
     store.store_cube(key, outcome.cube, "s", "t", outcome.cube.matcher_names, "c")
 
 
-class TestDtypeContract:
-    """The layer-dtype contract: float64 exact, float32/uint16 at tolerance."""
-
-    def test_unknown_dtype_rejected(self, store_path):
-        from repro.exceptions import RepositoryError
-
-        with pytest.raises(RepositoryError):
-            SimilarityStore(store_path, writer=False, dtype="float16")
-
-    def test_float64_stays_bit_exact(self, store_path, matched_outcome):
-        with SimilarityStore(store_path, writer=False) as store:
-            assert store.dtype == "float64"
-            store_one(store, matched_outcome)
-            loaded = store.load_cube(
-                "key", load_po1().paths(), load_po2().paths()
-            )
-            assert np.array_equal(
-                loaded.as_array(), matched_outcome.cube.as_array()
-            )
-
-    @pytest.mark.parametrize("dtype,tolerance", [
-        ("float32", 1e-7),
-        ("uint16", 1e-4),
-    ])
-    def test_compact_round_trip_tolerance(
-        self, store_path, matched_outcome, dtype, tolerance
-    ):
-        with SimilarityStore(store_path, writer=False, dtype=dtype) as store:
-            store_one(store, matched_outcome)
-            loaded = store.load_cube(
-                "key", load_po1().paths(), load_po2().paths()
-            )
-            error = np.max(
-                np.abs(loaded.as_array() - matched_outcome.cube.as_array())
-            )
-            assert error <= tolerance
-
-    def test_uint16_exact_error_bound_and_size(self, store_path, matched_outcome):
-        from repro.repository.store import UINT16_MAX_ERROR
-
-        sizes = {}
-        for dtype in ("float64", "uint16"):
-            with SimilarityStore(
-                str(store_path) + f".{dtype}", writer=False, dtype=dtype
-            ) as store:
-                store_one(store, matched_outcome)
-                info = store.info()
-                sizes[dtype] = info["cube_bytes"]
-                loaded = store.load_cube(
-                    "key", load_po1().paths(), load_po2().paths()
-                )
-                error = np.max(
-                    np.abs(loaded.as_array() - matched_outcome.cube.as_array())
-                )
-                if dtype == "uint16":
-                    assert error <= UINT16_MAX_ERROR
-        # The quantized tier stores at most 30% of the float64 bytes (the
-        # raw array ratio is 25%; headers stay below the 5-point slack).
-        assert sizes["uint16"] <= 0.30 * sizes["float64"]
-
-    def test_mixed_dtype_store_stays_readable(self, store_path, matched_outcome):
-        # Write under uint16, reopen under float64: reads honour the per-blob
-        # header, so the quantized cube still loads.
-        with SimilarityStore(store_path, writer=False, dtype="uint16") as store:
-            store_one(store, matched_outcome, key="quantized")
-        with SimilarityStore(store_path, writer=False) as store:
-            store_one(store, matched_outcome, key="exact")
-            for key in ("quantized", "exact"):
-                assert store.load_cube(
-                    key, load_po1().paths(), load_po2().paths()
-                ) is not None
-            breakdown = store.info()["cube_dtypes"]
-            assert breakdown["uint16"]["cubes"] == 1
-            assert breakdown["float64"]["cubes"] == 1
-            assert breakdown["uint16"]["bytes"] < breakdown["float64"]["bytes"]
-
-
 class TestMmapTier:
     def test_external_blob_round_trip_and_breakdown(
         self, store_path, matched_outcome
@@ -510,7 +433,7 @@ class TestMmapTier:
             assert np.array_equal(
                 loaded.as_array(), matched_outcome.cube.as_array()
             )
-            assert store.info()["cube_dtypes"]["float64"]["external"] == 1
+            assert store.info()["external"] == 1
 
     def test_short_side_file_degrades_to_miss(self, store_path, matched_outcome):
         with SimilarityStore(
@@ -560,13 +483,102 @@ class TestMmapTier:
             )
 
 
+class TestRetiredEncodings:
+    """Blobs of the retired compact encodings read as ordinary store misses.
+
+    The test writes the blobs itself under the keys a default session
+    computes: a quantized uint16 payload inline and a float32 payload in a
+    side file, both under the CBH3 header, plus a float64 payload under the
+    legacy CBH2 header, which must still be a hit.
+    """
+
+    @staticmethod
+    def _digest(outcome):
+        import hashlib
+
+        rows = "".join(
+            f"{c.source.dotted()}|{c.target.dotted()}|{c.similarity.hex()}\n"
+            for c in outcome.result.correspondences
+        )
+        return hashlib.sha256(rows.encode("utf-8")).hexdigest()
+
+    def test_retired_blobs_are_misses_and_get_replaced(self, store_path):
+        import os
+        import sqlite3
+        import struct
+        import zlib
+
+        task = load_all_tasks()[0]
+        pairs = [(load_po1(), load_po2()), (load_po2(), load_po1()),
+                 (task.source, task.target)]
+        cold = [MatchSession().match(source, target) for source, target in pairs]
+        with SimilarityStore(store_path, writer=False) as store:
+            session = MatchSession(store=store)
+            for source, target in pairs:
+                session.match(source, target)
+        connection = sqlite3.connect(store_path)
+        by_digests = {
+            (source_digest, target_digest): key
+            for key, source_digest, target_digest in connection.execute(
+                "SELECT key, source_digest, target_digest FROM cubes"
+            )
+        }
+        keys = [
+            by_digests[schema_content_digest(source), schema_content_digest(target)]
+            for source, target in pairs
+        ]
+        stacks = [outcome.cube.as_array() for outcome in cold]
+        header = struct.Struct(">4sBB2xI")
+        quantized = np.round(np.clip(stacks[0], 0.0, 1.0) * 65535)
+        uint16 = quantized.astype(np.uint16).tobytes()
+        float32 = stacks[1].astype(np.float32).tobytes()
+        side_file = f"{store_path}.blobs/{keys[1]}.cube"
+        os.makedirs(os.path.dirname(side_file), exist_ok=True)
+        with open(side_file, "wb") as handle:
+            handle.write(float32)
+        legacy = struct.pack(">4sBB2x", b"CBH2", 0, 0) + stacks[2].tobytes()
+        rows = [
+            (header.pack(b"CBH3", 2, 0, zlib.crc32(uint16)) + uint16,
+             "uint16", len(uint16), 0, keys[0]),
+            (header.pack(b"CBH3", 1, 1, zlib.crc32(float32)),
+             "float32", len(float32), 1, keys[1]),
+            (legacy, "float64", stacks[2].nbytes, 0, keys[2]),
+        ]
+        with connection:
+            connection.executemany(
+                "UPDATE cubes SET data = ?, dtype = ?, payload_bytes = ?, "
+                "external = ? WHERE key = ?", rows,
+            )
+        connection.close()
+
+        def warm_session():
+            with SimilarityStore(store_path, writer=False) as store:
+                session = MatchSession(store=store)
+                outcomes = [session.match(source, target) for source, target in pairs]
+                return outcomes, session.cache_info(), store.info()
+
+        # The retired blobs are misses (not corruption): recomputed, and the
+        # write-back replaces each row -- and the side file -- with float64.
+        for hits in (1, 3):
+            outcomes, cache, info = warm_session()
+            assert cache["store_hits"] == hits
+            assert cache["store_misses"] == 3 - hits
+            assert info["corrupt"] == 0 and info["quarantined"] == 0
+            assert info["external"] == 0 and not os.path.exists(side_file)
+            for warm, reference in zip(outcomes, cold):
+                assert self._digest(warm) == self._digest(reference)
+                assert warm.cube.as_array().tobytes() == \
+                    reference.cube.as_array().tobytes()
+
+
 class TestWritableLoads:
     """Satellite regression: loaded cubes are never read-only views."""
 
+    # The ids are pinned: kwargs1 was the retired uint16 decode path, and the
+    # memmap case keeps the name it has always had.
     @pytest.mark.parametrize("kwargs", [
-        {},  # inline float64 (the np.frombuffer copy path)
-        {"dtype": "uint16"},  # astype decode path
-        {"mmap_threshold": 0},  # copy-on-write memmap path
+        pytest.param({}, id="kwargs0"),  # inline float64 (the np.frombuffer copy path)
+        pytest.param({"mmap_threshold": 0}, id="kwargs2"),  # copy-on-write memmap path
     ])
     def test_loaded_stack_is_mutable(self, store_path, matched_outcome, kwargs):
         source_paths, target_paths = load_po1().paths(), load_po2().paths()
@@ -661,31 +673,6 @@ class TestPruneReclaimsDisk:
             assert len(remaining) == 1
 
 
-class TestSessionDtypePlumbing:
-    def test_path_store_honours_store_dtype(self, store_path):
-        with SimilarityStore(store_path, dtype="uint16") as store:
-            session = MatchSession(store=store)
-            assert session.store.dtype == "uint16"
-            session.match(load_po1(), load_po2())
-            session.store.flush()
-            breakdown = session.store.info()["cube_dtypes"]
-            assert set(breakdown) == {"uint16"}
-
-    def test_warm_uint16_session_is_within_tolerance(self, store_path):
-        source, target = load_po1(), load_po2()
-        baseline = outcome_rows(MatchSession().match(source, target))
-        with SimilarityStore(store_path, dtype="uint16") as store:
-            MatchSession(store=store).match(source, target)
-        with SimilarityStore(store_path, dtype="uint16") as store:
-            second = MatchSession(store=store)
-            warm = second.match(source, target)
-            assert second.cache_info()["store_hits"] == 1
-            rows = outcome_rows(warm)
-            assert [(s, t) for s, t, _ in rows] == [(s, t) for s, t, _ in baseline]
-            for (_, _, got), (_, _, want) in zip(rows, baseline):
-                assert abs(got - want) <= 1e-4
-
-
 class TestServiceIntegration:
     def test_service_store_wiring_and_stats(self, store_path, tmp_path):
         from repro.datasets.figure1 import PO1_DDL, PO2_XSD
@@ -734,42 +721,3 @@ class TestServiceIntegration:
         assert status == 200
         assert payload["store"] == store_path
         service.close()
-
-    def test_service_store_dtype_wiring(self, store_path):
-        from repro.datasets.figure1 import PO1_DDL, PO2_XSD
-
-        service = MatchService(
-            pool_size=1, store_path=store_path, store_dtype="uint16"
-        )
-        try:
-            for name, text, fmt in (
-                ("PO1", PO1_DDL, "sql"), ("PO2", PO2_XSD, "xsd")
-            ):
-                service.handle_request(
-                    "POST", "/schemas", {"name": name, "text": text, "format": fmt}
-                )
-            status, _ = service.handle_request(
-                "POST", "/match", {"source": "PO1", "target": "PO2"}
-            )
-            assert status == 200
-            status, stats = service.handle_request("GET", "/stats", None)
-            assert stats["store"]["dtype"] == "uint16"
-        finally:
-            service.close()
-        with SimilarityStore(store_path, writer=False) as store:
-            breakdown = store.info()["cube_dtypes"]
-            assert set(breakdown) == {"uint16"}
-
-    def test_service_store_dtype_validation(self, store_path):
-        from repro.exceptions import ServiceError
-
-        with pytest.raises(ServiceError):
-            MatchService(pool_size=1, store_path=store_path, store_dtype="float16")
-        with pytest.raises(ServiceError):
-            MatchService(pool_size=1, store_dtype="uint16")  # no store_path
-
-    def test_cli_serve_store_dtype_requires_store(self, capsys):
-        from repro.cli import console_main
-
-        assert console_main(["serve", "--store-dtype", "uint16"]) == 1
-        assert "--store-dtype requires --store" in capsys.readouterr().err
