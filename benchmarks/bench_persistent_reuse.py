@@ -186,17 +186,19 @@ def _bench_levenshtein_kernels() -> dict:
 
 
 def collect_results() -> dict:
-    store_path = os.path.join(tempfile.mkdtemp(prefix="coma-bench-store-"), "store.db")
-    populate = _spawn(store_path)  # first run writes the store
-    warm = _best_child(store_path)
-    cold = _best_child(None)
+    # The store lives for this run only: removed when it ends, also on failure.
+    with tempfile.TemporaryDirectory(prefix="coma-bench-store-") as store_dir:
+        store_path = os.path.join(store_dir, "store.db")
+        populate = _spawn(store_path)  # first run writes the store
+        warm = _best_child(store_path)
+        cold = _best_child(None)
+        store_size = os.path.getsize(store_path)
 
     digests = {populate["mapping_digest"], warm["mapping_digest"], cold["mapping_digest"]}
     if len(digests) != 1:
         raise AssertionError(
             f"store-enabled and store-less mappings differ: {sorted(digests)}"
         )
-    store_size = os.path.getsize(store_path)
     return {
         "benchmark": "persistent_reuse",
         "description": (
@@ -248,11 +250,21 @@ def _print_results(results: dict) -> None:
     )
 
 
-def test_persistent_reuse_speedup():
+def test_persistent_reuse_speedup(monkeypatch):
     """A cold process with a warm store beats a store-less cold process >= 3x."""
+    made = []
+    mkdtemp = tempfile.mkdtemp
+
+    def recording_mkdtemp(*args, **kwargs):
+        made.append(mkdtemp(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
     results = collect_results()
     write_results(results)
     _print_results(results)
+    # the run leaves no store directory behind
+    assert made and not any(os.path.exists(directory) for directory in made), made
     assert results["speedup"] >= 3.0, (
         f"expected >= 3x cold-restart speedup with the store, got {results['speedup']}x"
     )

@@ -13,19 +13,30 @@ Two strategies are supported:
   number of set elements (the similarity values themselves do not matter),
   based on the Dice coefficient.
 
-Both follow Figure 7: the pair lists passed in are the directional match
+Both follow Figure 7: the selected cells passed in are the directional match
 results ``S1 -> S2`` and ``S2 -> S1`` produced by step 2 with direction
 ``Both``; Dice is more optimistic than Average whenever individual similarities
-are below 1.0, and both coincide when every similarity equals 1.0.
+are below 1.0, and both coincide when every similarity equals 1.0.  One
+kernel over the kept cells computes both
+(:meth:`CombinedSimilarityStrategy.combine_cells`);
+:meth:`~CombinedSimilarityStrategy.combine` takes path triples instead.
+Target 1 is matched twice and counts once, with its best similarity:
+
+>>> from repro.combination.direction import SelectedCells
+>>> cells = SelectedCells(np.array([0, 1]), np.array([1, 1]), np.array([0.8, 0.6]))
+>>> AVERAGE_COMBINED.combine_cells(cells, 2, 2), DICE_COMBINED.combine_cells(cells, 2, 2)
+(0.55, 0.75)
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Sequence, Tuple
+from typing import Dict, List, Sequence
+
+import numpy as np
 
 from repro.exceptions import CombinationError
-from repro.combination.direction import SelectedPair
+from repro.combination.direction import SelectedCells, SelectedPair
 
 
 class CombinedSimilarityStrategy(abc.ABC):
@@ -33,23 +44,52 @@ class CombinedSimilarityStrategy(abc.ABC):
 
     name: str = "combined-similarity"
 
+    def combine_cells(
+        self, cells: SelectedCells, source_size: int, target_size: int
+    ) -> float:
+        """Combine the selected cells between two sets into one similarity value.
+
+        Parameters
+        ----------
+        cells:
+            The selected cells (undirected, i.e. each matched pair appears
+            once): row indexes into the first set, column indexes into the
+            second, and their similarities.
+        source_size / target_size:
+            The total number of elements in the two sets (``|S1|`` / ``|S2|``).
+        """
+        self._validate_sizes(source_size, target_size)
+        if not len(cells.values):
+            return 0.0
+        value = self._matched(
+            _side_maxima(cells.rows, cells.values), _side_maxima(cells.columns, cells.values)
+        ) / (source_size + target_size)
+        return min(1.0, max(0.0, value))
+
     @abc.abstractmethod
+    def _matched(self, source_maxima: List[float], target_maxima: List[float]):
+        """The numerator of Figure 7 from each side's per-element maxima."""
+
     def combine(
         self,
         selected_pairs: Sequence[SelectedPair],
         source_size: int,
         target_size: int,
     ) -> float:
-        """Combine selected pairs between two sets into one similarity value.
+        """:meth:`combine_cells` over ``(source, target, similarity)`` triples.
 
-        Parameters
-        ----------
-        selected_pairs:
-            The selected ``(source, target, similarity)`` triples (undirected,
-            i.e. each matched pair appears once).
-        source_size / target_size:
-            The total number of elements in the two sets (``|S1|`` / ``|S2|``).
+        Each distinct path is numbered in the order it first appears.
         """
+        sources: Dict[object, int] = {}
+        targets: Dict[object, int] = {}
+        cells = SelectedCells(
+            np.array([sources.setdefault(s, len(sources)) for s, _, _ in selected_pairs],
+                     dtype=np.intp),
+            np.array([targets.setdefault(t, len(targets)) for _, t, _ in selected_pairs],
+                     dtype=np.intp),
+            np.array([similarity for _, _, similarity in selected_pairs], dtype=float),
+        )
+        return self.combine_cells(cells, source_size, target_size)
 
     def __call__(
         self,
@@ -79,28 +119,26 @@ class CombinedSimilarityStrategy(abc.ABC):
         return hash(str(self))
 
 
-def _per_side_counts_and_sums(
-    selected_pairs: Sequence[SelectedPair],
-) -> Tuple[int, int, float, float]:
-    """Matched-element counts and similarity sums per side.
+def _side_maxima(indexes: np.ndarray, values: np.ndarray) -> List[float]:
+    """Each matched element's largest similarity, in the order elements first appear.
 
     Figure 7 counts the match candidates of *both* sets: a source element with
     one candidate contributes its similarity once for the S1 -> S2 direction
     and the target element contributes once for S2 -> S1.  With at most one
     candidate per element (the usual case after Max1/Delta selection) this is
-    equivalent to counting each matched element once per side.
+    equivalent to counting each matched element once per side.  ``fmax``
+    floors each maximum at 0.0 and skips NaN, as a running ``max`` from 0.0
+    does.
     """
-    matched_sources = {}
-    matched_targets = {}
-    for source, target, similarity in selected_pairs:
-        matched_sources[source] = max(matched_sources.get(source, 0.0), similarity)
-        matched_targets[target] = max(matched_targets.get(target, 0.0), similarity)
-    return (
-        len(matched_sources),
-        len(matched_targets),
-        sum(matched_sources.values()),
-        sum(matched_targets.values()),
-    )
+    order = np.argsort(indexes, kind="stable")
+    ordered = indexes[order]
+    starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    if len(starts) == len(indexes) - 1:  # no element is matched twice
+        return np.fmax(values, 0.0).tolist()
+    starts = np.concatenate(([0], starts))
+    maxima = np.fmax(np.fmax.reduceat(values[order], starts), 0.0)
+    # The stable sort puts each element's first appearance first in its run.
+    return maxima[np.argsort(order[starts])].tolist()
 
 
 class AverageCombined(CombinedSimilarityStrategy):
@@ -108,18 +146,10 @@ class AverageCombined(CombinedSimilarityStrategy):
 
     name = "Average"
 
-    def combine(
-        self,
-        selected_pairs: Sequence[SelectedPair],
-        source_size: int,
-        target_size: int,
-    ) -> float:
-        self._validate_sizes(source_size, target_size)
-        if not selected_pairs:
-            return 0.0
-        _, _, source_sum, target_sum = _per_side_counts_and_sums(selected_pairs)
-        value = (source_sum + target_sum) / (source_size + target_size)
-        return min(1.0, max(0.0, value))
+    def _matched(self, source_maxima: List[float], target_maxima: List[float]) -> float:
+        # The builtin sum, in first-appearance order: it is compensated from
+        # Python 3.12 on, and the structural kernel adds the same way.
+        return sum(source_maxima) + sum(target_maxima)
 
 
 class DiceCombined(CombinedSimilarityStrategy):
@@ -127,18 +157,8 @@ class DiceCombined(CombinedSimilarityStrategy):
 
     name = "Dice"
 
-    def combine(
-        self,
-        selected_pairs: Sequence[SelectedPair],
-        source_size: int,
-        target_size: int,
-    ) -> float:
-        self._validate_sizes(source_size, target_size)
-        if not selected_pairs:
-            return 0.0
-        source_count, target_count, _, _ = _per_side_counts_and_sums(selected_pairs)
-        value = (source_count + target_count) / (source_size + target_size)
-        return min(1.0, max(0.0, value))
+    def _matched(self, source_maxima: List[float], target_maxima: List[float]) -> int:
+        return len(source_maxima) + len(target_maxima)
 
 
 #: Canonical instances.

@@ -13,7 +13,10 @@ S1 and S2 with ``|S2| <= |S1|`` (S1 the larger schema):
 The direction strategy consumes the aggregated similarity matrix (rows = S1
 paths, columns = S2 paths, in *input* order, regardless of size) together with
 a :class:`~repro.combination.selection.SelectionStrategy` and produces the
-selected ``(source path, target path, similarity)`` triples.
+selected cells: row and column index arrays into the matrix
+(:meth:`DirectionStrategy.select_cells`), or the same cells as
+``(source path, target path, similarity)`` triples
+(:meth:`DirectionStrategy.select_pairs`).
 
 Everything runs on matrix indices.  Each direction is one boolean mask over
 the matrix (:meth:`DirectionStrategy.mask`): the selection rule applied to the
@@ -21,8 +24,9 @@ matrix, one row per source, or to its transpose, one row per target; ``Both``
 is the AND of the two.  Candidates rank by the axes' dense name ranks
 (:meth:`~repro.combination.matrix.SimilarityMatrix.name_ranks`).  The kept
 cells come out ordered by source name, then target name, then source and
-target position, and only they become path triples.  Pairs whose name tuples
-tie on both sides therefore come in axis order.  Element ids never order the
+target position, and stay index arrays: the mapping, the combined similarity
+and the wire formats read them as such.  Pairs whose name tuples tie on both
+sides therefore come in axis order.  Element ids never order the
 output: they come from a process-wide counter, so the same two schemas would
 serialize differently depending on what the process built before.
 
@@ -43,7 +47,7 @@ axis order:
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -54,6 +58,17 @@ from repro.model.path import SchemaPath
 
 #: One selected correspondence: source path (S1), target path (S2), similarity.
 SelectedPair = Tuple[SchemaPath, SchemaPath, float]
+
+
+class SelectedCells(NamedTuple):
+    """The cells a selection keeps: row and column indexes and their similarities.
+
+    In the order of :meth:`DirectionStrategy.select_cells`.
+    """
+
+    rows: np.ndarray
+    columns: np.ndarray
+    values: np.ndarray
 
 
 def _kept(values: np.ndarray, candidate_ranks: np.ndarray, selection: SelectionStrategy):
@@ -78,20 +93,26 @@ class DirectionStrategy:
 
     def mask(self, matrix: SimilarityMatrix, selection: SelectionStrategy) -> np.ndarray:
         """The cells of ``matrix`` that ``selection`` keeps in this direction."""
-        raise NotImplementedError(f"{self.name} selects pairs without a cell mask")
+        raise NotImplementedError(f"{self.name} selects cells without a cell mask")
 
-    def select_pairs(
+    def select_cells(
         self, matrix: SimilarityMatrix, selection: SelectionStrategy
-    ) -> List[SelectedPair]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Apply ``selection`` in the configured direction(s) over ``matrix``.
 
-        The pairs come ordered by source name, target name, source position
-        and target position.
+        Returns the kept cells as ``(rows, columns)`` index arrays, ordered by
+        source name, target name, source position and target position.
         """
         rows, columns = np.nonzero(self.mask(matrix, selection))
         source_ranks, target_ranks = matrix.name_ranks()
         order = np.lexsort((columns, rows, target_ranks[columns], source_ranks[rows]))
-        rows, columns = rows[order], columns[order]
+        return rows[order], columns[order]
+
+    def select_pairs(
+        self, matrix: SimilarityMatrix, selection: SelectionStrategy
+    ) -> List[SelectedPair]:
+        """The cells of :meth:`select_cells` as path triples, in the same order."""
+        rows, columns = self.select_cells(matrix, selection)
         sources, targets = matrix.source_paths, matrix.target_paths
         return list(zip(
             [sources[i] for i in rows.tolist()],

@@ -16,7 +16,9 @@ similarity keeps clearly dissimilar elements unmatched.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.combination.direction import DirectionStrategy, SelectedPair
 from repro.combination.matrix import SimilarityMatrix
@@ -94,14 +96,21 @@ class StableMarriageDirection(DirectionStrategy):
             )
         self.minimum_similarity = float(minimum_similarity)
 
+    def select_cells(
+        self, matrix: SimilarityMatrix, selection: Optional[SelectionStrategy] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The stable pairs the selection accepts, as indexes, in name order."""
+        pairs = stable_marriage_pairs(matrix, self.minimum_similarity)
+        if selection is not None:
+            pairs = [pair for pair in pairs if selection.select([(pair[1], pair[2])])]
+        row_of = {path: i for i, path in enumerate(matrix.source_paths)}
+        column_of = {path: j for j, path in enumerate(matrix.target_paths)}
+        return (
+            np.array([row_of[source] for source, _, _ in pairs], dtype=np.intp),
+            np.array([column_of[target] for _, target, _ in pairs], dtype=np.intp),
+        )
+
     def select_pairs(
         self, matrix: SimilarityMatrix, selection: Optional[SelectionStrategy] = None
     ) -> List[SelectedPair]:
-        pairs = stable_marriage_pairs(matrix, self.minimum_similarity)
-        if selection is None:
-            return pairs
-        accepted: List[SelectedPair] = []
-        for source, target, similarity in pairs:
-            if selection.select([(target, similarity)]):
-                accepted.append((source, target, similarity))
-        return accepted
+        return super().select_pairs(matrix, selection)

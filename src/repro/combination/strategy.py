@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.combination.aggregation import AVERAGE, AggregationStrategy, aggregation_by_name
 from repro.combination.combined import (
@@ -31,7 +31,7 @@ from repro.combination.combined import (
     combined_similarity_by_name,
 )
 from repro.combination.cube import SimilarityCube
-from repro.combination.direction import BOTH, DirectionStrategy, SelectedPair, direction_by_name
+from repro.combination.direction import BOTH, DirectionStrategy, SelectedCells, direction_by_name
 from repro.combination.matrix import SimilarityMatrix
 from repro.combination.selection import (
     CombinedSelection,
@@ -59,18 +59,16 @@ class CombinationStrategy:
         """Step 1: collapse the matcher axis of the cube."""
         return self.aggregation.aggregate(cube)
 
-    def select(self, matrix: SimilarityMatrix) -> List[SelectedPair]:
-        """Step 2: choose match candidates from the aggregated matrix."""
-        return self.direction.select_pairs(matrix, self.selection)
+    def select(self, matrix: SimilarityMatrix) -> SelectedCells:
+        """Step 2: choose match candidates from the aggregated matrix, as its cells."""
+        rows, columns = self.direction.select_cells(matrix, self.selection)
+        return SelectedCells(rows, columns, matrix.values[rows, columns])
 
     def combine_pairs(
-        self,
-        selected_pairs: Sequence[SelectedPair],
-        source_size: int,
-        target_size: int,
+        self, selected: SelectedCells, source_size: int, target_size: int
     ) -> float:
-        """Step 3: collapse selected pairs into one combined similarity value."""
-        return self.combined_similarity.combine(selected_pairs, source_size, target_size)
+        """Step 3: collapse the selected cells into one combined similarity value."""
+        return self.combined_similarity.combine_cells(selected, source_size, target_size)
 
     # -- naming / parsing ----------------------------------------------------------
 

@@ -28,7 +28,7 @@ from repro.linguistic.tokenizer import NameTokenizer
 from repro.matchers.base import MatchContext
 from repro.matchers.simple.user_feedback import UserFeedbackMatcher, UserFeedbackStore
 from repro.model.datatypes import DEFAULT_TYPE_COMPATIBILITY, TypeCompatibilityTable
-from repro.model.mapping import Correspondence, MatchResult
+from repro.model.mapping import MatchResult
 from repro.model.path import SchemaPath
 from repro.model.schema import Schema
 
@@ -119,9 +119,10 @@ def combine_cube(
         _name_ranks(context, cube.source_paths), _name_ranks(context, cube.target_paths)
     )
     selected = combination.select(aggregated)
-    result = MatchResult(context.source_schema, context.target_schema)
-    for source, target, similarity in selected:
-        result.add(Correspondence(source, target, similarity))
+    result = MatchResult.from_cells(
+        context.source_schema, context.target_schema,
+        aggregated.source_paths, aggregated.target_paths, *selected,
+    )
     schema_similarity = combination.combine_pairs(
         selected, len(cube.source_paths), len(cube.target_paths)
     )

@@ -178,7 +178,7 @@ def _set_similarity_block(values, source, target, row_sets, column_sets, combine
     similarity = row_best[component, column]
     source_index = rows_flat[component]
     target_index = columns_flat[row_choice[component, column]]
-    # The order select_pairs returns kept pairs in: by source name, target
+    # The order select_cells keeps cells in: by source name, target
     # name, source position, target position.
     order = np.lexsort((
         target_index, source_index, target.dense[target_index], source.dense[source_index], pair
@@ -192,7 +192,7 @@ def _set_similarity_block(values, source, target, row_sets, column_sets, combine
     else:
         starts = np.flatnonzero(np.diff(pair, prepend=-1))
         ends = np.append(starts[1:], len(pair))
-        # Builtin sum, as AverageCombined.combine adds (compensated from 3.12).
+        # Builtin sum, as AverageCombined.combine_cells adds (compensated from 3.12).
         ordered = similarity.tolist()
         sums = np.zeros(len(totals))
         sums[pair[starts]] = [

@@ -14,7 +14,12 @@ provides:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+import threading
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+)
+
+import numpy as np
 
 from repro.exceptions import SchemaError
 from repro.model.path import SchemaPath
@@ -49,12 +54,37 @@ class Correspondence:
         return f"{self.source} <-> {self.target} ({self.similarity:.2f})"
 
 
+class _Cells(NamedTuple):
+    """A mapping's kept matrix cells: indexes into two path axes, and similarities."""
+
+    source_paths: Sequence[SchemaPath]
+    target_paths: Sequence[SchemaPath]
+    rows: List[int]
+    columns: List[int]
+    similarities: List[float]
+
+
+#: Serialises the one switch of a cell-built mapping to its pair dict.
+_TO_PAIRS = threading.Lock()
+
+
+def _dotted(paths: Sequence[SchemaPath], schema: Schema) -> Sequence[str]:
+    """The dotted forms of an axis; the schema's cached ones when it is ``schema.paths()``."""
+    if paths is schema.paths():
+        return schema.dotted_paths()
+    return [path.dotted() for path in paths]
+
+
 class MatchResult:
     """A mapping between a source and a target schema.
 
     The mapping stores at most one similarity per ``(source path, target path)``
     pair; adding the same pair again keeps the maximum similarity (a pair that
     several strategies propose is at least as plausible as either proposal).
+
+    A mapping built by :meth:`from_cells` holds only its cells until a caller
+    looks a pair up or changes the mapping; reading it in order
+    (:attr:`correspondences`, :meth:`as_tuples`, ``len``) builds no pair dict.
     """
 
     def __init__(
@@ -69,8 +99,66 @@ class MatchResult:
         self._name = name or f"{source_schema.name}<->{target_schema.name}"
         self._by_pair: Dict[Tuple[SchemaPath, SchemaPath], Correspondence] = {}
         self._sorted: Optional[Tuple[Correspondence, ...]] = None
+        self._cells: Optional[_Cells] = None
         for correspondence in correspondences or ():
             self.add(correspondence)
+
+    @classmethod
+    def from_cells(
+        cls,
+        source_schema: Schema,
+        target_schema: Schema,
+        source_paths: Sequence[SchemaPath],
+        target_paths: Sequence[SchemaPath],
+        rows: Sequence[int],
+        columns: Sequence[int],
+        similarities: Sequence[float],
+        name: Optional[str] = None,
+    ) -> "MatchResult":
+        """A mapping over matrix cells, as a selection kernel keeps them.
+
+        ``rows`` / ``columns`` index ``source_paths`` / ``target_paths``.  The
+        cells must be distinct and ordered by source names, then target names:
+        that order is the mapping's :attr:`correspondences` order.
+
+        Raises
+        ------
+        ValueError
+            If a similarity lies outside ``[0, 1]`` (as :class:`Correspondence`).
+        """
+        values = np.asarray(similarities, dtype=float)
+        outside = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+        if len(outside):
+            first = outside[0]
+            Correspondence(  # raises the ValueError naming the pair
+                source_paths[rows[first]], target_paths[columns[first]], float(values[first])
+            )
+        result = cls(source_schema, target_schema, name=name)
+        result._cells = _Cells(
+            source_paths, target_paths, np.asarray(rows).tolist(),
+            np.asarray(columns).tolist(), values.tolist(),
+        )
+        return result
+
+    def cells(self) -> Optional[Tuple[List[int], List[int], List[float]]]:
+        """``(rows, columns, similarities)`` of a mapping built by :meth:`from_cells`.
+
+        ``None`` once a pair lookup or a change has replaced the cells.
+        """
+        cells = self._cells
+        return None if cells is None else (cells.rows, cells.columns, cells.similarities)
+
+    def _pairs(self) -> Dict[Tuple[SchemaPath, SchemaPath], Correspondence]:
+        """The pair dict.  A cell-built mapping builds it here, once, then drops its cells.
+
+        The dict is complete before another thread can see it.
+        """
+        if self._cells is not None:
+            with _TO_PAIRS:
+                if self._cells is not None:
+                    self._by_pair = {c.pair: c for c in self.correspondences}
+                    self._cells = None
+        return self._by_pair
 
     # -- identity -----------------------------------------------------------
 
@@ -98,10 +186,11 @@ class MatchResult:
 
     def add(self, correspondence: Correspondence) -> None:
         """Add a correspondence, keeping the higher similarity on duplicates."""
+        by_pair = self._pairs()
         key = correspondence.pair
-        existing = self._by_pair.get(key)
+        existing = by_pair.get(key)
         if existing is None or correspondence.similarity > existing.similarity:
-            self._by_pair[key] = correspondence
+            by_pair[key] = correspondence
             self._sorted = None
 
     def add_pair(self, source: SchemaPath, target: SchemaPath, similarity: float = 1.0) -> None:
@@ -110,7 +199,7 @@ class MatchResult:
 
     def remove_pair(self, source: SchemaPath, target: SchemaPath) -> bool:
         """Remove the correspondence for ``(source, target)``; returns True if present."""
-        if self._by_pair.pop((source, target), None) is None:
+        if self._pairs().pop((source, target), None) is None:
             return False
         self._sorted = None
         return True
@@ -122,12 +211,20 @@ class MatchResult:
         """All correspondences, ordered by (source path, target path) names.
 
         Equal name pairs keep the order they were added in.  The sorted tuple
-        is kept until the next change.
+        is kept until the next change.  Cells are in this order already.
         """
         if self._sorted is None:
-            self._sorted = tuple(
-                sorted(self._by_pair.values(), key=lambda c: (c.source.names, c.target.names))
-            )
+            cells = self._cells
+            if cells is not None:
+                sources, targets = cells.source_paths, cells.target_paths
+                self._sorted = tuple(
+                    Correspondence(sources[i], targets[j], similarity)
+                    for i, j, similarity in zip(cells.rows, cells.columns, cells.similarities)
+                )
+            else:
+                self._sorted = tuple(sorted(
+                    self._by_pair.values(), key=lambda c: (c.source.names, c.target.names)
+                ))
         return self._sorted
 
     def pairs(self) -> Tuple[Tuple[SchemaPath, SchemaPath], ...]:
@@ -136,26 +233,26 @@ class MatchResult:
 
     def similarity_of(self, source: SchemaPath, target: SchemaPath) -> Optional[float]:
         """The stored similarity of a pair, or ``None`` if the pair is not matched."""
-        correspondence = self._by_pair.get((source, target))
+        correspondence = self._pairs().get((source, target))
         return correspondence.similarity if correspondence else None
 
     def candidates_for_source(self, source: SchemaPath) -> Tuple[Correspondence, ...]:
         """All correspondences originating at ``source``, best first."""
-        found = [c for c in self._by_pair.values() if c.source == source]
+        found = [c for c in self._pairs().values() if c.source == source]
         return tuple(sorted(found, key=lambda c: -c.similarity))
 
     def candidates_for_target(self, target: SchemaPath) -> Tuple[Correspondence, ...]:
         """All correspondences ending at ``target``, best first."""
-        found = [c for c in self._by_pair.values() if c.target == target]
+        found = [c for c in self._pairs().values() if c.target == target]
         return tuple(sorted(found, key=lambda c: -c.similarity))
 
     def matched_sources(self) -> Tuple[SchemaPath, ...]:
         """Distinct source paths that received at least one match candidate."""
-        return tuple(sorted({c.source for c in self._by_pair.values()}, key=lambda p: p.names))
+        return tuple(sorted({c.source for c in self._pairs().values()}, key=lambda p: p.names))
 
     def matched_targets(self) -> Tuple[SchemaPath, ...]:
         """Distinct target paths that received at least one match candidate."""
-        return tuple(sorted({c.target for c in self._by_pair.values()}, key=lambda p: p.names))
+        return tuple(sorted({c.target for c in self._pairs().values()}, key=lambda p: p.names))
 
     # -- transformations ----------------------------------------------------------
 
@@ -164,7 +261,7 @@ class MatchResult:
         return MatchResult(
             self._target_schema,
             self._source_schema,
-            (c.inverted() for c in self._by_pair.values()),
+            (c.inverted() for c in self._pairs().values()),
             name=f"{self._target_schema.name}<->{self._source_schema.name}",
         )
 
@@ -173,7 +270,7 @@ class MatchResult:
         return MatchResult(
             self._source_schema,
             self._target_schema,
-            (c for c in self._by_pair.values() if predicate(c)),
+            (c for c in self._pairs().values() if predicate(c)),
             name=self._name,
         )
 
@@ -190,7 +287,7 @@ class MatchResult:
         return MatchResult(
             self._source_schema,
             self._target_schema,
-            (Correspondence(c.source, c.target, similarity) for c in self._by_pair.values()),
+            (Correspondence(c.source, c.target, similarity) for c in self._pairs().values()),
             name=self._name,
         )
 
@@ -200,7 +297,7 @@ class MatchResult:
             raise SchemaError(
                 f"cannot merge mapping over {other.schema_pair} into mapping over {self.schema_pair}"
             )
-        merged = MatchResult(self._source_schema, self._target_schema, self._by_pair.values(),
+        merged = MatchResult(self._source_schema, self._target_schema, self._pairs().values(),
                              name=self._name)
         for correspondence in other.correspondences:
             merged.add(correspondence)
@@ -210,9 +307,17 @@ class MatchResult:
 
     def as_tuples(self) -> List[Tuple[str, str, float]]:
         """The mapping as ``(source dotted path, target dotted path, sim)`` tuples."""
+        cells = self._cells
+        if cells is None:
+            return [
+                (c.source.dotted(), c.target.dotted(), c.similarity)
+                for c in self.correspondences
+            ]
+        sources = _dotted(cells.source_paths, self._source_schema)
+        targets = _dotted(cells.target_paths, self._target_schema)
         return [
-            (c.source.dotted(), c.target.dotted(), c.similarity)
-            for c in self.correspondences
+            (sources[i], targets[j], similarity)
+            for i, j, similarity in zip(cells.rows, cells.columns, cells.similarities)
         ]
 
     @classmethod
@@ -239,26 +344,27 @@ class MatchResult:
 
     def pair_set(self) -> frozenset:
         """The set of matched pairs keyed by dotted path strings (for evaluation)."""
-        return frozenset((c.source.dotted(), c.target.dotted()) for c in self._by_pair.values())
+        return frozenset((c.source.dotted(), c.target.dotted()) for c in self._pairs().values())
 
     # -- dunder protocol ---------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._by_pair)
+        cells = self._cells
+        return len(self._by_pair) if cells is None else len(cells.rows)
 
     def __iter__(self) -> Iterator[Correspondence]:
         return iter(self.correspondences)
 
     def __contains__(self, item: object) -> bool:
         if isinstance(item, Correspondence):
-            return item.pair in self._by_pair
+            return item.pair in self._pairs()
         if isinstance(item, tuple) and len(item) == 2:
             first, second = item
             if isinstance(first, SchemaPath) and isinstance(second, SchemaPath):
-                return (first, second) in self._by_pair
+                return (first, second) in self._pairs()
             if isinstance(first, str) and isinstance(second, str):
                 return (first, second) in {
-                    (c.source.dotted(), c.target.dotted()) for c in self._by_pair.values()
+                    (c.source.dotted(), c.target.dotted()) for c in self._pairs().values()
                 }
         return False
 

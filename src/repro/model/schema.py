@@ -79,6 +79,7 @@ class Schema:
         self._parents: Dict[SchemaElement, List[SchemaElement]] = {self._root: []}
         self._references: List[Link] = []
         self._paths_cache: Optional[Tuple[SchemaPath, ...]] = None
+        self._dotted_cache: Optional[Tuple[str, ...]] = None
 
     # -- identity ---------------------------------------------------------
 
@@ -201,6 +202,7 @@ class Schema:
 
     def _invalidate(self) -> None:
         self._paths_cache = None
+        self._dotted_cache = None
 
     # -- graph accessors ---------------------------------------------------
 
@@ -272,6 +274,18 @@ class Schema:
         if include_root:
             return (SchemaPath([self._root]),) + self._paths_cache
         return self._paths_cache
+
+    def dotted_paths(self) -> Tuple[str, ...]:
+        """The dotted form of each path of :meth:`paths`, in that order (computed once).
+
+        >>> from repro.datasets.figure1 import load_po1
+        >>> po1 = load_po1()
+        >>> po1.dotted_paths()[0] == po1.paths()[0].dotted()
+        True
+        """
+        if self._dotted_cache is None:
+            self._dotted_cache = tuple(path.dotted() for path in self.paths())
+        return self._dotted_cache
 
     def _collect_paths(self, prefix: SchemaPath, out: List[SchemaPath]) -> None:
         for child in self._children.get(prefix.leaf, ()):

@@ -44,7 +44,7 @@ import numpy as np
 from repro.combination.cube import SimilarityCube
 from repro.combination.matrix import SimilarityMatrix
 from repro.exceptions import ServiceError
-from repro.model.mapping import Correspondence, MatchResult
+from repro.model.mapping import MatchResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.match_operation import MatchOutcome
@@ -136,26 +136,25 @@ def encode_outcomes(outcomes: Sequence["MatchOutcome"]) -> bytes:
     aggregated matrix and the correspondence similarities (with the combined
     schema similarity appended as the final element), so every float
     crosses the boundary bit-exactly.
+
+    The pairs are the result's cells
+    (:meth:`~repro.model.mapping.MatchResult.cells`), as the match built
+    them; a result changed since has none and raises :class:`ServiceError`.
     """
     items: List[Dict[str, object]] = []
     buffers: List[object] = []
     for outcome in outcomes:
         stack = outcome.cube.as_array()
-        rows = {path: index for index, path in enumerate(outcome.cube.source_paths)}
-        columns = {path: index for index, path in enumerate(outcome.cube.target_paths)}
-        sims = np.array(
-            [c.similarity for c in outcome.result.correspondences]
-            + [outcome.schema_similarity],
-            dtype=np.float64,
-        )
+        cells = outcome.result.cells()
+        if cells is None:
+            raise ServiceError("only a match result as its match built it can be encoded")
+        rows, columns, similarities = cells
+        sims = np.array(similarities + [outcome.schema_similarity], dtype=np.float64)
         items.append(
             {
                 "matchers": list(outcome.cube.matcher_names),
                 "shape": list(stack.shape),
-                "pairs": [
-                    [rows[c.source], columns[c.target]]
-                    for c in outcome.result.correspondences
-                ],
+                "pairs": [[row, column] for row, column in zip(rows, columns)],
                 "strategy": outcome.strategy.to_spec(),
                 "buffers": [len(buffers), len(buffers) + 1, len(buffers) + 2],
             }
@@ -221,16 +220,16 @@ def rebuild_outcome(
         ),
     )
     aggregated = SimilarityMatrix(source_paths, target_paths, aggregated_values)
-    result = MatchResult(source, target)
-    for (row, column), similarity in zip(pairs, sims):
+    for row, column in pairs:
         if not (0 <= row < shape[1] and 0 <= column < shape[2]):
             raise ServiceError(
                 f"match worker returned a correspondence at ({row}, {column}), "
                 f"outside its {shape[1]} x {shape[2]} cube"
             )
-        result.add(
-            Correspondence(source_paths[row], target_paths[column], float(similarity))
-        )
+    result = MatchResult.from_cells(
+        source, target, source_paths, target_paths,
+        [row for row, _ in pairs], [column for _, column in pairs], sims[:-1],
+    )
     return MatchOutcome(
         result=result,
         cube=cube,

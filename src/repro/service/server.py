@@ -80,6 +80,9 @@ DRAIN_TIMEOUT = 30.0
 #: Seconds between ``serve_forever()``'s shutdown checks: ``shutdown()`` returns
 #: within one poll.
 POLL_INTERVAL = 0.05
+#: How many distinct strategy spec strings a service keeps parsed (the oldest
+#: is dropped first).
+PARSED_SPECS_BOUND = 256
 
 
 class MatchService:
@@ -247,6 +250,8 @@ class MatchService:
         self._importers = importers if importers is not None else DEFAULT_IMPORTERS
         self._schemas: Dict[str, Schema] = {}
         self._strategies: Dict[str, MatchStrategy] = {}
+        #: Spec string -> its parsed strategy, shared like the stored ones.
+        self._parsed_specs: Dict[str, MatchStrategy] = {}
         self._state_lock = threading.RLock()
         #: Serialises uploads and deletes over the corpus and the dict.
         self._registry_lock = threading.Lock()
@@ -333,8 +338,10 @@ class MatchService:
         """Resolve a request's strategy reference at the service level.
 
         ``None`` keeps the worker session's default.  A spec string (it
-        contains parentheses) is parsed against the library; any other string
-        is looked up in the service strategy registry, then the repository.
+        contains parentheses) is parsed against the library, once per
+        distinct string (up to :data:`PARSED_SPECS_BOUND` of them); any other
+        string is looked up in the service strategy registry, then the
+        repository.
 
         Raises
         ------
@@ -352,10 +359,17 @@ class MatchService:
                 f"got {type(reference).__name__}", status=400,
             )
         if "(" in reference:
-            try:
-                return MatchStrategy.parse(reference, library=self._library)
-            except ComaError as error:
-                raise ServiceError(f"invalid strategy spec: {error}", status=400)
+            strategy = self._parsed_specs.get(reference)
+            if strategy is None:
+                try:
+                    strategy = MatchStrategy.parse(reference, library=self._library)
+                except ComaError as error:
+                    raise ServiceError(f"invalid strategy spec: {error}", status=400)
+                with self._state_lock:
+                    if len(self._parsed_specs) >= PARSED_SPECS_BOUND:
+                        del self._parsed_specs[next(iter(self._parsed_specs))]
+                    strategy = self._parsed_specs.setdefault(reference, strategy)
+            return strategy
         return self._stored_strategy(reference)
 
     def _stored_strategy(self, name: str) -> MatchStrategy:
@@ -714,13 +728,9 @@ class MatchService:
         differential suite hashes these payloads across backends).
         """
         correspondences = [
-            {
-                "source": c.source.dotted(),
-                "target": c.target.dotted(),
-                "similarity": c.similarity,
-            }
-            for c in outcome.result.correspondences
-            if c.similarity >= min_similarity
+            {"source": source, "target": target, "similarity": similarity}
+            for source, target, similarity in outcome.result.as_tuples()
+            if similarity >= min_similarity
         ]
         return {
             "source": outcome.context.source_schema.name,
@@ -1109,9 +1119,9 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     #: still answered with a status line and headers a client can parse.
     default_request_version = request_version = "HTTP/1.1"
     requestline = ""
-    #: Headers and body go out as separate writes; without TCP_NODELAY the
-    #: write-write-read pattern triggers Nagle + delayed-ACK stalls (~40ms
-    #: per response) under concurrent load.
+    #: An event stream writes its head and each chunk separately; without
+    #: TCP_NODELAY the write-write-read pattern triggers Nagle + delayed-ACK
+    #: stalls (~40ms per response) under concurrent load.
     disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
@@ -1216,8 +1226,13 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         if status == 429:  # only admission refuses with 429
             self.send_header("Retry-After", "1")
         self.send_header("Connection", "close" if self.close_connection else "keep-alive")
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # no head was buffered: the bare body
+            self.wfile.write(body)
+            return
+        # end_headers() would write the head alone: the status line, headers
+        # and body leave in one write, so the client wakes once per answer.
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _stream_events(self, stream: JobEventStream) -> None:
         """Render a job event stream as a chunked NDJSON response.

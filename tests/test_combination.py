@@ -1,5 +1,7 @@
 """Tests for the combination framework: matrix, cube, aggregation, direction, selection."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,13 @@ from repro.combination.aggregation import (
 )
 from repro.combination.combined import AVERAGE_COMBINED, DICE_COMBINED, combined_similarity_by_name
 from repro.combination.cube import SimilarityCube
-from repro.combination.direction import BOTH, LARGE_SMALL, SMALL_LARGE, direction_by_name
+from repro.combination.direction import (
+    BOTH,
+    LARGE_SMALL,
+    SMALL_LARGE,
+    SelectedCells,
+    direction_by_name,
+)
 from repro.combination.matrix import SimilarityMatrix
 from repro.combination.selection import CombinedSelection, MaxDelta, MaxN, Threshold
 from repro.combination.strategy import (
@@ -286,6 +294,35 @@ class TestCombinedSimilarity:
         with pytest.raises(CombinationError):
             combined_similarity_by_name("jaccard")
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cell_kernel_keeps_the_bits_of_the_per_pair_loop(self, seed):
+        # Exact ties, repeated elements, and sums whose bits depend on their order.
+        values = (0.1, 0.2, 0.3, 1 / 3, 0.5 + 1e-12, 0.7, 1.0, float("nan"))
+        rng = random.Random(seed)
+        for _ in range(150):
+            count = rng.randint(0, 12)
+            cells = SelectedCells(
+                np.array([rng.randrange(6) for _ in range(count)], dtype=np.intp),
+                np.array([rng.randrange(5) for _ in range(count)], dtype=np.intp),
+                np.array([rng.choice(values) for _ in range(count)]),
+            )
+            for combined in (AVERAGE_COMBINED, DICE_COMBINED):
+                expected = _per_pair_loop(combined, cells, 6, 5)
+                assert combined.combine_cells(cells, 6, 5).hex() == expected.hex(), cells
+
+
+def _per_pair_loop(combined, cells, source_size, target_size) -> float:
+    """The per-pair dict loop the cell kernel replaced: the reference for its bits."""
+    sources, targets = {}, {}
+    for source, target, similarity in zip(*(part.tolist() for part in cells)):
+        sources[source] = max(sources.get(source, 0.0), similarity)
+        targets[target] = max(targets.get(target, 0.0), similarity)
+    if combined is DICE_COMBINED:
+        matched = len(sources) + len(targets)
+    else:
+        matched = sum(sources.values()) + sum(targets.values())
+    return min(1.0, max(0.0, matched / (source_size + target_size)))
+
 
 class TestCombinationStrategy:
     def test_default_combination_description(self):
@@ -301,8 +338,10 @@ class TestCombinationStrategy:
         matrix.set(sources[0], targets[0], 0.9)
         cube.add_layer("Name", matrix)
         strategy = default_combination()
-        pairs = strategy.select(strategy.aggregate(cube))
-        similarity = strategy.combine_pairs(pairs, len(sources), len(targets))
+        selected = strategy.select(strategy.aggregate(cube))
+        similarity = strategy.combine_pairs(selected, len(sources), len(targets))
+        rows, columns, values = (part.tolist() for part in selected)
+        pairs = [(sources[i], targets[j], v) for i, j, v in zip(rows, columns, values)]
         assert pairs == [(sources[0], targets[0], 0.9)]
         assert similarity == pytest.approx((0.9 + 0.9) / 5)
 

@@ -1,9 +1,12 @@
 """Tests for the match operation, strategies and the iterative processor."""
 
+import numpy as np
 import pytest
 
+from repro.combination import SimilarityCube, SimilarityMatrix
 from repro.combination.combined import DICE_COMBINED
 from repro.combination.strategy import default_combination, parse_combination
+from repro.core.match_operation import build_context, combine_cube
 from repro.core.processor import MatchProcessor
 from repro.core.strategy import MatchStrategy, default_strategy, single_matcher_strategy
 from repro.engine.engine import MatchEngine
@@ -90,6 +93,15 @@ class TestMatchOperation:
             len(po1.paths()) + len(po2.paths())
         )
         assert value == pytest.approx(expected)
+
+    def test_a_kept_value_outside_the_unit_interval_raises(self, po1, po2):
+        context = build_context(po1, po2)
+        shape = (len(po1.paths()), len(po2.paths()))
+        cube = SimilarityCube.from_layers(po1.paths(), po2.paths(), [
+            ("Name", SimilarityMatrix(po1.paths(), po2.paths(), np.full(shape, 1.5)))
+        ])
+        with pytest.raises(ValueError, match=r"within \[0, 1\], got 1.5 for PO1\."):
+            combine_cube(cube, default_combination(), context)
 
     def test_match_with_strategy_records_strategy(self, po1, po2):
         strategy = MatchStrategy(matchers=["Name"], combination=default_combination())

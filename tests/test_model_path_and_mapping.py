@@ -1,5 +1,9 @@
 """Tests for SchemaPath and MatchResult behaviour."""
 
+import threading
+import time
+
+import numpy as np
 import pytest
 
 from repro.exceptions import SchemaError
@@ -140,3 +144,98 @@ class TestMatchResult:
         rows = [("L.A.x", "R.B.u", 0.5), ("L.A.y", "R.B.v", 1.0)]
         result = MatchResult.from_tuples(left, right, rows)
         assert sorted(result.as_tuples()) == sorted(rows)
+
+
+class TestCellBuiltResult:
+    """A mapping built from kept cells reads like one built pair by pair."""
+
+    ROWS, COLUMNS, SIMILARITIES = [1, 1, 2], [1, 2, 2], [0.9, 0.4, 0.7]
+
+    def _both(self, pair):
+        left, right = pair
+        cells = MatchResult.from_cells(
+            left, right, left.paths(), right.paths(),
+            np.array(self.ROWS), np.array(self.COLUMNS), np.array(self.SIMILARITIES),
+        )
+        added = MatchResult(left, right, [
+            Correspondence(left.paths()[i], right.paths()[j], similarity)
+            for i, j, similarity in zip(self.ROWS, self.COLUMNS, self.SIMILARITIES)
+        ])
+        return cells, added
+
+    def test_reads_keep_the_cells(self, pair):
+        cells, added = self._both(pair)
+        assert len(cells) == 3
+        assert cells.as_tuples() == added.as_tuples() == [
+            ("L.A.x", "R.B.u", 0.9), ("L.A.x", "R.B.v", 0.4), ("L.A.y", "R.B.v", 0.7)
+        ]
+        assert cells.correspondences == added.correspondences
+        assert list(cells) == list(added) and cells.pairs() == added.pairs()
+        assert cells.cells() == (self.ROWS, self.COLUMNS, self.SIMILARITIES)
+        assert added.cells() is None
+
+    def test_lookups_and_changes_behave_as_for_added_pairs(self, pair):
+        left, right = pair
+        x, u = left.find_path("L.A.x"), right.find_path("R.B.u")
+        other = MatchResult.from_tuples(left, right, [("L.A.y", "R.B.u", 0.6)])
+        for use in (
+            lambda r: r.similarity_of(x, u),
+            lambda r: ((x, u) in r, ("L.A.y", "R.B.v") in r, ("L.A.y", "R.B.u") in r),
+            lambda r: r.candidates_for_source(x),
+            lambda r: (r.matched_sources(), r.matched_targets()),
+            lambda r: r.inverted().as_tuples(),
+            lambda r: r.above_threshold(0.5).as_tuples(),
+            lambda r: r.with_uniform_similarity().as_tuples(),
+            lambda r: r.merged_with(other).as_tuples(),
+            lambda r: r.pair_set(),
+            lambda r: (r.add_pair(x, u, 0.95), r.add_pair(x, u, 0.5), r.as_tuples(), len(r)),
+            lambda r: (r.remove_pair(x, u), r.as_tuples(), len(r), r.correspondences),
+        ):
+            cells, added = self._both(pair)
+            assert use(cells) == use(added)
+            assert cells.cells() is None  # the pair dict replaced the cells
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+    def test_a_similarity_outside_the_unit_interval_raises(self, pair, bad):
+        left, right = pair
+        with pytest.raises(ValueError, match=r"within \[0, 1\], got .* for L.A.y <-> R.B.v"):
+            MatchResult.from_cells(
+                left, right, left.paths(), right.paths(), [1, 2], [1, 2], [0.5, bad]
+            )
+
+    def test_axes_other_than_the_schema_paths(self, pair):
+        left, right = pair
+        result = MatchResult.from_cells(
+            left, right, tuple(reversed(left.paths())), right.paths()[1:], [1], [0], [0.5]
+        )
+        assert result.as_tuples() == [("L.A.x", "R.B.u", 0.5)]
+
+    def test_a_second_thread_never_sees_a_half_built_pair_dict(self, pair, monkeypatch):
+        left, right = pair
+        sources, targets = left.paths(), right.paths()
+        key = Correspondence.pair
+
+        def slow_key(correspondence):  # yields the GIL while the dict is built
+            time.sleep(0.0005)
+            return key.fget(correspondence)
+
+        monkeypatch.setattr(Correspondence, "pair", property(slow_key))
+        for _ in range(10):
+            result = MatchResult.from_cells(
+                left, right, sources, targets, [0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 2] * 3,
+                [0.5] * 9,
+            )
+            barrier = threading.Barrier(4)
+            seen = []
+
+            def look_up():
+                barrier.wait()
+                seen.append(sum(result.similarity_of(s, t) is not None
+                                for s in sources for t in targets))
+
+            threads = [threading.Thread(target=look_up) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert seen == [9, 9, 9, 9]

@@ -86,6 +86,12 @@ class TestPaths:
         # 2 top elements + 2 * (Address + City) = 6 paths from 4 non-root nodes
         assert len(schema.paths()) == 6
 
+    def test_dotted_paths_follow_the_paths(self):
+        schema, a, b, c = _linear_schema()
+        assert schema.dotted_paths() == ("S.A", "S.A.B", "S.A.B.C")
+        schema.add_element("D", parent=c)
+        assert schema.dotted_paths() == ("S.A", "S.A.B", "S.A.B.C", "S.A.B.C.D")
+
     def test_leaf_and_inner_paths(self):
         schema, a, b, c = _linear_schema()
         assert [p.dotted() for p in schema.leaf_paths()] == ["S.A.B.C"]

@@ -42,6 +42,12 @@ class TestCodec:
         with pytest.raises(ServiceError):
             decode_frame(frame[: len(frame) - 4])
 
+    def test_a_result_changed_after_its_match_is_not_encoded(self):
+        outcome = MatchSession().match(load_po1(), load_po2())
+        outcome.result.remove_pair(*outcome.result.pairs()[0])
+        with pytest.raises(ServiceError, match="as its match built it"):
+            codec.encode_outcomes([outcome])
+
     def test_pair_index_outside_the_cube_is_rejected(self):
         po1, po2 = load_po1(), load_po2()
         outcome = MatchSession().match(po1, po2)

@@ -25,6 +25,7 @@ from repro.combination import (
     LARGE_SMALL,
     SMALL_LARGE,
     Both,
+    CombinationStrategy,
     CombinedSelection,
     LargeSmall,
     MaxDelta,
@@ -35,11 +36,13 @@ from repro.combination import (
     SmallLarge,
     Threshold,
 )
+from repro.combination.stable_marriage import StableMarriageDirection
 from repro.datasets.figure1 import load_po1, load_po2
 from repro.datasets.generators import generate_pair
 from repro.model import element
 from repro.model.builder import SchemaBuilder
 from repro.model.element import SchemaElement
+from repro.model.mapping import MatchResult
 from repro.model.path import SchemaPath
 from repro.model.schema import Schema
 from repro.session import MatchSession
@@ -279,14 +282,21 @@ WARM_SPECS = (
 PAIR_SIZES = ((3, 4), (5, 6), (6, 8), (8, 5), (9, 7), (11, 6), (12, 8), (13, 7), (14, 6))
 
 
+def _oracle_cells(direction, matrix: SimilarityMatrix, selection) -> tuple:
+    """The oracle's pairs as the cell kernel's index arrays, in the oracle's order."""
+    pairs = oracle_select_pairs(direction, matrix, selection)
+    row_of = {path: i for i, path in enumerate(matrix.source_paths)}
+    column_of = {path: j for j, path in enumerate(matrix.target_paths)}
+    return (
+        np.array([row_of[source] for source, _, _ in pairs], dtype=np.intp),
+        np.array([column_of[target] for _, target, _ in pairs], dtype=np.intp),
+    )
+
+
 def _oracle_directions(monkeypatch) -> None:
-    """Route every direction strategy (the structural matchers' too) to the oracle."""
+    """Route every direction strategy's cell kernel, which ``combine_cube`` reaches, to the oracle."""
     for direction_class in (LargeSmall, SmallLarge, Both):
-        monkeypatch.setattr(
-            direction_class,
-            "select_pairs",
-            lambda self, matrix, selection: oracle_select_pairs(self, matrix, selection),
-        )
+        monkeypatch.setattr(direction_class, "select_cells", _oracle_cells)
 
 
 def _outcomes(source, target) -> list:
@@ -320,3 +330,27 @@ def test_figure1_pair_matches_the_oracle(monkeypatch):
     _oracle_directions(monkeypatch)
     oracle = _outcomes(load_po1(), load_po2())
     assert [_fingerprint(o) for o in kernel] == [_fingerprint(o) for o in oracle]
+
+
+def test_stable_marriage_through_the_session_keeps_its_rows():
+    """StableMarriage through ``combine_cube``: its stable pairs, mapped to cells, give these rows."""
+    session = MatchSession()
+    strategy = session.default_strategy.replaced(
+        combination=CombinationStrategy(direction=StableMarriageDirection())
+    )
+    outcome = session.match(load_po1(), load_po2(), strategy=strategy)
+    rows = [(s, t, similarity.hex()) for s, t, similarity in outcome.result.as_tuples()]
+    assert rows == [
+        ("PO1.Customer.custCity", "PO2.PO2.BillTo.Address.City", "0x1.468acf13579bep-1"),
+        ("PO1.Customer.custStreet", "PO2.PO2.BillTo.Address.Street", "0x1.468acf13579bep-1"),
+        ("PO1.Customer.custZip", "PO2.PO2.BillTo.Address.Zip", "0x1.480d67b409ae6p-1"),
+        ("PO1.ShipTo", "PO2.PO2.DeliverTo", "0x1.42b4cf23fc7d3p-1"),
+        ("PO1.ShipTo.shipToCity", "PO2.PO2.DeliverTo.Address.City", "0x1.3851eb851eb85p-1"),
+        ("PO1.ShipTo.shipToStreet", "PO2.PO2.DeliverTo.Address.Street", "0x1.3851eb851eb85p-1"),
+        ("PO1.ShipTo.shipToZip", "PO2.PO2.DeliverTo.Address.Zip", "0x1.3cc1e098ead66p-1"),
+    ]
+    assert outcome.schema_similarity.hex() == "0x1.867a023269553p-2"
+    assert [c.pair for c in outcome.result] == [
+        c.pair for c in MatchResult(outcome.result.source_schema, outcome.result.target_schema,
+                                    outcome.result.correspondences)
+    ]

@@ -10,6 +10,7 @@ import pytest
 from repro.datasets.figure1 import PO1_DDL, PO2_XSD, load_po1, load_po2
 from repro.exceptions import ServiceError
 from repro.service import MatchService, ServiceClient, SessionPool, create_server
+from repro.service import server as server_module
 from repro.session import MatchSession
 
 #: Cacheable strategies exercising different combination tuples.
@@ -356,3 +357,22 @@ class TestServiceConcurrency:
         assert pool["cube_hits"] + pool["cube_misses"] >= len(SPECS)
         assert stats["requests"]["total"] >= stats["requests"]["by_route"].get("match", 0)
         assert len(pool["shards"]) == 3
+
+
+class TestSpecMemo:
+    def test_each_distinct_spec_string_is_parsed_once(self, monkeypatch):
+        monkeypatch.setattr(server_module, "PARSED_SPECS_BOUND", 2)
+        service = MatchService(pool_size=1)
+        try:
+            first, second, third = (service.resolve_strategy(spec) for spec in SPECS)
+            assert service.resolve_strategy(SPECS[2]) is third
+            assert service.resolve_strategy(SPECS[1]) is second
+            # The bound dropped the oldest string; it parses to an equal strategy again.
+            again = service.resolve_strategy(SPECS[0])
+            assert again is not first and again.to_spec() == first.to_spec()
+            for _ in range(2):
+                with pytest.raises(ServiceError) as error:
+                    service.resolve_strategy("All(Average,Sideways,Thr(0.5),Average)")
+                assert error.value.status == 400
+        finally:
+            service.close()

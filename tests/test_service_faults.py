@@ -32,7 +32,8 @@ import pytest
 from repro.datasets.figure1 import PO1_DDL, PO2_XSD
 from repro.exceptions import ServiceError
 from repro.service import MatchService, ServiceClient, SessionPool, create_server
-from repro.service.server import MAX_BODY_BYTES
+from repro.service import server as server_module
+from repro.service.server import MAX_BODY_BYTES, _ServiceRequestHandler
 
 
 def _serve_then_drain(server) -> None:
@@ -416,6 +417,114 @@ class TestDisconnectReapsJobs:
             assert final["done"] == 6
             client.close()
         finally:
+            _stop(server, thread)
+
+
+class _CountingWriter:
+    """A handler's socket writer that records every write."""
+
+    def __init__(self, inner, log: list):
+        self._inner, self._log = inner, log
+
+    def write(self, data):
+        self._log.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture()
+def writes(monkeypatch) -> list:
+    """Every write the server's request handlers make, in order."""
+    log: list = []
+    setup = _ServiceRequestHandler.setup
+
+    def counting_setup(self):
+        setup(self)
+        self.wfile = _CountingWriter(self.wfile, log)
+
+    monkeypatch.setattr(_ServiceRequestHandler, "setup", counting_setup)
+    return log
+
+
+def _uploaded_client(server) -> ServiceClient:
+    client = ServiceClient(server.url)
+    client.upload_schema(name="PO1", text=PO1_DDL, format="sql")
+    client.upload_schema(name="PO2", text=PO2_XSD, format="xsd")
+    return client
+
+
+class TestOneWrite:
+    """A JSON answer leaves in one write: status line, headers and body together."""
+
+    def test_keep_alive_answers_and_errors_are_one_write_each(self, writes, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 1024)  # drained below 4x
+        server, thread = _start(pool_size=1)
+        try:
+            _uploaded_client(server).close()
+            body = json.dumps({"source": "PO1", "target": "PO2"}).encode()
+            match = b"POST /match HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+            oversized = b"POST /match HTTP/1.1\r\nContent-Length: 2048\r\n\r\n" + b" " * 2048
+            sock = _connect(server.server_port)
+            for request, expected in (
+                (match, 200), (match, 200), (b"GET /nowhere HTTP/1.1\r\n\r\n", 404),
+                (oversized, 413), (match, 200),
+            ):
+                del writes[:]
+                sock.sendall(request)
+                status, headers, answer = _read_response(sock)
+                assert (status, headers["Connection"]) == (expected, "keep-alive")
+                assert len(writes) == 1
+                assert writes[0].startswith(b"HTTP/1.1 %d " % expected)
+                assert writes[0].endswith(b"\r\n\r\n" + answer)
+            sock.close()
+        finally:
+            _stop(server, thread)
+
+    def test_an_http_0_9_request_line_is_answered_in_one_write(self, writes):
+        server, thread = _start(pool_size=1)
+        try:
+            sock = _connect(server.server_port)
+            sock.sendall(b"GET /health HTTP/0.9\r\n\r\n")
+            answer = b""
+            while chunk := sock.recv(65536):
+                answer += chunk
+            assert b'"status": "ok"' in answer
+            assert writes == [answer]
+            sock.close()
+        finally:
+            _stop(server, thread)
+
+    def test_event_stream_delivers_each_chunk_while_the_job_runs(self):
+        server, thread = _start(pool_size=1)
+        pool = server.service.pool
+        original = pool.match_many
+        gate = threading.Event()
+        chunks = []
+
+        def gated_match_many(items):
+            chunks.append(items)
+            if len(chunks) > 1:  # hold the second chunk until the first is seen
+                assert gate.wait(timeout=30)
+            return original(items)
+
+        pool.match_many = gated_match_many
+        try:
+            client = _uploaded_client(server)
+            job = client.submit_job(
+                requests=[{"source": "PO1", "target": "PO2"}] * 3, chunk_size=1)
+            events = client.stream_job(job["job"])
+            assert next(events)["event"] == "accepted"
+            first = next(events)
+            assert (first["event"], first["chunk"]) == ("progress", 1)
+            assert client.job(job["job"])["state"] == "running"
+            gate.set()
+            assert [event["event"] for event in events] == ["progress", "progress", "result"]
+            client.close()
+        finally:
+            gate.set()
+            pool.match_many = original
             _stop(server, thread)
 
 

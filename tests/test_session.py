@@ -1,11 +1,13 @@
 """Tests for the session-based public API (MatchSession)."""
 
+import collections
 import hashlib
 import json
 import struct
 
 import pytest
 
+from repro.combination import CombinationStrategy
 from repro.core.strategy import MatchStrategy, default_strategy
 from repro.datasets.generators import generate_schema, mutate_schema
 from repro.datasets.gold_standard import load_all_tasks
@@ -337,6 +339,20 @@ class TestCubeCache:
         assert calls == []  # a miss that fits and a hit: nothing evicted
         session.match(po2, po1)  # the reversed pair evicts the first cube
         assert calls == [0]
+
+    def test_a_cube_hit_runs_each_combination_step_once(self, session, po1, po2, monkeypatch):
+        # perfbench times Section 6's steps at these three seams.
+        session.match(po1, po2)
+        calls = collections.Counter()
+        for step in ("aggregate", "select", "combine_pairs"):
+            def counted(self, *args, _step=step, _original=getattr(CombinationStrategy, step)):
+                calls[_step] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(CombinationStrategy, step, counted)
+        session.match(po1, po2, strategy="All(Max,Both,MaxN(1),Average)")
+        assert session.cache_info()["cube_hits"] == 1
+        assert calls == {"aggregate": 1, "select": 1, "combine_pairs": 1}
 
 
 class TestIterate:
