@@ -25,9 +25,10 @@ _PO2_PATH = "PO2.PO2.DeliverTo.Address.City"
 def _build_cube():
     po1, po2 = load_po1(), load_po2()
     context = build_context(po1, po2)
-    cube = SimilarityCube(po1.paths(), po2.paths())
-    cube.add_layer("TypeName", TypeNameMatcher().compute(po1.paths(), po2.paths(), context))
-    cube.add_layer("NamePath", NamePathMatcher().compute(po1.paths(), po2.paths(), context))
+    cube = SimilarityCube.from_layers(po1.paths(), po2.paths(), [
+        ("TypeName", TypeNameMatcher().compute(po1.paths(), po2.paths(), context)),
+        ("NamePath", NamePathMatcher().compute(po1.paths(), po2.paths(), context)),
+    ])
     return po1, po2, cube
 
 

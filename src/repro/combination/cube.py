@@ -1,16 +1,20 @@
-"""The similarity cube: stacked per-matcher similarity matrices.
+"""The similarity cube: one ``k x m x n`` stack of per-matcher similarities.
 
 The result of the matcher execution phase with ``k`` matchers, ``m`` S1
 elements and ``n`` S2 elements is a ``k x m x n`` cube of similarity values
 (Section 3), which is kept (in the session's cache and the
 :class:`~repro.repository.store.SimilarityStore`) for the later combination
-and selection steps.  The cube keeps the matcher names so aggregation strategies
-such as ``Weighted`` can address individual layers.
+and selection steps.  The cube is that stack and nothing more: one read-only,
+C-contiguous ``float64`` array, the matcher names along its first axis (so
+aggregation strategies such as ``Weighted`` can address individual layers)
+and the two path axes.  The engine, the session's cache, the store, the
+process codec and aggregation all pass the array through as it is, and a
+cached cube cannot be changed through any of them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -20,15 +24,44 @@ from repro.model.path import SchemaPath
 
 
 class SimilarityCube:
-    """A ``k x m x n`` stack of similarity matrices, one layer per matcher."""
+    """A read-only ``k x m x n`` stack of similarities, one layer per matcher.
 
-    def __init__(self, source_paths: Sequence[SchemaPath], target_paths: Sequence[SchemaPath]):
+    The cube takes ``values`` over as its own state: a C-contiguous
+    ``float64`` array is kept as it is (and marked read-only), anything else
+    is converted once.  Callers hand over an array they no longer write.
+
+    Examples
+    --------
+    >>> from repro.datasets.figure1 import load_po1, load_po2
+    >>> a, b = load_po1().paths(), load_po2().paths()
+    >>> cube = SimilarityCube(a, b, ("Name",), np.zeros((1, len(a), len(b))))
+    >>> cube.as_array() is cube.as_array(), cube.as_array().flags.writeable
+    (True, False)
+    """
+
+    def __init__(
+        self,
+        source_paths: Sequence[SchemaPath],
+        target_paths: Sequence[SchemaPath],
+        matcher_names: Sequence[str],
+        values: np.ndarray,
+    ):
         self._source_paths: Tuple[SchemaPath, ...] = tuple(source_paths)
         self._target_paths: Tuple[SchemaPath, ...] = tuple(target_paths)
         if not self._source_paths or not self._target_paths:
             raise CombinationError("a similarity cube needs at least one path on each side")
-        self._layers: Dict[str, SimilarityMatrix] = {}
-        self._order: List[str] = []
+        self._matcher_names: Tuple[str, ...] = tuple(matcher_names)
+        if len(set(self._matcher_names)) != len(self._matcher_names):
+            raise CombinationError(
+                f"duplicate matcher names in a similarity cube: {list(self._matcher_names)}"
+            )
+        stack = np.ascontiguousarray(values, dtype=np.float64)
+        if stack.shape != self.shape:
+            raise CombinationError(
+                f"value stack shape {stack.shape} does not match the cube shape {self.shape}"
+            )
+        stack.flags.writeable = False
+        self._values = stack
 
     # -- axes ------------------------------------------------------------------
 
@@ -44,13 +77,13 @@ class SimilarityCube:
 
     @property
     def matcher_names(self) -> Tuple[str, ...]:
-        """The matcher names in insertion order (the layer axis)."""
-        return tuple(self._order)
+        """The matcher names in layer order (the first axis)."""
+        return self._matcher_names
 
     @property
     def shape(self) -> Tuple[int, int, int]:
         """The ``(k, m, n)`` cube shape."""
-        return (len(self._order), len(self._source_paths), len(self._target_paths))
+        return (len(self._matcher_names), len(self._source_paths), len(self._target_paths))
 
     # -- construction helpers --------------------------------------------------
 
@@ -61,82 +94,53 @@ class SimilarityCube:
         target_paths: Sequence[SchemaPath],
         layers: Iterable[Tuple[str, SimilarityMatrix]],
     ) -> "SimilarityCube":
-        """Build a cube from pre-computed ``(matcher name, matrix)`` pairs.
+        """Stack pre-computed ``(matcher name, matrix)`` pairs into one cube.
 
-        This is the bulk constructor used by the batch match engine, which
-        computes all layers first (possibly concurrently) and stacks them in
-        one step.
+        This is the constructor of the batch match engine, which computes
+        all layers first and stacks them in one copy.  Every matrix must be
+        defined over exactly the cube's path axes.
         """
-        cube = cls(source_paths, target_paths)
+        source_paths, target_paths = tuple(source_paths), tuple(target_paths)
+        names, arrays = [], []
         for matcher_name, matrix in layers:
-            cube.add_layer(matcher_name, matrix)
-        return cube
+            if matrix.source_paths != source_paths or matrix.target_paths != target_paths:
+                raise CombinationError(
+                    f"matrix axes of matcher {matcher_name!r} do not match the cube axes"
+                )
+            names.append(matcher_name)
+            arrays.append(matrix.values)
+        if arrays:
+            stack = np.stack(arrays)
+        else:
+            stack = np.empty((0, len(source_paths), len(target_paths)))
+        return cls(source_paths, target_paths, names, stack)
 
-    # -- layer management ----------------------------------------------------------
-
-    def add_layer(self, matcher_name: str, matrix: SimilarityMatrix) -> None:
-        """Add (or replace) the matrix produced by ``matcher_name``.
-
-        The matrix must be defined over exactly the cube's path axes.
-        """
-        if matrix.source_paths != self._source_paths or matrix.target_paths != self._target_paths:
-            raise CombinationError(
-                f"matrix axes of matcher {matcher_name!r} do not match the cube axes"
-            )
-        if matcher_name not in self._layers:
-            self._order.append(matcher_name)
-        self._layers[matcher_name] = matrix
+    # -- layers ----------------------------------------------------------------
 
     def layer(self, matcher_name: str) -> SimilarityMatrix:
-        """The matrix of one matcher."""
+        """A copy of one matcher's layer as a matrix."""
         try:
-            return self._layers[matcher_name]
-        except KeyError:
+            index = self._matcher_names.index(matcher_name)
+        except ValueError:
             raise CombinationError(f"no layer for matcher {matcher_name!r} in this cube") from None
-
-    def has_layer(self, matcher_name: str) -> bool:
-        """True if the cube contains a layer for ``matcher_name``."""
-        return matcher_name in self._layers
+        return SimilarityMatrix(self._source_paths, self._target_paths, self._values[index])
 
     def layers(self) -> Iterator[Tuple[str, SimilarityMatrix]]:
-        """Iterate over ``(matcher name, matrix)`` pairs in insertion order."""
-        for name in self._order:
-            yield name, self._layers[name]
-
-    # -- numeric views ------------------------------------------------------------------
+        """Iterate over ``(matcher name, matrix copy)`` pairs in layer order."""
+        for name, values in zip(self._matcher_names, self._values):
+            yield name, SimilarityMatrix(self._source_paths, self._target_paths, values)
 
     def as_array(self) -> np.ndarray:
-        """The full cube as a ``k x m x n`` numpy array (copy)."""
-        if not self._order:
-            raise CombinationError("cannot materialise an empty similarity cube")
-        return np.stack([self._layers[name].values for name in self._order], axis=0)
-
-    def cell(self, source: SchemaPath, target: SchemaPath) -> Dict[str, float]:
-        """All matcher-specific similarities for one ``(source, target)`` pair."""
-        return {name: self._layers[name].get(source, target) for name in self._order}
-
-    def sub_cube(
-        self,
-        source_paths: Sequence[SchemaPath],
-        target_paths: Sequence[SchemaPath],
-    ) -> "SimilarityCube":
-        """A cube restricted to subsets of the path axes (layers are re-sliced)."""
-        sub = SimilarityCube(source_paths, target_paths)
-        for name, matrix in self.layers():
-            restricted = SimilarityMatrix(source_paths, target_paths)
-            for source in source_paths:
-                for target in target_paths:
-                    restricted.set(source, target, matrix.get(source, target))
-            sub.add_layer(name, restricted)
-        return sub
+        """The cube's own read-only ``k x m x n`` array (no copy)."""
+        return self._values
 
     # -- dunder protocol --------------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._matcher_names)
 
     def __contains__(self, matcher_name: object) -> bool:
-        return isinstance(matcher_name, str) and matcher_name in self._layers
+        return matcher_name in self._matcher_names
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimilarityCube(matchers={self._order}, shape={self.shape})"
+        return f"SimilarityCube(matchers={list(self._matcher_names)}, shape={self.shape})"

@@ -10,7 +10,7 @@ indices and name ranks only.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -170,32 +170,7 @@ class SimilarityMatrix:
         rows, columns = self._positions()
         self._values[rows[source], columns[target]] = float(similarity)
 
-    def has_source(self, source: SchemaPath) -> bool:
-        """True if ``source`` is on the row axis."""
-        return source in self._positions()[0]
-
-    def has_target(self, target: SchemaPath) -> bool:
-        """True if ``target`` is on the column axis."""
-        return target in self._positions()[1]
-
-    def row(self, source: SchemaPath) -> np.ndarray:
-        """The similarity row of ``source`` over all targets (copy)."""
-        return self._values[self._positions()[0][source], :].copy()
-
-    def column(self, target: SchemaPath) -> np.ndarray:
-        """The similarity column of ``target`` over all sources (copy)."""
-        return self._values[:, self._positions()[1][target]].copy()
-
     # -- bulk operations ----------------------------------------------------------------
-
-    def fill_from(self, entries: Iterable[Tuple[SchemaPath, SchemaPath, float]]) -> None:
-        """Set many cells at once from ``(source, target, similarity)`` triples."""
-        for source, target, similarity in entries:
-            self.set(source, target, similarity)
-
-    def transposed(self) -> "SimilarityMatrix":
-        """The matrix with source and target axes swapped."""
-        return SimilarityMatrix(self._target_paths, self._source_paths, self._values.T)
 
     def ranked_targets(self, source: SchemaPath) -> List[Tuple[SchemaPath, float]]:
         """Targets ranked by descending similarity to ``source`` (ties: path order)."""
@@ -213,10 +188,6 @@ class SimilarityMatrix:
             key=lambda i: (-column[i], self._source_paths[i].names),
         )
         return [(self._source_paths[i], float(column[i])) for i in order]
-
-    def max_similarity(self) -> float:
-        """The maximum similarity anywhere in the matrix."""
-        return float(self._values.max())
 
     def nonzero_pairs(self) -> List[Tuple[SchemaPath, SchemaPath, float]]:
         """All cells with a strictly positive similarity as triples."""

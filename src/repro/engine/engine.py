@@ -217,8 +217,7 @@ class MatchEngine:
         >>> full = MatchEngine().execute(matchers, context)
         >>> part = MatchEngine().execute_partial(
         ...     matchers, context, source_rows=a.paths()[2:5])
-        >>> bool((part.layer("Leaves").values
-        ...       == full.layer("Leaves").values[2:5]).all())
+        >>> bool((part.as_array() == full.as_array()[:, 2:5]).all())
         True
         """
         return self.execute(

@@ -100,10 +100,11 @@ class TaskWorkbench:
 
     def cube_for(self, matchers: Sequence[str], variant: str) -> SimilarityCube:
         """A similarity cube containing the requested matcher layers."""
-        cube = SimilarityCube(self.task.source.paths(), self.task.target.paths())
-        for name in matchers:
-            cube.add_layer(name, self.layer(name, variant))
-        return cube
+        return SimilarityCube.from_layers(
+            self.task.source.paths(),
+            self.task.target.paths(),
+            [(name, self.layer(name, variant)) for name in matchers],
+        )
 
 
 class EvaluationCampaign:

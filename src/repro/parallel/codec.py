@@ -13,9 +13,9 @@ followed by raw buffers, so
   -- the property the differential test suite locks down);
 * the parent and worker only need to agree on this module, not on the pickle
   compatibility of every model class;
-* decoding cost is one JSON parse plus ``np.frombuffer`` views; rebuilt cube
-  arrays are *copied out of the frame*, so they are always writable -- never
-  a read-only view into the receive buffer.
+* decoding cost is one JSON parse plus ``np.frombuffer`` views; a rebuilt
+  cube's stack is copied out of the frame once, so a cached cube never keeps
+  a whole batch frame alive.
 
 Frame layout (all integers big-endian)::
 
@@ -75,7 +75,8 @@ def encode_frame(header: Dict[str, object], buffers: Sequence[object] = ()) -> b
     ]
     for item in buffers:
         if isinstance(item, np.ndarray):
-            data = np.ascontiguousarray(item, dtype=np.float64).tobytes()
+            # A byte view of the array: the join below is its only copy.
+            data = np.ascontiguousarray(item, dtype=np.float64).reshape(-1).view(np.uint8)
         else:
             data = bytes(item)
         parts.append(_BUFFER_LENGTH.pack(len(data)))
@@ -197,12 +198,11 @@ def rebuild_outcome(
             f"mutated mid-request?"
         )
     cube_index, aggregated_index, sims_index = (int(i) for i in item["buffers"])
-    # Copied out of the frame (bytearray), so the cube and aggregated matrix
-    # fed into downstream caches and stores are writable, never a read-only
-    # view into the connection's receive buffer.
-    stack = np.frombuffer(bytearray(buffers[cube_index]), dtype=np.float64).reshape(shape)
+    # The stack is copied out of the frame, so the cached cube does not keep
+    # the whole receive buffer alive; the aggregated matrix copies its own.
+    stack = np.frombuffer(buffers[cube_index], dtype=np.float64).reshape(shape).copy()
     aggregated_values = np.frombuffer(
-        bytearray(buffers[aggregated_index]), dtype=np.float64
+        buffers[aggregated_index], dtype=np.float64
     ).reshape(shape[1], shape[2])
     sims = np.frombuffer(buffers[sims_index], dtype=np.float64)
     pairs = list(item["pairs"])
@@ -211,14 +211,7 @@ def rebuild_outcome(
             f"match worker returned {len(sims)} similarities for "
             f"{len(pairs)} correspondences"
         )
-    cube = SimilarityCube.from_layers(
-        source_paths,
-        target_paths,
-        (
-            (name, SimilarityMatrix(source_paths, target_paths, stack[index]))
-            for index, name in enumerate(matcher_names)
-        ),
-    )
+    cube = SimilarityCube(source_paths, target_paths, matcher_names, stack)
     aggregated = SimilarityMatrix(source_paths, target_paths, aggregated_values)
     for row, column in pairs:
         if not (0 <= row < shape[1] and 0 <= column < shape[2]):

@@ -16,11 +16,11 @@ restarts.  A :class:`SimilarityStore` is a small SQLite database holding
   re-tokenizing names it has seen in any earlier run.
 
 Stacks at or above the store's ``mmap_threshold`` move out of SQLite into a
-side file next to the database (``<path>.blobs/<key>.cube``) and are read
-back through ``np.memmap`` in copy-on-write mode: pages fault in lazily, and
-the mapped array is writable without touching the file.  Inline blobs are
-copied into a writable buffer at the load boundary, so every loaded cube --
-whatever its tier -- can be mutated in place by downstream code.
+side file next to the database (``<path>.blobs/<key>.cube``), read back
+through ``np.memmap`` and copied out of the mapping once its crc32 checks,
+so a cached cube holds no file descriptor.  An inline payload becomes the
+cube's stack as it is read.  Either way the loaded stack is the cube's own
+read-only array, like a computed one.
 
 Everything is **content-addressed**: cube keys are SHA-256 digests of
 ``(source schema content, target schema content, matcher usage, linguistic
@@ -55,7 +55,6 @@ from repro import faults
 
 from repro.auxiliary.synonyms import SynonymDictionary, TermRelationship
 from repro.combination.cube import SimilarityCube
-from repro.combination.matrix import SimilarityMatrix
 from repro.exceptions import RepositoryError
 from repro.linguistic.tokenizer import NameTokenizer
 from repro.model.datatypes import TypeCompatibilityTable
@@ -278,8 +277,9 @@ class SimilarityStore:
     mmap_threshold:
         Payloads of at least this many bytes are written to an mmap-backed
         side file (``<path>.blobs/<key>.cube``) instead of an inline SQLite
-        blob, and read back lazily through ``np.memmap`` in copy-on-write
-        mode.  ``None`` disables the tier (in-memory stores always inline).
+        blob, and read back through ``np.memmap``, copied out of the mapping
+        once its crc32 checks.  ``None`` disables the tier (in-memory stores
+        always inline).
     readonly:
         Open for inspection only (``coma stats --store``): the file is
         opened ``mode=ro`` (a missing path fails instead of creating an
@@ -396,9 +396,6 @@ class SimilarityStore:
         ``info()["corrupt"]`` / ``["quarantined"]`` before degrading to the
         same miss-and-recompute path.  Legacy ``CBH2`` blobs stay readable
         without verification.
-
-        The returned float64 stack is always *writable*: inline payloads are
-        copied out of the blob, external payloads are mapped copy-on-write.
         """
         try:
             faults.fault_point("store.load", key=key)
@@ -425,13 +422,9 @@ class SimilarityStore:
             with self._lock:
                 self._misses += 1
             return None
-        layers = [
-            (name, SimilarityMatrix(source_paths, target_paths, stack[index]))
-            for index, name in enumerate(matcher_names)
-        ]
         with self._lock:
             self._hits += 1
-        return SimilarityCube.from_layers(source_paths, target_paths, layers)
+        return SimilarityCube(source_paths, target_paths, matcher_names, stack)
 
     def _decode_blob(
         self, key: str, blob: bytes, shape: Tuple[int, ...]
@@ -469,7 +462,7 @@ class SimilarityStore:
             if crc is not None and zlib.crc32(payload) != crc:
                 raise _CorruptBlob("inline payload crc32 mismatch")
             try:
-                return np.frombuffer(bytearray(payload), dtype=np.float64).reshape(shape)
+                return np.frombuffer(payload, dtype=np.float64).reshape(shape)
             except ValueError as error:
                 raise _CorruptBlob(f"inline payload undecodable: {error}") from error
         side_path = self._side_path(key)
@@ -482,16 +475,10 @@ class SimilarityStore:
             raise _CorruptBlob(
                 f"side file holds {actual_bytes} bytes, expected {expected_bytes}"
             )
-        # mode="c" (copy-on-write): pages fault in lazily and writes land in
-        # private memory, so the mapped stack is writable like any other.
-        mapped = np.memmap(side_path, dtype=np.float64, mode="c")
+        mapped = np.memmap(side_path, dtype=np.float64, mode="r")
         if crc is not None:
-            # Verification necessarily pages the whole file in -- the
-            # integrity guarantee costs the mmap tier its laziness on first
-            # read (documented trade-off; pages stay resident for the reuse
-            # that follows).  The armed-plan branch materialises bytes only
-            # for injection; the production path checksums the mapping
-            # buffer directly, copy-free.
+            # The armed-plan branch materialises bytes only for injection;
+            # the production path checksums the mapping buffer directly.
             if faults.active_plan() is not None:
                 verified = faults.fault_bytes(
                     "store.side.read", mapped.tobytes(), key=key
@@ -500,7 +487,9 @@ class SimilarityStore:
                 verified = mapped
             if zlib.crc32(verified) != crc:
                 raise _CorruptBlob("side file crc32 mismatch")
-        return mapped.reshape(shape)
+        # One copy out of the mapping: a live np.memmap holds a duplicated
+        # file descriptor, which a cached cube must not keep.
+        return np.array(mapped, dtype=np.float64).reshape(shape)
 
     def _quarantine(self, key: str, reason: str) -> None:
         """Remove one corrupt cube row (and side file) and count the event.
@@ -544,8 +533,8 @@ class SimilarityStore:
         the ``store.blob.write`` fault seam -- is caught on the next read.
         """
         faults.fault_point("store.write", key=key)
-        stack = cube.as_array()  # k x m x n float64, C-order
-        payload = np.ascontiguousarray(stack, dtype=np.float64).tobytes()
+        stack = cube.as_array()  # the cube's own k x m x n float64 array, C-order
+        payload = stack.tobytes()
         external = (
             self._path != ":memory:"
             and self._mmap_threshold is not None

@@ -574,19 +574,24 @@ class SchemaCorpus:
         """
         faults.fault_point("corpus.load", key=name)
         with self._lock:
+            # The document is read only on a miss of the loaded-schema cache.
             row = self._connection.execute(
-                "SELECT schema_id, digest, document FROM corpus_schemas "
-                "WHERE name = ?",
-                (name,),
+                "SELECT schema_id, digest FROM corpus_schemas WHERE name = ?", (name,)
             ).fetchone()
+            if row is not None:
+                cached = self._loaded.get(int(row[0]))
+                if cached is not None and cached[0] == row[1]:
+                    return cached[1]
+                row = self._connection.execute(
+                    "SELECT schema_id, digest, document FROM corpus_schemas "
+                    "WHERE name = ?",
+                    (name,),
+                ).fetchone()
             if row is None:
                 raise SearchError(
                     f"no schema named {name!r} in corpus {self._path!r}"
                 )
             schema_id, digest = int(row[0]), row[1]
-            cached = self._loaded.get(schema_id)
-            if cached is not None and cached[0] == digest:
-                return cached[1]
         schema = schema_from_json(row[2])
         with self._lock:
             self._loaded[schema_id] = (digest, schema)

@@ -123,10 +123,11 @@ class MatchService:
     corpus_path:
         Optional schema corpus (:class:`~repro.search.corpus.SchemaCorpus`
         SQLite file, or ``":memory:"``) enabling the ``POST /search`` /
-        ``GET /corpus`` endpoints.  It also keeps the uploaded schemas
-        (:meth:`schema` looks there second), so a service restarted on the
-        same file still lists, matches and searches them; survivor
-        matching fans out over the configured backend.  See
+        ``GET /corpus`` endpoints.  It is then the schema registry: uploads
+        and deletes write it, every lookup reads it, so a service restarted
+        on the same file still lists, matches and searches its schemas, and
+        a schema another process removes from the file is gone here too.
+        Survivor matching fans out over the configured backend.  See
         ``docs/search.md``.
     importers:
         The importer registry resolving upload formats (default: the
@@ -248,6 +249,7 @@ class MatchService:
             )
             self._searcher = CorpusSearcher(self._search_session, self._corpus)
         self._importers = importers if importers is not None else DEFAULT_IMPORTERS
+        #: The schema registry of a service with no corpus.
         self._schemas: Dict[str, Schema] = {}
         self._strategies: Dict[str, MatchStrategy] = {}
         #: Spec string -> its parsed strategy, shared like the stored ones.
@@ -280,13 +282,17 @@ class MatchService:
         return self._jobs
 
     def schema(self, name: str) -> Schema:
-        """The schema registered under ``name``, in memory or else in the corpus.
+        """The schema registered under ``name``.
+
+        With a corpus attached, the corpus is the registry, so a schema that
+        another process adds, replaces or removes in the shared file is seen
+        here on the next lookup; without one, the in-memory dict is.
 
         Raises
         ------
         ServiceError
-            With status 404 when neither holds the name, 503 when the corpus
-            cannot be read.
+            With status 404 when the registry lacks the name, 503 when the
+            corpus cannot be read.
         """
         schema = self._find_schema(name)
         if schema is None:
@@ -297,41 +303,38 @@ class MatchService:
         return schema
 
     def _find_schema(self, name: str) -> Optional[Schema]:
-        with self._state_lock:
-            schema = self._schemas.get(name)
-        if schema is None and self._corpus is not None:
-            with self._corpus_guard():
-                if self._corpus.has(name):
-                    schema = self._corpus.load(name)
-        return schema
+        if self._corpus is None:
+            with self._state_lock:
+                return self._schemas.get(name)
+        with self._corpus_guard():
+            try:
+                return self._corpus.load(name)
+            except SearchError:  # no schema of that name
+                return None
 
     def schema_names(self) -> Tuple[str, ...]:
-        """Sorted names of all registered schemas (memory + corpus)."""
-        with self._state_lock:
-            names = set(self._schemas)
-        if self._corpus is not None:
-            with self._corpus_guard():
-                names.update(self._corpus.names())
-        return tuple(sorted(names))
+        """Sorted names of all registered schemas."""
+        if self._corpus is None:
+            with self._state_lock:
+                return tuple(sorted(self._schemas))
+        with self._corpus_guard():
+            return self._corpus.names()
 
     def register_schema(self, schema: Schema) -> bool:
-        """Register a schema under its own name; True when it replaced one.
-
-        An attached corpus is written first, so a failed write changes nothing.
-        """
-        replaced = False
+        """Register a schema under its own name; True when it replaced one."""
         with self._registry_lock:
-            if self._corpus is not None:
-                with self._corpus_guard():
-                    replaced = self._corpus.has(schema.name)
-                    self._corpus.add(
-                        schema,
-                        replace=True,
-                        profile=self._search_session.profile_for(schema),
-                    )
-            with self._state_lock:
-                replaced = schema.name in self._schemas or replaced
-                self._schemas[schema.name] = schema
+            if self._corpus is None:
+                with self._state_lock:
+                    replaced = schema.name in self._schemas
+                    self._schemas[schema.name] = schema
+                return replaced
+            with self._corpus_guard():
+                replaced = self._corpus.has(schema.name)
+                with self._search_session.transient_profile(schema) as profile:
+                    self._corpus.add(schema, replace=True, profile=profile)
+                # Lookups answer with the corpus's copy of the schema, so the
+                # search session keeps the profile of that copy warm.
+                self._search_session.profile_for(self._corpus.load(schema.name))
         return replaced
 
     def resolve_strategy(self, reference: StrategyLike) -> Optional[MatchStrategy]:
@@ -687,13 +690,13 @@ class MatchService:
         }
 
     def _delete_schema(self, name: str) -> Tuple[int, dict]:
-        removed = False
         with self._registry_lock:
-            if self._corpus is not None:
+            if self._corpus is None:
+                with self._state_lock:
+                    removed = self._schemas.pop(name, None) is not None
+            else:
                 with self._corpus_guard():
                     removed = self._corpus.remove(name)
-            with self._state_lock:
-                removed = self._schemas.pop(name, None) is not None or removed
         if not removed:
             raise ServiceError(f"no schema named {name!r}", status=404)
         return 200, {"deleted": name}
@@ -1128,6 +1131,18 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         if getattr(self.server, "verbose", False):  # pragma: no cover - ops aid
             super().log_message(format, *args)
 
+    def parse_request(self) -> bool:
+        """Parse the request head, reading an explicit ``HTTP/0.9`` line as HTTP/1.0.
+
+        ``http.server`` would answer HTTP/0.9 with the bare body, where an
+        error cannot be told from a success; HTTP/1.0 gets a status line and
+        headers, also for an error found later in the head, and still closes.
+        """
+        words = self.raw_requestline.split()
+        if len(words) >= 3 and words[-1] == b"HTTP/0.9":
+            self.raw_requestline = b" ".join(words[:-1] + [b"HTTP/1.0"]) + b"\r\n"
+        return super().parse_request()
+
     def setup(self) -> None:
         super().setup()
         self.rfile.close()  # replaced by a reader that enforces the request deadline
@@ -1226,9 +1241,6 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         if status == 429:  # only admission refuses with 429
             self.send_header("Retry-After", "1")
         self.send_header("Connection", "close" if self.close_connection else "keep-alive")
-        if self.request_version == "HTTP/0.9":  # no head was buffered: the bare body
-            self.wfile.write(body)
-            return
         # end_headers() would write the head alone: the status line, headers
         # and body leave in one write, so the client wakes once per answer.
         self._headers_buffer.extend((b"\r\n", body))

@@ -69,7 +69,6 @@ import numpy as np
 
 from repro.auxiliary.synonyms import SynonymDictionary, default_purchase_order_synonyms
 from repro.combination.cube import SimilarityCube
-from repro.combination.matrix import SimilarityMatrix
 from repro.core.match_operation import MatchOutcome, build_context, combine_cube
 from repro.core.processor import MatchProcessor
 from repro.core.strategy import MatchStrategy, default_strategy
@@ -1047,20 +1046,19 @@ class MatchSession:
             delta.changed, dtype=np.intp, count=len(delta.changed)
         )
         source_axis, target_axis = new_source.paths(), new_target.paths()
-        layers = []
-        for name in expected_layers:
-            previous_values = prev_cube.layer(name).values
-            values = np.empty((len(source_axis), len(target_axis)), dtype=float)
-            if side == "source":
-                values[reused_new] = previous_values[reused_old]
-                if partial is not None:
-                    values[changed] = partial.layer(name).values
-            else:
-                values[:, reused_new] = previous_values[:, reused_old]
-                if partial is not None:
-                    values[:, changed] = partial.layer(name).values
-            layers.append((name, SimilarityMatrix(source_axis, target_axis, values)))
-        cube = SimilarityCube.from_layers(source_axis, target_axis, layers)
+        previous_values = prev_cube.as_array()
+        values = np.empty(
+            (len(expected_layers), len(source_axis), len(target_axis)), dtype=np.float64
+        )
+        if side == "source":
+            values[:, reused_new] = previous_values[:, reused_old]
+            if partial is not None:
+                values[:, changed] = partial.as_array()
+        else:
+            values[:, :, reused_new] = previous_values[:, :, reused_old]
+            if partial is not None:
+                values[:, :, changed] = partial.as_array()
+        cube = SimilarityCube(source_axis, target_axis, expected_layers, values)
 
         # -- publish exactly like a computed cube ------------------------------
         with self._lock:
@@ -1272,17 +1270,18 @@ class MatchSession:
             },
         )
         cube = self._engine.execute(first.strategy.resolve_matchers(self._library), context)
+        stack = cube.as_array()
         start = 0
         for same in chunk:
             target_paths = same[0].key[1]
             stop = start + len(target_paths)
-            part = SimilarityCube.from_layers(
+            # One contiguous copy of the target's columns: the published cube
+            # keeps no view into the whole chunk's stack.
+            part = SimilarityCube(
                 source_paths,
                 target_paths,
-                [
-                    (name, SimilarityMatrix(source_paths, target_paths, matrix.values[:, start:stop]))
-                    for name, matrix in cube.layers()
-                ],
+                cube.matcher_names,
+                np.ascontiguousarray(stack[:, :, start:stop]),
             )
             start = stop
             part = self._publish(same[0].key, part, store, same[0].store_key)

@@ -75,13 +75,6 @@ class TestSimilarityMatrix:
         ranked_sources = matrix.ranked_sources(targets[1])
         assert ranked_sources[0][0] == sources[0]
 
-    def test_transposed(self, axes):
-        sources, targets = axes
-        matrix = SimilarityMatrix(sources, targets)
-        matrix.set(sources[1], targets[0], 0.5)
-        transposed = matrix.transposed()
-        assert transposed.get(targets[0], sources[1]) == 0.5
-
     def test_values_read_only(self, axes):
         sources, targets = axes
         matrix = SimilarityMatrix(sources, targets)
@@ -91,49 +84,67 @@ class TestSimilarityMatrix:
     def test_nonzero_pairs_and_fill_from(self, axes):
         sources, targets = axes
         matrix = SimilarityMatrix(sources, targets)
-        matrix.fill_from([(sources[0], targets[0], 0.4), (sources[2], targets[1], 0.6)])
-        assert len(matrix.nonzero_pairs()) == 2
-        assert matrix.max_similarity() == 0.6
+        matrix.set(sources[0], targets[0], 0.4)
+        matrix.set(sources[2], targets[1], 0.6)
+        assert matrix.nonzero_pairs() == [
+            (sources[0], targets[0], 0.4), (sources[2], targets[1], 0.6)
+        ]
 
 
 class TestSimilarityCube:
     def test_layers_and_cell(self, axes):
         sources, targets = axes
-        cube = SimilarityCube(sources, targets)
-        cube.add_layer("Name", SimilarityMatrix.filled(sources, targets, 0.4))
-        cube.add_layer("DataType", SimilarityMatrix.filled(sources, targets, 0.8))
+        cube = SimilarityCube.from_layers(sources, targets, [
+            ("Name", SimilarityMatrix.filled(sources, targets, 0.4)),
+            ("DataType", SimilarityMatrix.filled(sources, targets, 0.8)),
+        ])
         assert cube.matcher_names == ("Name", "DataType")
         assert cube.shape == (2, 3, 2)
-        assert cube.cell(sources[0], targets[0]) == {"Name": 0.4, "DataType": 0.8}
-        assert "Name" in cube
+        assert cube.as_array()[:, 0, 0].tolist() == [0.4, 0.8]
+        assert [name for name, _ in cube.layers()] == ["Name", "DataType"]
+        assert cube.layer("DataType").get(sources[0], targets[0]) == 0.8
+        assert "Name" in cube and "Other" not in cube
 
     def test_axis_mismatch_rejected(self, axes):
         sources, targets = axes
-        cube = SimilarityCube(sources, targets)
         with pytest.raises(CombinationError):
-            cube.add_layer("bad", SimilarityMatrix.filled(sources[:2], targets, 0.5))
+            SimilarityCube.from_layers(
+                sources, targets, [("bad", SimilarityMatrix.filled(sources[:2], targets, 0.5))]
+            )
+        with pytest.raises(CombinationError):
+            SimilarityCube(sources, targets, ("Name",), np.zeros((1, 2, 2)))
+        with pytest.raises(CombinationError):
+            SimilarityCube(sources, targets, ("Name", "Name"), np.zeros((2, 3, 2)))
 
     def test_missing_layer(self, axes):
         sources, targets = axes
-        cube = SimilarityCube(sources, targets)
+        cube = SimilarityCube.from_layers(sources, targets, [])
         with pytest.raises(CombinationError):
             cube.layer("Name")
 
-    def test_sub_cube(self, axes):
+    def test_the_stack_is_the_cube_and_read_only(self, axes):
         sources, targets = axes
-        cube = SimilarityCube(sources, targets)
-        cube.add_layer("Name", SimilarityMatrix.filled(sources, targets, 0.4))
-        sub = cube.sub_cube(sources[:1], targets[:1])
-        assert sub.shape == (1, 1, 1)
+        cube = SimilarityCube.from_layers(
+            sources, targets, [("Name", SimilarityMatrix.filled(sources, targets, 0.4))]
+        )
+        stack = cube.as_array()
+        assert cube.as_array() is stack
+        assert stack.flags.c_contiguous and stack.dtype == np.float64
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 1.0
+        # A layer is a copy: writing it leaves the cube as it was.
+        layer = cube.layer("Name")
+        layer.set(sources[0], targets[0], 1.0)
+        assert stack[0, 0, 0] == 0.4
 
 
 class TestAggregation:
     def _cube(self, axes):
         sources, targets = axes
-        cube = SimilarityCube(sources, targets)
-        cube.add_layer("m1", SimilarityMatrix.filled(sources, targets, 0.2))
-        cube.add_layer("m2", SimilarityMatrix.filled(sources, targets, 0.8))
-        return cube
+        return SimilarityCube.from_layers(sources, targets, [
+            ("m1", SimilarityMatrix.filled(sources, targets, 0.2)),
+            ("m2", SimilarityMatrix.filled(sources, targets, 0.8)),
+        ])
 
     def test_max_min_average(self, axes):
         cube = self._cube(axes)
@@ -165,7 +176,7 @@ class TestAggregation:
     def test_empty_cube_rejected(self, axes):
         sources, targets = axes
         with pytest.raises(CombinationError):
-            MAX.aggregate(SimilarityCube(sources, targets))
+            MAX.aggregate(SimilarityCube.from_layers(sources, targets, []))
 
     def test_by_name(self):
         assert aggregation_by_name("max") is MAX
@@ -333,10 +344,9 @@ class TestCombinationStrategy:
 
     def test_run_pipeline(self, axes):
         sources, targets = axes
-        cube = SimilarityCube(sources, targets)
         matrix = SimilarityMatrix(sources, targets)
         matrix.set(sources[0], targets[0], 0.9)
-        cube.add_layer("Name", matrix)
+        cube = SimilarityCube.from_layers(sources, targets, [("Name", matrix)])
         strategy = default_combination()
         selected = strategy.select(strategy.aggregate(cube))
         similarity = strategy.combine_pairs(selected, len(sources), len(targets))

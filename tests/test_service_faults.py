@@ -204,6 +204,22 @@ class TestMalformedInput:
         finally:
             _stop(server, thread)
 
+    def test_an_http_0_9_request_line_gets_a_status_line_and_headers(self):
+        server, thread = _start(pool_size=1)
+        try:
+            sock = _connect(server.server_port)
+            sock.sendall(b"GET /nowhere HTTP/0.9\r\n\r\n")
+            answer = b""
+            while chunk := sock.recv(65536):  # the server closes after the answer
+                answer += chunk
+            head, _, body = answer.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 404 ")
+            assert b"Connection: close" in head
+            assert json.loads(body) == {"error": "unknown route /nowhere"}
+            sock.close()
+        finally:
+            _stop(server, thread)
+
 
 class TestBackpressure:
     def test_queue_full_answers_429_with_retry_after_immediately(self):

@@ -1,9 +1,10 @@
 """The service's schema registry with a corpus attached: durable across restarts.
 
-With ``corpus_path``, every endpoint finds a schema in memory or else in the
-corpus, and uploads and deletes write the corpus first.  These tests restart
-a service on the same files, fail the corpus under it, and race a delete
-against an upload of the same name.
+With ``corpus_path``, the corpus is the registry: every endpoint finds a
+schema there, and uploads and deletes write it.  These tests restart a
+service on the same files, change the file through a second handle, fail the
+corpus under the service, and race a delete against an upload of the same
+name.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import threading
 
 from repro import faults
 from repro.datasets.figure1 import PO1_DDL, PO2_XSD
+from repro.importers.registry import DEFAULT_IMPORTERS
 from repro.search import SchemaCorpus
 from repro.service import MatchService
 
@@ -93,6 +95,28 @@ class TestDurableRegistry:
             assert (status, payload["replaced"]) == (200, True)
         finally:
             second.close()
+
+    def test_another_handle_on_the_file_changes_the_registry(self, tmp_path):
+        path = str(tmp_path / "corpus.db")
+        service = MatchService(pool_size=1, corpus_path=path)
+        try:
+            _upload_po_schemas(service)
+            with SchemaCorpus(path) as other:
+                assert other.remove("PO2")
+            status, payload = service.handle_request("GET", "/schemas", None)
+            assert [entry["name"] for entry in payload["schemas"]] == ["PO1"]
+            status, _ = service.handle_request(
+                "POST", "/match", {"source": "PO1", "target": "PO2"}
+            )
+            assert status == 404
+            remark = '<xsd:element name="Remark" type="xsd:string"/>'
+            wider = PO2_XSD.replace("</xsd:sequence>", f"  {remark}\n    </xsd:sequence>", 1)
+            with SchemaCorpus(path) as other:
+                other.add(DEFAULT_IMPORTERS.by_format("xsd").import_text(wider, "PO2"))
+            status, payload = service.handle_request("GET", "/schemas/PO2", None)
+            assert (status, payload["paths"]) == (200, 12)
+        finally:
+            service.close()
 
     def test_failed_corpus_write_leaves_the_registry_as_it_was(self, monkeypatch):
         service = MatchService(pool_size=1, corpus_path=":memory:")

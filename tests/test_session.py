@@ -354,6 +354,22 @@ class TestCubeCache:
         assert session.cache_info()["cube_hits"] == 1
         assert calls == {"aggregate": 1, "select": 1, "combine_pairs": 1}
 
+    def test_a_cached_cube_cannot_be_changed_through_an_outcome(self, session, po1, po2):
+        spec = "Name(Max,Both,Thr(0.5),Average)"
+        first = session.match(po1, po2, strategy=spec)
+        layer = first.cube.layer("Name")
+        for source in po1.paths():
+            for target in po2.paths():
+                layer.set(source, target, 1.0)
+        again = session.match(po1, po2, strategy=spec)
+        assert session.cache_info()["cube_hits"] == 1
+        assert _rows(again) == _rows(first)
+        assert again.schema_similarity == first.schema_similarity
+        stack = first.cube.as_array()
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 1.0
+
 
 class TestIterate:
     def test_feedback_loop_through_session(self, session, po1, po2):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -481,6 +483,24 @@ class TestMmapTier:
             assert np.array_equal(
                 loaded.as_array(), matched_outcome.cube.as_array()
             )
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd"
+    )
+    def test_cached_side_file_cubes_hold_no_descriptors(self, store_path, matched_outcome):
+        # A live np.memmap holds a duplicated descriptor of its file: a cube
+        # that kept its mapping would hold one per cached cube.
+        source_paths, target_paths = load_po1().paths(), load_po2().paths()
+        keys = [f"key{index}" for index in range(40)]
+        with SimilarityStore(store_path, writer=False, mmap_threshold=0) as store:
+            for key in keys:
+                store_one(store, matched_outcome, key=key)
+            before = len(os.listdir("/proc/self/fd"))
+            cached = [store.load_cube(key, source_paths, target_paths) for key in keys]
+            assert len(os.listdir("/proc/self/fd")) <= before
+            assert store.info()["external"] == 40
+            for cube in cached:
+                assert cube.as_array().tobytes() == matched_outcome.cube.as_array().tobytes()
 
 
 class TestRetiredEncodings:
