@@ -8,16 +8,18 @@ Three sweeps are recorded:
 
 1. **Client scaling (thread backend).**  For each client thread count
    (1, 4, 8) a fresh in-process
-   :class:`~repro.service.server.MatchServiceServer` (pool of 8 warm
-   sessions) serves the same ``/match`` request mix -- two schema pairs (the
-   Figure 1 PO1/PO2 pair and a generated ~50-path pair) under three
-   cacheable strategies:
+   :class:`~repro.service.server.MatchServiceServer` (pool size 8: up to 8
+   matches at once on its one warm session) serves the same ``/match``
+   request mix -- two schema pairs (the Figure 1 PO1/PO2 pair and a
+   generated ~50-path pair) under three cacheable strategies that share
+   one matcher usage, so the mix has 2 distinct cube keys:
 
-   * **cold**: the first pass on a fresh server, every pooled session
-     starts with empty profile / cube caches;
+   * **cold**: the first pass on a fresh server, whose session starts with
+     empty profile / cube caches; concurrent misses of one key compute it
+     once, so the cold misses equal the 2 distinct keys;
    * **warm**: the same mix after unmeasured warm-up passes (best of two
      measured passes), so requests are predominantly served from the
-     shards' cube caches (only the combination pipeline re-runs).
+     session's cube cache (only the combination pipeline re-runs).
 
 2. **Backend sweep (thread vs process).**  For 1 / 2 / 4 workers, the same
    mix is replayed (client threads matched to the worker count) against
@@ -168,7 +170,7 @@ def _measure(
         mix = _request_mix(pairs)
 
         cold_seconds = _run_phase(server.url, mix, client_threads)
-        for _ in range(WARMUP_PASSES):  # fill every shard's cube cache
+        for _ in range(WARMUP_PASSES):  # fill the session's cube cache
             _run_phase(server.url, mix, client_threads)
         warm_seconds = min(
             _run_phase(server.url, mix, client_threads) for _ in range(2)
@@ -337,7 +339,7 @@ def collect_latency_sweep() -> dict:
     try:
         client = ServiceClient(server.url)
         mix = _request_mix(_upload_workload(client))
-        for _ in range(WARMUP_PASSES):  # fill every shard's cube cache
+        for _ in range(WARMUP_PASSES):  # fill the session's cube cache
             _run_phase(server.url, mix, POOL_SIZE)
         client.close()
         return {
@@ -359,7 +361,7 @@ def collect_results() -> dict:
         "description": (
             "HTTP match service over loopback: /match requests/sec at "
             "1/4/8 client threads, cold vs warm cache "
-            f"(pool of {POOL_SIZE} sessions, {REQUESTS_PER_PHASE} requests per "
+            f"(pool size {POOL_SIZE}, {REQUESTS_PER_PHASE} requests per "
             f"phase), plus a thread-vs-process backend sweep at "
             f"{'/'.join(str(w) for w in BACKEND_WORKERS)} workers and warm "
             f"p50/p99 latency at "
@@ -426,8 +428,8 @@ def test_service_throughput():
         assert numbers["cube_hits"] > numbers["cube_misses"]
     # Scaling clients 1 -> 8 must not collapse throughput: flat is the
     # single-core ceiling (GIL-bound match work), multi-core machines gain.
-    # The pre-fix failure mode this guards was a 4-5x collapse (convoying on
-    # one pool shard + dropped connection bursts).
+    # The failure mode this guards was a 4-5x collapse (requests convoying
+    # on one pool worker + dropped connection bursts).
     assert results["warm_scaling_1_to_8"] >= 0.75, (
         f"warm throughput collapsed under concurrency: "
         f"{results['warm_scaling_1_to_8']}x"

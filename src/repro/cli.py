@@ -184,12 +184,13 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--port", type=int, default=8765,
                               help="bind port (default 8765; 0 picks an ephemeral port)")
     serve_parser.add_argument("--workers", type=int, default=4,
-                              help="number of warm workers: pooled sessions for "
-                                   "--backend thread, worker processes for "
-                                   "--backend process (default 4)")
+                              help="how many matches run at once: requests "
+                                   "sharing one warm session for --backend "
+                                   "thread, worker processes for --backend "
+                                   "process (default 4)")
     serve_parser.add_argument("--backend", default="thread",
                               help="execution backend: 'thread' (one process, "
-                                   "pooled sessions) or 'process' (spawned worker "
+                                   "one shared session) or 'process' (spawned worker "
                                    "processes; warm throughput scales with the "
                                    "cores instead of the GIL)")
     serve_parser.add_argument("--repository", default=None,
@@ -327,11 +328,9 @@ def _command_rematch(arguments: argparse.Namespace) -> int:
             # No persistent store: establish the previous result in-process so
             # the splice has something to reuse (it lands in the cube cache).
             previous = session.match(old, target, strategy=strategy)
-        before = session.cache_info()
-        outcome = session.rematch(
+        outcome, spliced = session._rematch(
             old, new, previous_result=previous, target=target, strategy=strategy
         )
-        after = session.cache_info()
         rows = [
             {
                 "source": correspondence.source.dotted(),
@@ -345,7 +344,6 @@ def _command_rematch(arguments: argparse.Namespace) -> int:
         from repro.model.digests import schema_delta
 
         delta = schema_delta(old, new)
-        spliced = after["rematch_spliced"] > before["rematch_spliced"]
         print(f"\nstrategy:          {outcome.strategy.to_spec()}")
         print(f"schema similarity: {outcome.schema_similarity:.3f}")
         print(f"correspondences:   {len(rows)}")

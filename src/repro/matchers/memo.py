@@ -12,7 +12,7 @@ results process-wide, keyed by ``(kernel key, name pair)`` where the kernel
 key identifies the matcher and its configuration (e.g.
 ``("EditDistance", 2, False)``) and the name pair is interned via
 :func:`sys.intern` so repeated names share storage.  The pool is shared by all
-sessions, operations and service shards of one process, so an all-pairs
+sessions, operations and service requests of one process, so an all-pairs
 campaign over ``n`` schemas evaluates each distinct (kernel, name pair) once
 instead of once per schema pair.
 
@@ -235,7 +235,7 @@ class KernelMemoPool:
         )
 
 
-#: The pool shared by every matcher of the process (sessions, service shards,
+#: The pool shared by every matcher of the process (sessions, service requests,
 #: the evaluation harness).  Entries are content-addressed, so sharing across
 #: unrelated workloads is always safe.
 DEFAULT_MEMO_POOL = KernelMemoPool()

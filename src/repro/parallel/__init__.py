@@ -1,8 +1,8 @@
 """Process-parallel match execution: break the GIL ceiling, keep byte-identity.
 
 The warm HTTP service throughput flat-lines under concurrent clients because
-every :class:`~repro.service.pool.SessionPool` shard shares one interpreter --
-the GIL, not the hardware, is the ceiling.  Composite matching is
+the thread backend's :class:`~repro.service.pool.SessionPool` runs every
+request in one interpreter -- the GIL, not the hardware, is the ceiling.  Composite matching is
 embarrassingly parallel across schema pairs, so this package adds a
 **process** execution backend:
 

@@ -267,9 +267,10 @@ class ProcessSessionPool:
     def idle(self) -> int:
         """How many workers are free right now (``size`` when fully idle).
 
-        Mirrors :attr:`SessionPool.idle
-        <repro.service.pool.SessionPool.idle>` so ``/stats`` and leak checks
-        read either backend the same way.
+        Read like :attr:`SessionPool.idle
+        <repro.service.pool.SessionPool.idle>` (``size`` minus the running
+        matches), so ``/stats`` and leak checks read either backend the same
+        way.
         """
         with self._condition:
             return len(self._free)
@@ -795,8 +796,9 @@ class ProcessSessionPool:
     def cache_info(self) -> Dict[str, object]:
         """Aggregated cache statistics over all workers.
 
-        Mirrors :meth:`repro.service.pool.SessionPool.cache_info` -- the same
-        ``shards`` list and summed totals -- plus ``backend`` and a
+        Mirrors :meth:`repro.service.pool.SessionPool.cache_info` -- a
+        ``shards`` list (one entry per worker here, one session there) and
+        summed totals -- plus ``backend`` and a
         ``workers`` list with per-process pid / request counters, which is
         what ``GET /stats`` exposes for the process backend.
         """

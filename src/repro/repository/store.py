@@ -33,7 +33,7 @@ Stale reads are impossible by construction.
 Writes go through a background writer thread (:meth:`SimilarityStore.flush`
 drains it), so a match request never waits on the disk; reads happen inline
 on the caller thread under the store's lock.  One store may be shared by many
-sessions and threads (the service attaches one store to every pool shard).
+sessions and threads (the service attaches one store to its worker session).
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ reuse win) to live *behind* a network boundary.  This package provides that:
 
 * :class:`~repro.service.server.MatchService` -- the transport-agnostic core:
   schema registry, strategy registry, and a
-  :class:`~repro.service.pool.SessionPool` of lock-guarded worker sessions;
+  :class:`~repro.service.pool.SessionPool` serving every request from one
+  thread-safe warm session (or worker processes, on the process backend);
 * :class:`~repro.service.server.MatchServiceServer` /
   :func:`~repro.service.server.create_server` /
   :func:`~repro.service.server.serve` -- the stdlib-only threading HTTP shell

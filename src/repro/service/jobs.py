@@ -11,8 +11,8 @@ subsystem turns those requests into *background campaigns*:
   with the job id;
 * the job thread splits the campaign into chunks and runs each chunk through
   the service's worker pool (thread or process backend alike), so a running
-  job never holds a pool shard between chunks and a cancelled job releases
-  its shard at the next chunk boundary;
+  job holds no worker between chunks and a cancelled job stops at the next
+  chunk boundary;
 * every state change appends a JSON **event** (``accepted`` -> ``progress``
   per chunk -> ``result`` | ``error`` | ``cancelled``) to the job's ordered
   event log.  ``GET /jobs/<id>/events`` replays the log and live-tails it as
@@ -27,8 +27,7 @@ Wall-clock timing lives only in the ``GET /jobs/<id>`` snapshot
 
 A job submitted with ``"cancel_on_disconnect": true`` is cancelled when the
 client streaming its events disconnects mid-stream -- the fault-injection
-suite asserts the worker shard is reaped back into the pool when that
-happens.
+suite asserts the pool is idle again when that happens.
 """
 
 from __future__ import annotations
@@ -119,8 +118,8 @@ class Job:
         """Request cancellation; True when the job was still running.
 
         The job thread honours the request at the next chunk boundary, so the
-        pool shard working the current chunk is always released back to the
-        free-list -- cancellation never leaks a shard.
+        current chunk's pool match always finishes and releases its worker --
+        cancellation never leaks one.
         """
         with self._condition:
             running = self.state == "running"

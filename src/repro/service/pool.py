@@ -1,26 +1,18 @@
-"""The session pool: N lock-guarded :class:`MatchSession` shards.
+"""The session pool: one warm :class:`MatchSession` behind the thread backend.
 
-The service keeps a small fixed pool of warm sessions instead of a single
-shared one.  A request acquires one shard exclusively for the duration of its
-match operation, so a session never executes two operations at the same time
--- its FIFO caches fill in a deterministic per-shard order and lock
-contention inside the session is zero.  Free shards live on a FIFO free-list
-behind a condition variable: back-to-back requests rotate over the shards,
-so every shard warms up even when requests never overlap, and with more
-concurrent requests than shards, surplus requests block until *any* shard
-is released (never on one specific shard, which would convoy under load).
-
-:class:`MatchSession` is itself thread-safe, so sharding is a *throughput*
-choice, not a correctness requirement: one shard per expected concurrent
-request keeps every request on a warm exclusive session, while the total
-cache memory stays bounded by ``size`` times the per-session cache bounds.
+Every thread-backend match runs on the same thread-safe session, so each
+schema's profile is built once and each (schema pair, matcher usage) cube is
+computed once, however many requests run at the same time (concurrent misses
+of one cube wait for the first), and cache memory does not grow with the pool
+size.  ``size`` slots bound how many matches run at once -- request handlers
+and background job chunks alike; later ones wait in FIFO order.
 """
 
 from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Dict, Iterator, List, Optional, TYPE_CHECKING
+from typing import Dict, Iterator, List, Optional, TYPE_CHECKING
 
 from repro.exceptions import ServiceError
 from repro.session.session import MatchSession
@@ -28,21 +20,53 @@ from repro.session.session import MatchSession
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.match_operation import MatchOutcome
 
-#: A callable building one worker session (one per shard).
-SessionFactory = Callable[[], MatchSession]
+
+class _FifoSlots:
+    """A counting semaphore that hands each released slot to the oldest waiter.
+
+    ``threading.Semaphore`` lets a thread arriving at the moment of a release
+    take the slot ahead of threads already waiting, so under sustained load
+    some requests lose many rounds in a row and the latency tail grows.  Here
+    a release passes the slot straight to the waiter queued longest.
+    """
+
+    def __init__(self, count: int):
+        self._free = count
+        self._waiters: List[threading.Lock] = []
+        self._lock = threading.Lock()
+
+    @property
+    def free(self) -> int:
+        """How many slots nobody holds right now."""
+        return self._free
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._free:  # free slots imply nobody is waiting
+                self._free -= 1
+                return
+            turn = threading.Lock()
+            turn.acquire()
+            self._waiters.append(turn)
+        turn.acquire()  # released by the __exit__ that hands over its slot
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            if self._waiters:
+                self._waiters.pop(0).release()
+            else:
+                self._free += 1
 
 
 class SessionPool:
-    """A fixed pool of lock-guarded :class:`MatchSession` shards.
+    """One warm :class:`MatchSession` behind the interface both backends share.
 
     Parameters
     ----------
     size:
-        The number of worker sessions (one per expected concurrent request).
-    session_factory:
-        A zero-argument callable building one worker session; defaults to
-        ``MatchSession()``.  Called ``size`` times at construction, so every
-        shard starts warm and identically configured.
+        How many matches run at once; later ones wait in FIFO order.
+    session:
+        The session every match runs on; defaults to ``MatchSession()``.
 
     Raises
     ------
@@ -52,10 +76,10 @@ class SessionPool:
     Examples
     --------
     >>> pool = SessionPool(size=2)
-    >>> with pool.session() as session:
-    ...     isinstance(session, MatchSession)
-    True
-    >>> pool.size
+    >>> with pool.session() as first, pool.session() as second:
+    ...     first is second, pool.idle
+    (True, 0)
+    >>> pool.idle
     2
     """
 
@@ -63,60 +87,40 @@ class SessionPool:
     #: (:class:`~repro.parallel.pool.ProcessSessionPool`) reports "process".
     backend = "thread"
 
-    def __init__(self, size: int = 4, session_factory: Optional[SessionFactory] = None):
+    def __init__(self, size: int = 4, session: Optional[MatchSession] = None):
         if size < 1:
             raise ServiceError(f"a session pool needs size >= 1, got {size}")
-        factory = session_factory if session_factory is not None else MatchSession
-        self._sessions: List[MatchSession] = [factory() for _ in range(size)]
-        # FIFO free-list guarded by a condition: an acquirer takes the shard
-        # idle longest or waits until one is released (never on a specific
-        # shard -- waiting on one shard while others free up convoys).
-        self._free: List[int] = list(range(size))
-        self._condition = threading.Condition()
+        self._size = size
+        self._session = session if session is not None else MatchSession()
+        self._slots = _FifoSlots(size)
 
     @property
     def size(self) -> int:
-        """The number of shards."""
-        return len(self._sessions)
+        """How many matches run at once."""
+        return self._size
 
     @property
     def idle(self) -> int:
-        """How many shards are free right now (``size`` when fully idle).
+        """``size`` minus the matches running right now.
 
         A point-in-time reading for ``/stats`` and leak checks: after every
         request has finished -- including ones whose handlers raised -- this
-        must equal :attr:`size` again.
+        equals :attr:`size` again.
         """
-        with self._condition:
-            return len(self._free)
-
-    @property
-    def sessions(self) -> List[MatchSession]:
-        """The worker sessions (for configuration fan-out and statistics)."""
-        return list(self._sessions)
+        return self._slots.free
 
     @contextlib.contextmanager
     def session(self) -> Iterator[MatchSession]:
-        """Acquire one shard exclusively for the duration of the ``with`` block.
+        """The shared session, holding one of the ``size`` slots for the ``with`` block.
 
-        Takes the free shard idle longest, so requests that never overlap
-        still rotate over -- and warm -- every shard; when every shard is
-        busy the caller blocks until the next release, whichever shard that
-        is.
+        When every slot is held, the caller waits until the next release;
+        slots pass to waiters in arrival order.
         """
-        with self._condition:
-            while not self._free:
-                self._condition.wait()
-            index = self._free.pop(0)
-        try:
-            yield self._sessions[index]
-        finally:
-            with self._condition:
-                self._free.append(index)
-                self._condition.notify()
+        with self._slots:
+            yield self._session
 
     def match(self, source, target, strategy=None) -> "MatchOutcome":
-        """Match one pair on an exclusively acquired shard.
+        """Match one pair on the shared session.
 
         This mirrors :meth:`ProcessSessionPool.match
         <repro.parallel.pool.ProcessSessionPool.match>`, so the service layer
@@ -126,45 +130,33 @@ class SessionPool:
             return session.match(source, target, strategy=strategy)
 
     def match_many(self, items) -> List["MatchOutcome"]:
-        """Match a batch of ``(source, target[, strategy])`` tuples on one shard."""
+        """Match a batch of ``(source, target[, strategy])`` tuples on the shared session."""
         with self.session() as session:
             return session.match_many(items)
 
     def cache_info(self) -> Dict[str, object]:
-        """Aggregated cache statistics over all shards.
-
-        Returns
-        -------
-        dict
-            ``backend`` plus ``shards`` (the per-shard ``cache_info`` list)
-            plus the summed ``profiles`` / ``cubes`` / ``cube_hits`` /
-            ``cube_misses`` / ``store_hits`` / ``store_misses``.
+        """``backend``, ``shards`` (the session's ``cache_info`` as the one
+        entry; the process backend lists one per worker) and its ``profiles``
+        / ``cubes`` / ``cube_hits`` / ``cube_misses`` / ``store_hits`` /
+        ``store_misses``.
 
         Examples
         --------
         >>> info = SessionPool(size=2).cache_info()
         >>> info["backend"], info["cube_hits"], len(info["shards"])
-        ('thread', 0, 2)
+        ('thread', 0, 1)
         """
-        shards = [session.cache_info() for session in self._sessions]
-        totals = {
-            key: sum(shard[key] for shard in shards)
-            for key in (
-                "profiles", "cubes", "cube_hits", "cube_misses",
-                "store_hits", "store_misses",
-            )
-        }
-        return {"backend": self.backend, "shards": shards, **totals}
+        info = self._session.cache_info()
+        totals = ("profiles", "cubes", "cube_hits", "cube_misses", "store_hits", "store_misses")
+        return {"backend": self.backend, "shards": [info], **{key: info[key] for key in totals}}
 
     def clear_caches(self) -> None:
-        """Drop the caches of every shard."""
-        for session in self._sessions:
-            session.clear_caches()
+        """Drop the session's caches."""
+        self._session.clear_caches()
 
     def close(self) -> None:
-        """Close every shard (releasing session-owned persistent resources)."""
-        for session in self._sessions:
-            session.close()
+        """Close the session (releasing session-owned persistent resources)."""
+        self._session.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SessionPool(size={self.size})"

@@ -1,9 +1,9 @@
 """The match service: COMA's session layer behind an HTTP boundary.
 
-A stdlib-only JSON API (``http.server.ThreadingHTTPServer``) wrapping a pool
-of warm :class:`~repro.session.session.MatchSession` workers -- in-process
-shards (:class:`~repro.service.pool.SessionPool`, the default ``thread``
-backend) or spawned worker processes
+A stdlib-only JSON API (``http.server.ThreadingHTTPServer``) wrapping warm
+:class:`~repro.session.session.MatchSession` workers -- one in-process
+session shared by every request (:class:`~repro.service.pool.SessionPool`,
+the default ``thread`` backend) or spawned worker processes
 (:class:`~repro.parallel.pool.ProcessSessionPool`, the ``process`` backend
 that scales warm throughput past the GIL) -- so the session's
 cross-operation caches (path profiles, similarity cubes) keep paying off
@@ -15,7 +15,7 @@ Endpoints (all request/response bodies are JSON):
 method   path                  purpose
 =======  ====================  ==============================================
 GET      ``/health``           liveness probe with registry/pool counts
-GET      ``/stats``            cache occupancy + request counters per shard
+GET      ``/stats``            cache occupancy + request counters
 GET      ``/schemas``          list the registered schemas
 POST     ``/schemas``          upload a schema through the importers registry
 GET      ``/schemas/{name}``   statistics of one registered schema
@@ -64,7 +64,7 @@ from repro.exceptions import ComaError, FaultInjected, SearchError, ServiceError
 from repro.importers.registry import DEFAULT_IMPORTERS, ImporterRegistry
 from repro.model.schema import Schema
 from repro.service.jobs import JobEventStream, JobManager
-from repro.service.pool import SessionFactory, SessionPool
+from repro.service.pool import SessionPool, _FifoSlots
 from repro.session.session import MatchSession, StrategyLike
 
 __version__ = "1.0"
@@ -91,32 +91,31 @@ class MatchService:
     The service is transport-agnostic -- :meth:`handle_request` maps a
     ``(method, path, payload)`` triple to a ``(status, payload)`` pair, and
     the HTTP layer (:class:`MatchServiceServer`) is a thin shell around it.
-    All registry state is guarded by one lock; match execution happens on an
-    exclusively acquired pool shard outside that lock, so slow matches do not
-    serialise unrelated requests.
+    All registry state is guarded by one lock; match execution happens on the
+    worker pool outside that lock, so slow matches do not serialise unrelated
+    requests.
 
     Parameters
     ----------
     pool_size:
-        The number of warm workers (one per expected concurrent request):
-        pooled sessions for the thread backend, worker processes for the
-        process backend.
+        How many matches run at once: on the thread backend, requests
+        sharing its one session (the HTTP front-end admits ``pool_size + 2``
+        into the service); on the process backend, worker processes.
     backend:
-        ``"thread"`` (default) keeps every worker session in this process
-        behind a :class:`~repro.service.pool.SessionPool`; ``"process"``
+        ``"thread"`` (default) serves every request from one session in this
+        process behind a :class:`~repro.service.pool.SessionPool`; ``"process"``
         spawns a :class:`~repro.parallel.pool.ProcessSessionPool` of worker
         processes, so warm match throughput scales with the cores instead of
         the GIL.  Results are byte-identical either way; see
         ``docs/service.md`` for the selection guide.
     repository_path:
         Optional SQLite file backing the strategy registry (and the reuse
-        matchers of every worker session), shared by all shards;
-        strategies stored through the service are visible to other sessions
-        over the same file.
+        matchers of every worker session); strategies stored through the
+        service are visible to other sessions over the same file.
     store_path:
         Optional persistent similarity store
-        (:class:`~repro.repository.store.SimilarityStore`) shared by all
-        pool shards: cube-cache misses are served by content address from
+        (:class:`~repro.repository.store.SimilarityStore`) shared by every
+        worker session: cube-cache misses are served by content address from
         disk, so a restarted service answers repeated match workloads warm
         from its very first request.  See ``docs/service.md`` for sizing and
         invalidation guidance.
@@ -132,10 +131,6 @@ class MatchService:
     importers:
         The importer registry resolving upload formats (default: the
         built-in relational / xsd / dict importers).
-    session_factory:
-        Overrides worker-session construction (e.g. to configure a custom
-        library or default strategy).  The repository is not attached
-        automatically when a factory is given.
     default_strategy:
         The strategy spec worker sessions fall back to when a match request
         names none (default: the paper's default operation).
@@ -163,19 +158,12 @@ class MatchService:
         store_path: Optional[str] = None,
         corpus_path: Optional[str] = None,
         importers: Optional[ImporterRegistry] = None,
-        session_factory: Optional[SessionFactory] = None,
         default_strategy: Optional[str] = None,
         fault_plan: Optional[object] = None,
     ):
         if backend not in ("thread", "process"):
             raise ServiceError(
                 f"unknown service backend {backend!r}: choose 'thread' or 'process'"
-            )
-        if backend == "process" and session_factory is not None:
-            raise ServiceError(
-                "session_factory only applies to the thread backend (process "
-                "workers build their sessions from primitive options in their "
-                "own interpreter)"
             )
         self._backend = backend
         self._fault_plan = None
@@ -221,17 +209,12 @@ class MatchService:
             )
             self._library = DEFAULT_LIBRARY
         else:
-            if session_factory is None:
-                repository = self._repository
-                store = self._store
-
-                def session_factory() -> MatchSession:
-                    return MatchSession(
-                        repository=repository, store=store, strategy=default_strategy
-                    )
-
-            self._pool = SessionPool(pool_size, session_factory)
-            self._library = self._pool.sessions[0].library
+            session = MatchSession(
+                repository=self._repository, store=self._store,
+                strategy=default_strategy,
+            )
+            self._pool = SessionPool(pool_size, session)
+            self._library = session.library
         self._corpus = None
         self._search_session = None
         if corpus_path:
@@ -615,8 +598,7 @@ class MatchService:
         closed.  Closing the parent store folds its process-local
         hit/miss counters into the on-disk lifetime totals, which is what
         ``coma stats --store`` reads.  Running background jobs are cancelled
-        first, so no job thread is still holding a pool shard when the pool
-        goes down.
+        first, so no job thread is still matching when the pool goes down.
         """
         self._jobs.close()
         if self._backend == "process":
@@ -747,7 +729,7 @@ class MatchService:
     def _match(self, payload: dict) -> dict:
         source, target, strategy, min_similarity = self._match_request(payload)
         # Both pool flavours expose the same match interface: the thread pool
-        # acquires one warm shard, the process pool one worker process.
+        # runs on its one warm session, the process pool on one worker process.
         outcome = self._pool.match(source, target, strategy=strategy)
         return self.outcome_payload(outcome, min_similarity)
 
@@ -784,9 +766,7 @@ class MatchService:
         spliced = False
         if hasattr(self._pool, "session"):
             with self._pool.session() as session:
-                before = session.cache_info()["rematch_spliced"]
-                outcome = session.rematch(old, new, target=target, strategy=strategy)
-                spliced = session.cache_info()["rematch_spliced"] > before
+                outcome, spliced = session._rematch(old, new, target=target, strategy=strategy)
         else:
             # Process workers hold their own sessions behind a match-shaped
             # wire protocol; the full match is still byte-identical, only the
@@ -979,7 +959,7 @@ class MatchService:
     def _survivor_matcher(self, query: Schema):
         """The ``match_many`` that matches a search's survivors against ``query``.
 
-        On the thread backend the shard keeps the query's profile for the
+        On the thread backend the session keeps the query's profile for the
         batch only, unless it held it before
         (:meth:`~repro.session.session.MatchSession.transient_profile`), so
         a stream of searches does not evict the warm profiles of uploaded
@@ -1079,38 +1059,6 @@ class _DeadlineReader(socket.SocketIO):
             raise _ReadTimeout() from None
         finally:
             self._sock.settimeout(None)  # writes stay blocking
-
-
-class _FifoSlots:
-    """A counting semaphore that hands each released slot to the oldest waiter.
-
-    ``threading.Semaphore`` lets a thread arriving at the moment of a release
-    take the slot ahead of threads already waiting, so under sustained load
-    some requests lose many rounds in a row and the latency tail grows.  Here
-    a release passes the slot straight to the waiter queued longest.
-    """
-
-    def __init__(self, count: int):
-        self._free = count
-        self._waiters: List[threading.Lock] = []
-        self._lock = threading.Lock()
-
-    def __enter__(self) -> None:
-        with self._lock:
-            if self._free:  # free slots imply nobody is waiting
-                self._free -= 1
-                return
-            turn = threading.Lock()
-            turn.acquire()
-            self._waiters.append(turn)
-        turn.acquire()  # released by the __exit__ that hands over its slot
-
-    def __exit__(self, *exc_info) -> None:
-        with self._lock:
-            if self._waiters:
-                self._waiters.pop(0).release()
-            else:
-                self._free += 1
 
 
 class _ServiceRequestHandler(BaseHTTPRequestHandler):

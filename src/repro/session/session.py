@@ -40,17 +40,16 @@ library matchers referenced by name).  Strategies naming reuse matchers or
 cube cache because their results depend on state outside the cube key.
 
 **Thread safety.**  A session may be shared by many threads -- that is how the
-:mod:`repro.service` layer keeps one warm session behind a network boundary.
-All cache structures are guarded by one reentrant lock: cache *lookups* are
-lock-free reads, cache *mutations* (inserts, trims, counter updates, named
-strategy registration) take the lock, and the shared profile dict itself is a
+:mod:`repro.service` layer serves every thread-backend request from one warm
+session.  Cache *mutations* (inserts, trims, counter updates, in-flight
+marks, named strategy registration) take one reentrant lock, lookups are
+lock-free reads unless they count a hit, and the shared profile dict is a
 lock-guarded mapping so contexts inserting profiles mid-execution serialise
-with cache trimming.  Matcher execution -- the expensive part -- always runs
-outside the lock, so concurrent match operations genuinely overlap.  Two
-threads racing to fill the same cache entry may both compute it; the first
-published entry wins and both threads return identical values, so results are
-byte-identical to serial execution and ``cube_hits + cube_misses`` always
-equals the number of cacheable executions.
+with cache trimming.  Matcher execution -- the expensive part -- runs outside
+the lock, so concurrent operations genuinely overlap, and concurrent misses
+of one cube compute it once (see ``_execute``).  Results are byte-identical
+to serial execution, and ``cube_hits + cube_misses`` always equals the
+number of completed cacheable executions.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ from repro.core.processor import MatchProcessor
 from repro.core.strategy import MatchStrategy, default_strategy
 from repro.engine.engine import DEFAULT_ENGINE, MatchEngine
 from repro.engine.profiles import ForestProfile, PathSetProfile
-from repro.exceptions import SessionError, UnknownMatcherError
+from repro.exceptions import CombinationError, SessionError, UnknownMatcherError
 from repro.linguistic.tokenizer import NameTokenizer
 from repro.matchers.base import MatchContext
 from repro.matchers.registry import DEFAULT_LIBRARY, MatcherLibrary
@@ -127,6 +126,31 @@ class _PathForest:
 
     def paths(self) -> Tuple[SchemaPath, ...]:
         return self._paths
+
+
+def _same_state(first: object, second: object) -> bool:
+    """Whether two objects have the same types and attribute values all the way down.
+
+    Combination strategies compare equal by name alone, which tells neither
+    ``WeightedAggregation(weights, label="Average")`` from ``Average`` nor
+    ``Thr(0.1234567)`` from the ``Thr(0.123457)`` its name prints.
+    """
+    if type(first) is not type(second):
+        return False
+    if isinstance(first, (list, tuple)):
+        return len(first) == len(second) and all(map(_same_state, first, second))
+    if hasattr(first, "__dict__"):
+        first, second = vars(first), vars(second)
+        return first.keys() == second.keys() and all(
+            _same_state(first[name], second[name]) for name in first
+        )
+    return first == second
+
+
+class _Flight(threading.Event):
+    """A cube being computed: set when done, with ``cube`` ``None`` on failure."""
+
+    cube: Optional[SimilarityCube] = None
 
 
 class _Pending(NamedTuple):
@@ -313,6 +337,10 @@ class MatchSession:
             _GuardedDict(self._lock)
         )
         self._cube_cache: Dict[tuple, SimilarityCube] = _GuardedDict(self._lock)
+        #: Cube keys some match() is computing right now (see _execute).
+        self._flights: Dict[tuple, _Flight] = {}
+        #: Profile keys inside transient_profile() blocks right now.
+        self._transient_users: Dict[tuple, list] = {}
         self._cube_hits = 0
         self._cube_misses = 0
         self._store_hits = 0
@@ -600,7 +628,9 @@ class MatchSession:
 
         For one-off schemas such as search queries: the profile serves every
         operation inside the block, and a stream of them does not fill the
-        profile cache.
+        profile cache.  Overlapping blocks of one schema count as one: the
+        last to exit evicts the profile unless it was cached before the first
+        entered (a match of the schema running meanwhile may then rebuild it).
 
         Examples
         --------
@@ -613,12 +643,19 @@ class MatchSession:
         0
         """
         key = tuple(schema.paths())
-        cached = key in self._profile_cache
+        with self._lock:
+            # [open blocks, whether the profile was cached before the first]
+            users = self._transient_users.setdefault(key, [0, key in self._profile_cache])
+            users[0] += 1
         try:
             yield self.profile_for(schema)
         finally:
-            if not cached:
-                self._profile_cache.pop(key, None)
+            with self._lock:
+                users[0] -= 1
+                if not users[0]:
+                    del self._transient_users[key]
+                    if not users[1]:
+                        self._profile_cache.pop(key, None)
 
     # -- strategies ------------------------------------------------------------
 
@@ -913,6 +950,18 @@ class MatchSession:
         >>> spliced.result.as_tuples() == cold.result.as_tuples()
         True
         """
+        return self._rematch(old, new, previous_result, target, strategy, feedback)[0]
+
+    def _rematch(
+        self,
+        old: Schema,
+        new: Schema,
+        previous_result: Optional[MatchOutcome] = None,
+        target: Optional[Schema] = None,
+        strategy: StrategyLike = None,
+        feedback: object = _UNSET,
+    ) -> Tuple[MatchOutcome, bool]:
+        """:meth:`rematch`'s outcome, and whether this call spliced (or hit the cache)."""
         from repro.model.digests import schema_delta, schema_digests
 
         # -- orientation: which side of the previous pair is evolving? -------
@@ -960,14 +1009,14 @@ class MatchSession:
             # Non-cacheable usages (matcher instances, reuse matchers,
             # UserFeedback) depend on state outside the cube, where copied
             # rows have no identity guarantee -- recompute from scratch.
-            return self._rematch_fallback(new_source, new_target, active, feedback)
+            return self._rematch_fallback(new_source, new_target, active, feedback), False
         if self._cube_cache.get(key) is not None:
             # The new pair's cube is already cached: the full match path is
             # a pure cache hit, nothing to splice.
             with self._lock:
                 self._rematch_spliced += 1
                 self._rematch_reused_rows += len(new.paths())
-            return self.match(new_source, new_target, strategy=active, feedback=feedback)
+            return self.match(new_source, new_target, strategy=active, feedback=feedback), True
 
         matchers = active.resolve_matchers(self._library)
         expected_layers = tuple(matcher.name for matcher in matchers)
@@ -1002,7 +1051,7 @@ class MatchSession:
             or prev_cube.source_paths != old_source.paths()
             or prev_cube.target_paths != old_target.paths()
         ):
-            return self._rematch_fallback(new_source, new_target, active, feedback)
+            return self._rematch_fallback(new_source, new_target, active, feedback), False
 
         # -- delta: align old and new paths by row signature ------------------
         old_digests = schema_digests(old)
@@ -1015,10 +1064,10 @@ class MatchSession:
                 old_digest = self._schema_digest(old)
             persisted = store.load_path_signatures(old_digest)
             if persisted is not None and persisted != old_digests.signatures:
-                return self._rematch_fallback(new_source, new_target, active, feedback)
+                return self._rematch_fallback(new_source, new_target, active, feedback), False
         delta = schema_delta(old, new, old_digests, new_digests)
         if delta.full or not delta.matched:
-            return self._rematch_fallback(new_source, new_target, active, feedback)
+            return self._rematch_fallback(new_source, new_target, active, feedback), False
 
         # -- partial execution on the affected rows / columns ------------------
         context = self.context_for(new_source, new_target, feedback=feedback)
@@ -1079,7 +1128,7 @@ class MatchSession:
                 self._schema_digest(new), list(new_digests.signatures)
             )
         self._trim_caches()
-        return self._outcome(cube, active, context)
+        return self._outcome(cube, active, context), True
 
     def _rematch_fallback(
         self,
@@ -1118,7 +1167,8 @@ class MatchSession:
         matchers' per-call setup -- token vocabularies, n-gram incidence,
         synonym lookups -- is then paid once per group instead of once per
         pair.  Cube-cache and store hits, non-cacheable strategies and the
-        process-pool paths run one request at a time.
+        process-pool paths run one request at a time.  A request whose cube
+        a concurrent :meth:`match` is computing waits for it (a cube hit).
 
         With ``processes`` (or an existing ``process_pool``) the batch is
         chunked across worker *processes* -- each owning a warm session of
@@ -1127,8 +1177,9 @@ class MatchSession:
         path (same mappings, same similarity bits); computed cubes are folded
         back into this session's cube cache.  Requests whose strategy cannot
         travel over the wire (matcher instances, reuse matchers,
-        ``UserFeedback``) and pairs whose cube is already cached run locally;
-        everything else is dispatched.
+        ``UserFeedback``, or a combination without a spec form such as a
+        weighted aggregation) and pairs whose cube is already cached run
+        locally; everything else is dispatched.
 
         Parameters
         ----------
@@ -1208,7 +1259,12 @@ class MatchSession:
             if key is None:
                 continue  # runs through match() below
             context = self.context_for(source, target)
-            cube, store_key = self._lookup(key, context, store)
+            # Waits for a cube a match() computes, but never marks a key in
+            # flight: two batches must not wait on each other.
+            cube, _ = self._cached(key, lead=False)
+            store_key = None
+            if cube is None:
+                cube, store_key = self._load_stored(key, context, store)
             if cube is not None:
                 outcomes[index] = self._outcome(cube, active, context)
             else:
@@ -1404,15 +1460,23 @@ class MatchSession:
         against the default library reproduces this session's execution
         exactly: every matcher is referenced by name, none depends on state
         outside the wire (reuse matchers read mutable mapping stores,
-        ``UserFeedback`` reads the feedback store), and the session itself
-        carries no feedback overrides.  This is deliberately the same
-        criterion as cube cacheability plus the feedback/library checks.
+        ``UserFeedback`` reads the feedback store), the session itself
+        carries no feedback overrides, and the spec parses back into the same
+        combination, type for type and value for value (a weighted
+        aggregation has no spec form, and a threshold's name rounds it to six
+        digits).  This is deliberately the same criterion as cube
+        cacheability plus the feedback, library and combination checks.
         """
         if self._feedback is not None or self._library is not DEFAULT_LIBRARY:
             return None
         if self._cacheable_usage(strategy) is None:
             return None
-        return strategy.to_spec()
+        spec = strategy.to_spec()
+        try:
+            parsed = MatchStrategy.parse(spec).combination
+        except CombinationError:
+            return None
+        return spec if _same_state(parsed, strategy.combination) else None
 
     def _match_many_processes(
         self,
@@ -1629,10 +1693,12 @@ class MatchSession:
         address), then matcher execution with an asynchronous store
         write-back.  Matcher execution and store I/O run outside the session
         lock; only cache lookups, inserts and counter updates are guarded.
-        Two threads missing the same key both execute (both count as misses,
-        keeping ``cube_hits + cube_misses`` equal to the number of cacheable
-        executions; likewise ``store_hits + store_misses`` equals the number
-        of store consultations) and converge on the first published cube.
+
+        A miss marks its key in flight, so concurrent executions of one key
+        load or compute it once: the others wait outside the lock and count a
+        cube hit.  The leader unmarks the key also when it fails, and a waiter
+        then leads.  A leader never waits -- cacheable executions run library
+        matchers only -- so no wait cycle can form.
         """
         key = self._cube_key(context.source_schema, context.target_schema, strategy)
         # One snapshot of the store reference for the whole execution: a
@@ -1644,25 +1710,51 @@ class MatchSession:
             cube = self._engine.execute(strategy.resolve_matchers(self._library), context)
             self._trim_caches()
             return cube
-        cube, store_key = self._lookup(key, context, store)
-        if cube is not None:
+        cube, flight = self._cached(key, lead=True)
+        if flight is None:
             return cube
-        cube = self._engine.execute(strategy.resolve_matchers(self._library), context)
-        return self._publish(key, cube, store, store_key)
+        try:
+            cube, store_key = self._load_stored(key, context, store)
+            if cube is None:
+                cube = self._engine.execute(strategy.resolve_matchers(self._library), context)
+                cube = self._publish(key, cube, store, store_key)
+            flight.cube = cube
+            return cube
+        finally:
+            with self._lock:
+                del self._flights[key]
+            flight.set()
 
-    def _lookup(
+    def _cached(
+        self, key: tuple, lead: bool
+    ) -> Tuple[Optional[SimilarityCube], Optional[_Flight]]:
+        """The cube cache's answer for ``key``, after any computation of it in flight.
+
+        Returns ``(cube, None)`` on a hit (counted); on a miss, with ``lead``,
+        ``(None, flight)`` for the key it marked in flight (the caller computes
+        the cube, then unmarks the key and sets the flight), else ``(None, None)``.
+        """
+        while True:
+            with self._lock:
+                cube = self._cube_cache.get(key)
+                if cube is not None:
+                    self._cube_hits += 1
+                    return cube, None
+                flight = self._flights.get(key)
+                if flight is None:
+                    if lead:
+                        flight = self._flights[key] = _Flight()
+                    return None, flight
+            flight.wait()
+            if flight.cube is not None:
+                with self._lock:
+                    self._cube_hits += 1
+                return flight.cube, None
+
+    def _load_stored(
         self, key: tuple, context: MatchContext, store: Optional["SimilarityStore"]
     ) -> Tuple[Optional[SimilarityCube], Optional[Tuple[str, str, str]]]:
-        """A cacheable execution's cube from the cube cache or the store, counted.
-
-        Returns the cube (``None`` when it must be computed) and the
-        execution's store key (``None`` without a store, or on a cube hit).
-        """
-        cached = self._cube_cache.get(key)
-        if cached is not None:
-            with self._lock:
-                self._cube_hits += 1
-            return cached, None
+        """A missed cube from the store (``None`` if absent), counted, and its store key."""
         if store is None:
             return None, None
         store_key = self._store_key_for(context, key[2])

@@ -14,6 +14,7 @@ bit-identical cube / aggregated-matrix floats across both backends.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -21,8 +22,13 @@ import struct
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.combination.aggregation import WeightedAggregation
+from repro.combination.stable_marriage import StableMarriageDirection
+from repro.core.strategy import MatchStrategy
+from repro.datasets.figure1 import load_po1, load_po2
 from repro.datasets.generators import generate_pair
 from repro.exceptions import SessionError
+from repro.matchers.registry import DEFAULT_LIBRARY
 from repro.model.builder import SchemaBuilder
 from repro.parallel import ProcessSessionPool
 from repro.session import MatchSession
@@ -191,6 +197,37 @@ class TestSessionFanOut:
         )[0]
         reference = MatchSession().match(pair.source, pair.target, strategy=spec)
         assert_byte_identical(reference, fanned, "local fallback")
+
+    def test_strategies_without_a_spec_form_run_locally(self):
+        # A weighted aggregation or a stable-marriage direction serialises to
+        # a spec no worker can parse, and a weighted aggregation labelled
+        # "Average" to one that parses into plain Average: those requests
+        # must run here, and the rest of the batch still fans out, all
+        # byte-identical to match().
+        po1, po2 = load_po1(), load_po2()
+        spec = "Name+Leaves(Average,Both,Thr(0.5),Average)"
+        base = MatchStrategy.parse(spec)
+        weights = {"Name": 2.0, "Leaves": 1.0}
+        strategies = [
+            base.replaced(combination=dataclasses.replace(
+                base.combination, aggregation=WeightedAggregation(weights),
+            )),
+            base.replaced(combination=dataclasses.replace(
+                base.combination,
+                aggregation=WeightedAggregation(weights, label="Average"),
+            )),
+            base.replaced(combination=dataclasses.replace(
+                base.combination, direction=StableMarriageDirection()
+            )),
+            spec,
+            base.replaced(matchers=[DEFAULT_LIBRARY.create("Name"), "Leaves"]),
+        ]
+        fanned = MatchSession().match_many(
+            [(po1, po2, strategy) for strategy in strategies], processes=1
+        )
+        for strategy, outcome in zip(strategies, fanned):
+            reference = MatchSession().match(po1, po2, strategy=strategy)
+            assert_byte_identical(reference, outcome, f"fan-out of {strategy}")
 
     def test_mismatched_configuration_is_refused(self, process_pool):
         from repro.linguistic.tokenizer import NameTokenizer

@@ -544,11 +544,11 @@ class TestStaleDigestMemoRegression:
 class TestServiceRematch:
     """POST /rematch on the transport-agnostic service core."""
 
-    @pytest.fixture()
-    def service(self):
+    @staticmethod
+    def _service(pool_size):
         from repro.service.server import MatchService
 
-        service = MatchService(pool_size=1)
+        service = MatchService(pool_size=pool_size)
         for name, text, fmt in (
             ("PO1", PO1_DDL, "sql"),
             ("PO1v2", PO1_DDL.replace("poNo", "purchaseOrderNo"), "sql"),
@@ -558,6 +558,11 @@ class TestServiceRematch:
                 "POST", "/schemas", {"name": name, "text": text, "format": fmt}
             )
             assert status == 201
+        return service
+
+    @pytest.fixture()
+    def service(self):
+        service = self._service(pool_size=1)
         yield service
         service.close()
 
@@ -590,6 +595,48 @@ class TestServiceRematch:
         )
         assert status == 200
         assert body["rematch"]["spliced"] is False
+
+    def test_concurrent_rematches_each_report_their_own_splice(self):
+        # The thread backend shares one session: a fallback answered while
+        # other requests splice must still read "spliced": false.  Six pool
+        # slots let the six threads' rematches overlap.
+        import sys
+        import threading
+
+        service = self._service(pool_size=6)
+        assert service.handle_request(
+            "POST", "/match", {"source": "PO1", "target": "PO2"})[0] == 200
+        spliceable = {"old": "PO1", "new": "PO1v2", "target": "PO2"}
+        # UserFeedback makes the strategy non-cacheable: never spliced.
+        fallback = dict(
+            spliceable, strategy="Name+UserFeedback(Average,Both,Thr(0.5),Average)"
+        )
+        answers = []
+
+        def rematch(index):
+            for step in range(6):
+                splices = (index + step) % 2 == 1
+                status, body = service.handle_request(
+                    "POST", "/rematch", spliceable if splices else fallback
+                )
+                answers.append((splices, status, body["rematch"]["spliced"]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=rematch, args=(index,), daemon=True)
+                       for index in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(answers) == 36
+        assert all(status == 200 for _, status, _ in answers)
+        assert all(spliced is expected for expected, _, spliced in answers)
 
     def test_rematch_validation_errors(self, service):
         status, _ = service.handle_request("POST", "/rematch", {"old": "PO1"})

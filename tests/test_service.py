@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -52,24 +53,67 @@ def service_client():
 
 
 class TestSessionPool:
-    def test_round_robin_acquisition(self):
-        pool = SessionPool(size=2)
+    def test_overlapping_blocks_share_the_one_session(self):
+        pool = SessionPool(size=3)
         with pool.session() as first:
             with pool.session() as second:
-                assert first is not second  # busy shard is skipped
-
-    def test_back_to_back_requests_rotate_over_shards(self):
-        # Requests that never overlap still reach, and warm, every shard.
-        pool = SessionPool(size=2)
-        with pool.session() as first:
-            pass
-        with pool.session() as second:
-            pass
-        assert first is not second
+                assert first is second
+                assert pool.idle == pool.size - 2
+        assert pool.idle == pool.size
 
     def test_size_validation(self):
         with pytest.raises(ServiceError):
             SessionPool(size=0)
+
+    def test_a_job_chunk_waits_while_a_match_holds_the_pool(self, monkeypatch):
+        # One slot: a background job's chunk must not start its match while
+        # a /match request holds the pool, and it runs once that finishes.
+        service = MatchService(pool_size=1)
+        service.register_schema(load_po1())
+        service.register_schema(load_po2())
+        with service.pool.session() as session:
+            pass
+        entered, release, batches = threading.Event(), threading.Event(), []
+        match, match_many = session.match, session.match_many
+
+        def held_match(*args, **kwargs):
+            entered.set()
+            release.wait(10)
+            return match(*args, **kwargs)
+
+        def counted_match_many(items, *args, **kwargs):
+            batches.append(len(items))
+            return match_many(items, *args, **kwargs)
+
+        monkeypatch.setattr(session, "match", held_match)
+        monkeypatch.setattr(session, "match_many", counted_match_many)
+        pair = {"source": "PO1", "target": "PO2"}
+        try:
+            request = threading.Thread(
+                target=service.handle_request, args=("POST", "/match", pair), daemon=True
+            )
+            request.start()
+            assert entered.wait(10)
+            status, accepted = service.handle_request(
+                "POST", "/jobs", {"requests": [pair], "chunk_size": 1}
+            )
+            assert status == 202
+            time.sleep(0.2)
+            assert batches == [] and service.pool.idle == 0
+            release.set()
+            request.join(10)
+            assert not request.is_alive()
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                _, job = service.handle_request("GET", f"/jobs/{accepted['job']}", None)
+                if job["state"] != "running":
+                    break
+                time.sleep(0.01)
+            assert job["state"] == "done" and batches == [1]
+            assert service.pool.idle == service.pool.size
+        finally:
+            release.set()
+            service.close()
 
     def test_cache_info_aggregates(self):
         pool = SessionPool(size=2)
@@ -78,7 +122,7 @@ class TestSessionPool:
             session.match(a, b)
         info = pool.cache_info()
         assert info["cube_misses"] == 1
-        assert len(info["shards"]) == 2
+        assert len(info["shards"]) == 1
         pool.clear_caches()
         assert pool.cache_info()["profiles"] == 0
 
@@ -356,7 +400,7 @@ class TestServiceConcurrency:
         pool = stats["pool"]
         assert pool["cube_hits"] + pool["cube_misses"] >= len(SPECS)
         assert stats["requests"]["total"] >= stats["requests"]["by_route"].get("match", 0)
-        assert len(pool["shards"]) == 3
+        assert len(pool["shards"]) == 1
 
 
 class TestSpecMemo:

@@ -11,10 +11,10 @@ proves the threaded server *fails* the way it promises to:
   instead of queueing unbounded work, and a draining server answers 503;
 * pipelined requests are answered strictly in order;
 * a client that disconnects mid-event-stream gets its
-  ``cancel_on_disconnect`` job cancelled -- and the worker shard the job was
-  using is reaped back into the pool's free-list (no leak);
-* handler exceptions never leak a pool shard (the free-list invariant holds
-  after 100 raising requests).
+  ``cancel_on_disconnect`` job cancelled -- and the pool is idle again
+  afterwards (no leak);
+* handler exceptions never leak a running match (``pool.idle`` equals
+  ``pool.size`` again after 100 raising requests).
 """
 
 from __future__ import annotations
@@ -570,26 +570,24 @@ class TestShardLeakOnHandlerExceptions:
             client.upload_schema(name="PO1", text=PO1_DDL, format="sql")
             client.upload_schema(name="PO2", text=PO2_XSD, format="xsd")
 
-            # Every shard's match() raises mid-request from now on.
-            broken = []
-            for session in pool.sessions:
-                broken.append((session, session.match))
+            # The session's match() raises mid-request from now on.
+            with pool.session() as session:
+                pass
 
-                def exploding(*args, _s=session, **kwargs):
-                    raise RuntimeError("injected session failure")
+            def exploding(*args, **kwargs):
+                raise RuntimeError("injected session failure")
 
-                session.match = exploding
+            session.match = exploding
             try:
                 for _ in range(100):
                     with pytest.raises(ServiceError) as failure:
                         client.match("PO1", "PO2")
                     assert failure.value.status == 500
             finally:
-                for session, original in broken:
-                    session.match = original
+                del session.match
 
-            assert pool.idle == pool.size  # the free-list invariant
-            # And the service still works with the sessions restored.
+            assert pool.idle == pool.size  # no running match leaked
+            # And the service still works with the session restored.
             assert client.match("PO1", "PO2")["correspondences"]
             client.close()
         finally:

@@ -98,12 +98,6 @@ class TestBackendValidation:
         with pytest.raises(ServiceError):
             MatchService(pool_size=1, backend="gevent")
 
-    def test_session_factory_conflicts_with_the_process_backend(self):
-        with pytest.raises(ServiceError):
-            MatchService(
-                pool_size=1, backend="process", session_factory=MatchSession
-            )
-
     def test_thread_backend_stays_the_default(self):
         service = MatchService(pool_size=1)
         assert service.backend == "thread"

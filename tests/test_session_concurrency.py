@@ -4,19 +4,25 @@ The session guarantees (see the module docstring of ``repro.session.session``):
 
 * results are byte-identical to serial execution,
 * the caches never corrupt (no lost inserts, no iteration races with trims),
-* ``cube_hits + cube_misses`` equals the number of cacheable executions.
+* ``cube_hits + cube_misses`` equals the number of cacheable executions,
+* concurrent misses of one cube compute it once (one flight per key).
 """
 
 from __future__ import annotations
 
+import random
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.datasets.figure1 import load_po1, load_po2
 from repro.datasets.gold_standard import load_task
+from repro.engine.engine import MatchEngine
 from repro.session import MatchSession
+from repro.session import session as session_module
 
 #: Cacheable strategies (hybrid matchers only) with distinct combinations.
 SPECS = (
@@ -124,6 +130,23 @@ class TestConcurrentSession:
         assert all(profile is profiles[0] for profile in profiles)
         assert session.cache_info()["profiles"] == 1
 
+    def test_overlapping_transient_profiles_evict_when_the_last_exits(self):
+        # Two searches of one query on a shared session: the second enters
+        # after the first built the profile, and the first exits first.
+        session = MatchSession()
+        query = load_po1()
+        first, second = session.transient_profile(query), session.transient_profile(query)
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert session.cache_info()["profiles"] == 1  # still in use
+        second.__exit__(None, None, None)
+        assert session.cache_info()["profiles"] == 0
+        session.profile_for(query)
+        with session.transient_profile(query), session.transient_profile(query):
+            pass
+        assert session.cache_info()["profiles"] == 1  # cached before: kept
+
     def test_trim_races_with_inserts(self, schema_pairs):
         """A tiny profile bound forces constant evictions while threads insert."""
         session = MatchSession(max_cached_profiles=1, max_cached_cubes=1)
@@ -156,3 +179,175 @@ class TestConcurrentSession:
         assert session.strategy_names() == (
             "strategy-0", "strategy-1", "strategy-2", "strategy-3",
         )
+
+
+class _CountingFlight(session_module._Flight):
+    """A flight that counts the executions waiting on it."""
+
+    lock = threading.Lock()
+    waiting = 0
+
+    def wait(self, timeout=None):
+        with _CountingFlight.lock:
+            _CountingFlight.waiting += 1
+        return super().wait(timeout)
+
+
+class _HeldEngine(MatchEngine):
+    """Holds its first execution until ``waiters`` executions wait on it.
+
+    With ``fail`` the held execution then raises instead of computing.
+    """
+
+    def __init__(self, waiters: int, fail: bool = False):
+        super().__init__()
+        self._waiters = waiters
+        self._fail = fail
+        self._lock = threading.Lock()
+        self.executions = 0
+        self.entered = threading.Event()
+
+    def execute(self, *args, **kwargs):
+        with self._lock:
+            self.executions += 1
+            first = self.executions == 1
+        if first:
+            self.entered.set()
+            deadline = time.monotonic() + 30
+            while _CountingFlight.waiting < self._waiters:
+                assert time.monotonic() < deadline, "the other executions never waited"
+                time.sleep(0.001)
+            if self._fail:
+                raise RuntimeError("injected engine failure")
+        return super().execute(*args, **kwargs)
+
+
+@pytest.fixture
+def counting_flights(monkeypatch):
+    monkeypatch.setattr(session_module, "_Flight", _CountingFlight)
+    monkeypatch.setattr(_CountingFlight, "waiting", 0)
+
+
+def _run_threads(work, count):
+    """Run ``work(index)`` on ``count`` threads behind a barrier; bounded joins."""
+    barrier = threading.Barrier(count)
+    results = [None] * count
+
+    def run(index):
+        barrier.wait(timeout=30)
+        try:
+            results[index] = ("ok", work(index))
+        except Exception as error:  # the failing leader
+            results[index] = ("error", error)
+
+    threads = [
+        threading.Thread(target=run, args=(index,), daemon=True) for index in range(count)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads), "a thread hangs"
+    return results
+
+
+class TestOneFlight:
+    SPEC = SPECS[0]
+
+    def test_concurrent_misses_of_one_key_compute_it_once(
+        self, schema_pairs, counting_flights
+    ):
+        source, target = schema_pairs[0]
+        expected = _result_rows(MatchSession().match(source, target, strategy=self.SPEC))
+        engine = _HeldEngine(waiters=THREADS - 1)
+        session = MatchSession(engine=engine)
+        results = _run_threads(
+            lambda _: _result_rows(session.match(source, target, strategy=self.SPEC)),
+            THREADS,
+        )
+        assert results == [("ok", expected)] * THREADS
+        info = session.cache_info()
+        assert (info["cube_misses"], info["cube_hits"]) == (1, THREADS - 1)
+        assert engine.executions == 1
+
+    def test_a_failed_leader_hands_the_key_to_a_waiter(
+        self, schema_pairs, counting_flights
+    ):
+        source, target = schema_pairs[0]
+        serial = MatchSession().match(source, target, strategy=self.SPEC)
+        engine = _HeldEngine(waiters=THREADS - 1, fail=True)
+        session = MatchSession(engine=engine)
+        results = _run_threads(
+            lambda _: session.match(source, target, strategy=self.SPEC), THREADS
+        )
+        errors = [value for kind, value in results if kind == "error"]
+        outcomes = [value for kind, value in results if kind == "ok"]
+        assert len(errors) == 1 and isinstance(errors[0], RuntimeError)
+        assert len(outcomes) == THREADS - 1
+        for outcome in outcomes:
+            assert _result_rows(outcome) == _result_rows(serial)
+            assert outcome.cube.as_array().tobytes() == serial.cube.as_array().tobytes()
+            assert outcome.schema_similarity == serial.schema_similarity
+        info = session.cache_info()
+        assert info["cube_hits"] + info["cube_misses"] == len(outcomes)
+        assert info["cube_misses"] == 1
+        assert engine.executions == 2  # the failed one, then one new leader
+
+    def test_match_many_waits_on_a_key_match_computes(
+        self, schema_pairs, counting_flights
+    ):
+        source, target = schema_pairs[0]
+        expected = _result_rows(MatchSession().match(source, target, strategy=self.SPEC))
+        engine = _HeldEngine(waiters=1)
+        session = MatchSession(engine=engine)
+
+        def work(index):
+            if index == 0:
+                return _result_rows(session.match(source, target, strategy=self.SPEC))
+            assert engine.entered.wait(timeout=30)  # the match() computes the key
+            [outcome] = session.match_many([(source, target, self.SPEC)])
+            return _result_rows(outcome)
+
+        results = _run_threads(work, 2)
+        assert results == [("ok", expected)] * 2
+        info = session.cache_info()
+        assert (info["cube_misses"], info["cube_hits"]) == (1, 1)
+        assert engine.executions == 1
+
+    def test_stress_misses_equal_the_distinct_keys(self, schema_pairs):
+        """Many threads, every key in a shuffled order, tiny switch interval."""
+        work = [
+            (source, target, spec)
+            for pair in schema_pairs
+            for source, target in (pair, pair[::-1])
+            for spec in SPECS
+        ]
+        serial_session = MatchSession()
+        serial = {
+            (s.name, t.name, spec): _result_rows(serial_session.match(s, t, strategy=spec))
+            for s, t, spec in work
+        }
+        distinct = serial_session.cache_info()["cubes"]
+        session = MatchSession()
+
+        def hammer(index):
+            order = list(work) * 2
+            random.Random(index).shuffle(order)
+            return [
+                ((s.name, t.name, spec), _result_rows(session.match(s, t, strategy=spec)))
+                for s, t, spec in order
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = _run_threads(hammer, 2 * THREADS)
+        finally:
+            sys.setswitchinterval(interval)
+        for kind, rows in results:
+            assert kind == "ok"
+            for key, value in rows:
+                assert value == serial[key]
+        info = session.cache_info()
+        assert info["cube_misses"] == distinct
+        assert info["cube_hits"] + info["cube_misses"] == 2 * THREADS * 2 * len(work)
