@@ -13,8 +13,8 @@ pipeline with a three-stage batch scheme:
    :class:`~repro.combination.cube.SimilarityCube`.  Within one execution,
    matrices requested more than once -- the Name matrix by the Name layer
    and by TypeName, the TypeName matrix by its layer and as the leaf matrix
-   of Children and Leaves -- are computed once
-   (:func:`~repro.matchers.base.layer_memo`).
+   of Children and Leaves, the token matrix by Name and NamePath -- are
+   computed once (:func:`~repro.matchers.base.layer_memo`).
 
 ``MatchEngine(use_batch=False)`` runs the original pairwise reference
 implementation through the same interface, which is how the equivalence tests

@@ -20,6 +20,7 @@ indexing (:meth:`~repro.combination.matrix.SimilarityMatrix.from_unique`).
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -60,13 +61,20 @@ def unique_index(items: Sequence[KeyT]) -> Tuple[List[KeyT], np.ndarray]:
 
 
 class TokenProfile:
-    """Unique token tuples of one path set under one extraction mode."""
+    """Unique token tuples of one path set under one extraction mode.
 
-    __slots__ = ("keys", "unique_keys", "inverse")
+    ``words`` lists the distinct tokens in first-occurrence order over the
+    unique tuples: the vocabulary the Name matchers score token pairs over.
+    """
+
+    __slots__ = ("keys", "unique_keys", "inverse", "words")
 
     def __init__(self, keys: Sequence[Tuple[str, ...]]):
         self.keys: Tuple[Tuple[str, ...], ...] = tuple(keys)
         self.unique_keys, self.inverse = unique_index(self.keys)
+        self.words: Tuple[str, ...] = tuple(
+            dict.fromkeys(itertools.chain.from_iterable(self.unique_keys))
+        )
 
 
 class PathTree:
@@ -79,10 +87,11 @@ class PathTree:
     :mod:`repro.search.intervals`).  ``children`` and ``leaves`` hold every
     path's child paths and leaf paths (empty for a leaf), each set ordered
     by name tuple, ties by position.  ``dense`` ranks the paths by name
-    tuple, equal tuples sharing a rank.
+    tuple, equal tuples sharing a rank (:func:`dense_name_ranks`, computed
+    unless given).
     """
 
-    def __init__(self, paths: Sequence[SchemaPath]):
+    def __init__(self, paths: Sequence[SchemaPath], dense: Optional[np.ndarray] = None):
         self.paths = paths
         count = len(paths)
         depths = [len(path) for path in paths]
@@ -105,7 +114,7 @@ class PathTree:
                 height[up] = max(height[up], height[index] + 1)
         self.height = np.array(height, dtype=np.intp)
 
-        self.dense = dense_name_ranks(paths)
+        self.dense = dense_name_ranks(paths) if dense is None else dense
         # Each path's position in name order, ties by position.
         by_rank = np.argsort(np.argsort(self.dense, kind="stable")).tolist().__getitem__
         self.children = [sorted(group, key=by_rank) for group in children]
@@ -116,11 +125,13 @@ class PathTree:
         self.leaves = [sorted(leaves[start:stop], key=by_rank) for start, stop in zip(low, high)]
 
     @classmethod
-    def concatenated(cls, paths: Sequence[SchemaPath], parts: Sequence["PathTree"]) -> "PathTree":
-        """``PathTree(paths)`` for ``paths`` the parts' paths concatenated, from the parts' trees.
+    def concatenated(
+        cls, paths: Sequence[SchemaPath], parts: Sequence["PathTree"], dense: np.ndarray
+    ) -> "PathTree":
+        """``PathTree(paths, dense)`` for ``paths`` the parts' paths concatenated.
 
-        The containment fields are the parts' shifted by their offsets; only
-        ``dense`` is ranked again, over all of ``paths``.
+        The containment fields are the parts' shifted by their offsets;
+        ``dense`` ranks all of ``paths``.
         """
         tree = cls.__new__(cls)
         offsets = np.cumsum([0] + [len(part.paths) for part in parts[:-1]]).tolist()
@@ -128,7 +139,7 @@ class PathTree:
         tree.end = np.concatenate([part.end + offset for part, offset in zip(parts, offsets)])
         tree.leaf = np.concatenate([part.leaf for part in parts])
         tree.height = np.concatenate([part.height for part in parts])
-        tree.dense = dense_name_ranks(paths)
+        tree.dense = dense
         tree.children = [
             [index + offset for index in group]
             for part, offset in zip(parts, offsets)
@@ -302,13 +313,15 @@ class PathSetProfile:
         The paths must be whole schemas' ``paths()`` (see :class:`PathTree`).
         """
         if self._tree is None:
+            # Outside the lock, which is not re-entrant and name_ranks() takes.
+            ranks = self.name_ranks()
             with self._lock:
                 if self._tree is None:
-                    self._tree = self._build_tree()
+                    self._tree = self._build_tree(ranks)
         return self._tree
 
-    def _build_tree(self) -> PathTree:
-        return PathTree(self.paths)
+    def _build_tree(self, ranks: np.ndarray) -> PathTree:
+        return PathTree(self.paths, ranks)
 
     # -- misc ------------------------------------------------------------------
 
@@ -390,5 +403,5 @@ class ForestProfile(PathSetProfile):
     def _derive_soundex_codes(self, length: int) -> List[str]:
         return self._from_parts([part.soundex_codes(length) for part in self._parts])
 
-    def _build_tree(self) -> PathTree:
-        return PathTree.concatenated(self.paths, [part.path_tree() for part in self._parts])
+    def _build_tree(self, ranks: np.ndarray) -> PathTree:
+        return PathTree.concatenated(self.paths, [part.path_tree() for part in self._parts], ranks)

@@ -34,7 +34,10 @@ import abc
 import contextlib
 import contextvars
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (
+    Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, TypeVar,
+    TYPE_CHECKING,
+)
 
 import numpy as np
 
@@ -49,6 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from repro.engine.profiles import PathSetProfile
     from repro.matchers.simple.user_feedback import UserFeedbackStore
     from repro.repository.repository import Repository
+
+T = TypeVar("T")
 
 
 @dataclasses.dataclass
@@ -193,7 +198,7 @@ class StringMatcher(abc.ABC):
 
 
 #: The layer memo of the engine execution running in this thread (or task):
-#: its context and a dict of matrices keyed by matcher configuration + paths.
+#: its context and a dict of the tables derived once per execution.
 _LAYER_MEMO: contextvars.ContextVar[Optional[Tuple["MatchContext", dict]]] = (
     contextvars.ContextVar("repro_layer_memo", default=None)
 )
@@ -204,14 +209,30 @@ def layer_memo(context: MatchContext) -> Iterator[None]:
     """Share batch matrices between the matchers of one execution over ``context``.
 
     Inside the block, :meth:`Matcher.compute_shared` computes each matrix
-    once per (matcher configuration, source paths, target paths).  The memo
-    is dropped on exit, so nothing the block returns keeps it alive.
+    once per (matcher configuration, source paths, target paths), and
+    :func:`memoised` each other shared table once per key.  The memo is
+    dropped on exit, so nothing the block returns keeps it alive.
     """
     token = _LAYER_MEMO.set((context, {}))
     try:
         yield
     finally:
         _LAYER_MEMO.reset(token)
+
+
+def memoised(context: MatchContext, key: Hashable, compute: Callable[[], T]) -> T:
+    """``compute()``, computed once per ``key`` in the :func:`layer_memo` block of ``context``.
+
+    Outside such a block (or inside one over another context) it is
+    computed on every call.
+    """
+    memo = _LAYER_MEMO.get()
+    if memo is None or memo[0] is not context:
+        return compute()
+    value = memo[1].get(key)
+    if value is None:
+        value = memo[1][key] = compute()
+    return value
 
 
 class Matcher(abc.ABC):
@@ -263,16 +284,24 @@ class Matcher(abc.ABC):
         target_paths: Sequence[SchemaPath],
         context: MatchContext,
     ) -> SimilarityMatrix:
-        """:meth:`compute_batch`, computed once per :func:`layer_memo` block."""
-        memo = _LAYER_MEMO.get()
+        """:meth:`compute_batch`, computed once per :func:`layer_memo` block.
+
+        The path sets are found by the identity of their tuples, not by
+        hashing every path: the engine hands every layer the same two
+        tuples, and ``Schema.paths()`` returns one cached tuple.  The entry
+        holds both tuples, so their ids are not reused while the memo
+        lives; an equal but distinct tuple computes its own matrix.
+        """
         key = self.memo_key()
-        if memo is None or memo[0] is not context or key is None:
+        if key is None:
             return self.compute_batch(source_paths, target_paths, context)
-        key = (key, tuple(source_paths), tuple(target_paths))
-        matrix = memo[1].get(key)
-        if matrix is None:
-            matrix = memo[1][key] = self.compute_batch(source_paths, target_paths, context)
-        return matrix
+        sources, targets = tuple(source_paths), tuple(target_paths)
+        entry = memoised(
+            context,
+            (key, id(sources), id(targets)),
+            lambda: (self.compute_batch(sources, targets, context), sources, targets),
+        )
+        return entry[0]
 
     def match_schemas(self, context: MatchContext) -> SimilarityMatrix:
         """Convenience: compute over all paths of the context's schemas."""

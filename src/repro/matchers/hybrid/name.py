@@ -13,14 +13,14 @@ evidence (tokens from ancestors) and distinguishes contexts of shared elements
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.combination.aggregation import MAX, AggregationStrategy
 from repro.combination.combined import AVERAGE_COMBINED, CombinedSimilarityStrategy
 from repro.combination.matrix import SimilarityMatrix
-from repro.matchers.base import MatchContext, PairwiseMatcher, StringMatcher
+from repro.matchers.base import MatchContext, PairwiseMatcher, StringMatcher, memoised
 from repro.matchers.hybrid.set_similarity import (
     _aggregate_layers,
     batch_set_similarity,
@@ -156,18 +156,35 @@ class NameMatcher(PairwiseMatcher):
 
     def _batch_token_keys(
         self, paths: Sequence[SchemaPath], context: MatchContext
-    ) -> Tuple[List[Tuple[str, ...]], np.ndarray]:
-        """Unique token tuples and the per-path inverse index for one side."""
-        from repro.engine.profiles import unique_index
+    ) -> Tuple[List[Tuple[str, ...]], np.ndarray, Tuple[str, ...]]:
+        """Unique token tuples, the per-path inverse index and the words of one side."""
+        from repro.engine.profiles import TOKEN_MODE_NAME, TokenProfile
 
         if type(self).tokens_for in (NameMatcher.tokens_for, NamePathMatcher.tokens_for):
-            profile = context.profiles(paths).token_profile(self._profile_token_mode)
-            return list(profile.unique_keys), profile.inverse
+            profiles = context.profiles(paths)
+            profile = profiles.token_profile(self._profile_token_mode)
+            # The name-mode words first: over whole schemas every path token
+            # is also some path's name token, so Name and NamePath score
+            # token pairs over one vocabulary (see compute_batch).
+            words = profiles.token_profile(TOKEN_MODE_NAME).words + profile.words
+            return list(profile.unique_keys), profile.inverse, tuple(dict.fromkeys(words))
         # A subclass with a custom token extraction still benefits from
         # unique-key batching, just without the shared profile cache.
-        keys = [self.tokens_for(path, context) for path in paths]
-        unique_keys, inverse = unique_index(keys)
-        return unique_keys, inverse
+        profile = TokenProfile([self.tokens_for(path, context) for path in paths])
+        return list(profile.unique_keys), profile.inverse, profile.words
+
+    def _token_matrix(
+        self, words_a: Tuple[str, ...], words_b: Tuple[str, ...], context: MatchContext
+    ) -> np.ndarray:
+        """The constituents' token similarities over two vocabularies, aggregated."""
+        layers = np.stack(
+            [
+                np.clip(constituent.similarity_many(list(words_a), list(words_b)), 0.0, 1.0)
+                for constituent in self._bound_constituents(context)
+            ],
+            axis=0,
+        )
+        return _aggregate_layers(layers, self._aggregation)
 
     def compute_batch(
         self,
@@ -185,37 +202,32 @@ class NameMatcher(PairwiseMatcher):
         token per (source token, target set) and the best source token per
         (source set, target token) -- and the result is scattered to the full
         matrix.
+
+        Within one engine execution the aggregated token matrix is computed
+        once per (constituents, aggregation, source words, target words)
+        (:func:`~repro.matchers.base.memoised`), so over whole schemas Name,
+        NamePath and their Dice variants share one.  A cell depends only on
+        its two words, and Max1 breaks ties by position within a set, not by
+        vocabulary index, so sharing leaves every value as it was.
         """
-        unique_a, inverse_a = self._batch_token_keys(source_paths, context)
-        unique_b, inverse_b = self._batch_token_keys(target_paths, context)
+        unique_a, inverse_a, words_a = self._batch_token_keys(source_paths, context)
+        unique_b, inverse_b, words_b = self._batch_token_keys(target_paths, context)
+        if not words_a or not words_b:
+            # Every token set on (at least) one side is empty: all similarities are 0.
+            return SimilarityMatrix(source_paths, target_paths)
 
         # Separate per-side vocabularies: the combination step only ever reads
         # source-token rows against target-token columns, so the constituent
         # kernels are evaluated over the |A| x |B| rectangle, not |A u B|^2.
-        vocabulary_a: Dict[str, int] = {}
-        for key in unique_a:
-            for token in key:
-                vocabulary_a.setdefault(token, len(vocabulary_a))
-        vocabulary_b: Dict[str, int] = {}
-        for key in unique_b:
-            for token in key:
-                vocabulary_b.setdefault(token, len(vocabulary_b))
-
-        if not vocabulary_a or not vocabulary_b:
-            # Every token set on (at least) one side is empty: all similarities are 0.
-            return SimilarityMatrix(source_paths, target_paths)
-
-        words_a = list(vocabulary_a)
-        words_b = list(vocabulary_b)
-        layers = np.stack(
-            [
-                np.clip(constituent.similarity_many(words_a, words_b), 0.0, 1.0)
-                for constituent in self._bound_constituents(context)
-            ],
-            axis=0,
+        matrix_key = (
+            "tokens", self._constituents, type(self._aggregation), self._aggregation,
+            words_a, words_b,
         )
-        aggregated = _aggregate_layers(layers, self._aggregation)
-
+        aggregated = memoised(
+            context, matrix_key, lambda: self._token_matrix(words_a, words_b, context)
+        )
+        vocabulary_a = {word: index for index, word in enumerate(words_a)}
+        vocabulary_b = {word: index for index, word in enumerate(words_b)}
         index_sets_a = [[vocabulary_a[token] for token in dict.fromkeys(key)] for key in unique_a]
         index_sets_b = [[vocabulary_b[token] for token in dict.fromkeys(key)] for key in unique_b]
         unique_values = batch_set_similarity(

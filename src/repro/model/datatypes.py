@@ -21,6 +21,7 @@ This module provides:
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from typing import Iterable, Mapping, Optional, Tuple
 
@@ -104,11 +105,23 @@ def normalise_source_type(source_type: str) -> str:
     return stripped
 
 
+#: Distinct source-type strings whose generic type :func:`map_source_type`
+#: keeps.  Type strings arrive with uploaded schemas, so the memo is bounded.
+SOURCE_TYPE_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=SOURCE_TYPE_MEMO_SIZE)
 def map_source_type(source_type: Optional[str]) -> GenericType:
     """Map a source-level type string to its :class:`GenericType`.
 
     Unknown or empty strings map to :attr:`GenericType.UNKNOWN`; inner/complex
     elements without a type should use :attr:`GenericType.COMPLEX` explicitly.
+    Every profile build maps each path's type, so the result is memoised per
+    string (up to :data:`SOURCE_TYPE_MEMO_SIZE` of them, least recently used
+    first out).
+
+    >>> map_source_type("VARCHAR(200)") is map_source_type("varchar")
+    True
     """
     if not source_type:
         return GenericType.UNKNOWN

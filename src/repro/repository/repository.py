@@ -326,8 +326,12 @@ class Repository:
 
         Matcher references are stored by *name*: a strategy carrying
         pre-configured matcher instances reloads as library-default instances.
+        The combination must reload into the same state, type for type and
+        value for value; a strategy whose document would reload as another
+        one (a labelled Weighted aggregation, a threshold with more digits
+        than its name prints) raises :class:`RepositoryError`.
         """
-        from repro.core.strategy import MatchStrategy
+        from repro.core.strategy import MatchStrategy, _same_state
 
         if isinstance(strategy, str):
             strategy = MatchStrategy.parse(strategy)
@@ -339,12 +343,17 @@ class Repository:
             # Validate at write time that the document reloads: a strategy
             # whose sub-strategies have no textual form (e.g. a Weighted
             # aggregation) must fail here, not on every later listing/load.
-            MatchStrategy.from_dict(json.loads(document))
+            reloaded = MatchStrategy.from_dict(json.loads(document))
         except ComaError as error:
             raise RepositoryError(
                 f"strategy {name!r} cannot be stored: its serialised form does "
                 f"not reload ({error})"
             ) from error
+        if not _same_state(reloaded.combination, strategy.combination):
+            raise RepositoryError(
+                f"strategy {name!r} cannot be stored: its serialised form reloads "
+                f"as a different strategy ({reloaded.to_spec()})"
+            )
         try:
             with self._connection:
                 if replace:

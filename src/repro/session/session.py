@@ -70,7 +70,7 @@ from repro.auxiliary.synonyms import SynonymDictionary, default_purchase_order_s
 from repro.combination.cube import SimilarityCube
 from repro.core.match_operation import MatchOutcome, build_context, combine_cube
 from repro.core.processor import MatchProcessor
-from repro.core.strategy import MatchStrategy, default_strategy
+from repro.core.strategy import MatchStrategy, _same_state, default_strategy
 from repro.engine.engine import DEFAULT_ENGINE, MatchEngine
 from repro.engine.profiles import ForestProfile, PathSetProfile
 from repro.exceptions import CombinationError, SessionError, UnknownMatcherError
@@ -126,25 +126,6 @@ class _PathForest:
 
     def paths(self) -> Tuple[SchemaPath, ...]:
         return self._paths
-
-
-def _same_state(first: object, second: object) -> bool:
-    """Whether two objects have the same types and attribute values all the way down.
-
-    Combination strategies compare equal by name alone, which tells neither
-    ``WeightedAggregation(weights, label="Average")`` from ``Average`` nor
-    ``Thr(0.1234567)`` from the ``Thr(0.123457)`` its name prints.
-    """
-    if type(first) is not type(second):
-        return False
-    if isinstance(first, (list, tuple)):
-        return len(first) == len(second) and all(map(_same_state, first, second))
-    if hasattr(first, "__dict__"):
-        first, second = vars(first), vars(second)
-        return first.keys() == second.keys() and all(
-            _same_state(first[name], second[name]) for name in first
-        )
-    return first == second
 
 
 class _Flight(threading.Event):

@@ -4,7 +4,8 @@ Within one :meth:`MatchEngine.execute` the default strategy asks for the Name
 matrix four times (its layer, TypeName, and the TypeName leaf matrices of
 Children and Leaves) and for the TypeName matrix three times.  The memo must
 compute each once, must never mix configurations, and must not outlive the
-execution.
+execution.  Name and NamePath over whole schemas also share one token
+matrix, so their constituent string matchers run once per execution.
 """
 
 from __future__ import annotations
@@ -19,12 +20,24 @@ from repro.combination import DICE_COMBINED
 from repro.core.match_operation import build_context
 from repro.core.strategy import default_strategy
 from repro.datasets.figure1 import load_po1, load_po2
+from repro.datasets.generators import generate_pair
 from repro.engine.engine import MatchEngine
 from repro.matchers.base import _LAYER_MEMO, layer_memo
 from repro.matchers.hybrid.name import NameMatcher, NamePathMatcher
 from repro.matchers.hybrid.structural import ChildrenMatcher, LeavesMatcher
 from repro.matchers.hybrid.type_name import TypeNameMatcher
+from repro.matchers.string.ngram import NGramMatcher
+from repro.matchers.string.synonym import SynonymStringMatcher
+from repro.model.datatypes import SOURCE_TYPE_MEMO_SIZE, GenericType, map_source_type
 from repro.session import MatchSession
+
+
+def _schemas(pair):
+    """PO1/PO2, or a generated pair."""
+    if pair == "po":
+        return load_po1(), load_po2()
+    generated = generate_pair(6, 5, overlap=0.7, seed=11)
+    return generated.source, generated.target
 
 
 @pytest.fixture()
@@ -54,19 +67,78 @@ def test_default_match_computes_name_and_type_name_once(calls):
     assert counts == {"Name": 1, "NamePath": 1, "TypeName": 1}
 
 
-def test_dice_variant_shares_nothing_with_average_name(calls):
-    counts, _ = calls
+def test_one_execution_runs_the_name_constituents_once(monkeypatch):
+    counts = collections.Counter()
+    for owner in (NGramMatcher, SynonymStringMatcher):
+        original = owner.__dict__["similarity_many"]
+
+        def counting(self, sources, targets, _original=original, _owner=owner):
+            counts[_owner.__name__] += 1
+            return _original(self, sources, targets)
+
+        monkeypatch.setattr(owner, "similarity_many", counting)
     po1, po2 = load_po1(), load_po2()
+    matchers = default_strategy().resolve_matchers(None)
+    MatchEngine().execute(matchers, build_context(po1, po2))
+    # Name and NamePath read one token vocabulary over whole schemas.
+    assert counts == {"NGramMatcher": 1, "SynonymStringMatcher": 1}
+
+
+@pytest.mark.parametrize("pair", ["po", "generated"])
+def test_dice_variant_keeps_its_own_name_layer(calls, pair):
+    counts, _ = calls
+    source, target = _schemas(pair)
     dice_children = ChildrenMatcher().with_combined_similarity(DICE_COMBINED)
-    matchers = [NameMatcher(), dice_children]
+    matchers = [
+        NameMatcher(),
+        dice_children,
+        NamePathMatcher(),
+        NamePathMatcher(include_schema_root=True),
+        NameMatcher(combined_similarity=DICE_COMBINED),
+    ]
     assert matchers[0].memo_key() != dice_children.leaf_matcher.name_matcher.memo_key()
-    memoised = MatchEngine().execute(matchers, build_context(po1, po2))
-    # Average Name layer + Dice Name inside the Dice TypeName leaf matcher.
+    # One execution's layers (a cube would refuse the two NamePath names).
+    context = build_context(source, target)
+    with layer_memo(context):
+        memoised = [
+            MatchEngine().compute_matrix(matcher, source.paths(), target.paths(), context)
+            for matcher in matchers
+        ]
+    # Two Name matrices: the Average layer, and the Dice one that the last
+    # layer and the Dice TypeName leaf matcher share.  The layers share
+    # token matrices, not matrices.
     assert counts["Name"] == 2
-    context = build_context(po1, po2)
-    for matcher in matchers:
-        alone = matcher.compute_batch(po1.paths(), po2.paths(), context)
-        assert memoised.layer(matcher.name).values.tobytes() == alone.values.tobytes()
+    assert counts["NamePath"] == 2
+    for matrix, matcher in zip(memoised, matchers):
+        alone = matcher.compute_batch(
+            source.paths(), target.paths(), build_context(source, target)
+        )
+        assert matrix.values.tobytes() == alone.values.tobytes()
+
+
+@pytest.mark.parametrize("pair", ["po", "generated"])
+def test_partial_execution_rows_equal_the_full_cube(pair):
+    # Over a slice of rows, NamePath's vocabulary can hold ancestor tokens
+    # that Name's lacks (the generated pair's Header); it then computes its
+    # own token matrix.
+    source, target = _schemas(pair)
+    matchers = default_strategy().resolve_matchers(None)
+    full = MatchEngine().execute(matchers, build_context(source, target))
+    part = MatchEngine().execute_partial(
+        matchers, build_context(source, target), source_rows=source.paths()[2:9]
+    )
+    assert part.as_array().tobytes() == full.as_array()[:, 2:9].tobytes()
+
+
+def test_source_type_memo_stays_bounded():
+    for index in range(10_000):
+        assert map_source_type(f"frobnicator{index}") is GenericType.UNKNOWN
+    info = map_source_type.cache_info()
+    assert info.maxsize == SOURCE_TYPE_MEMO_SIZE
+    assert info.currsize == SOURCE_TYPE_MEMO_SIZE
+    assert map_source_type("VARCHAR(200)") is GenericType.STRING
+    assert map_source_type("xsd:decimal") is GenericType.DECIMAL
+    assert map_source_type("number") is GenericType.DECIMAL
 
 
 def test_memo_keys_follow_configuration():
@@ -100,3 +172,15 @@ def test_memo_serves_only_its_own_context():
         assert matcher.compute_shared(po1.paths(), po2.paths(), context) is first
         assert matcher.compute_shared(po1.paths(), po2.paths(), other) is not first
     assert matcher.compute_shared(po1.paths(), po2.paths(), context) is not first
+
+
+def test_memo_finds_path_sets_by_tuple_identity():
+    po1, po2 = load_po1(), load_po2()
+    context = build_context(po1, po2)
+    matcher = NameMatcher()
+    with layer_memo(context):
+        first = matcher.compute_shared(po1.paths(), po2.paths(), context)
+        # An equal but distinct tuple misses and computes its own matrix.
+        again = matcher.compute_shared(tuple(list(po1.paths())), po2.paths(), context)
+        assert again is not first
+        assert again.values.tobytes() == first.values.tobytes()

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.combination.aggregation import WeightedAggregation
+from repro.combination.selection import Threshold
 from repro.core.match_operation import build_context
+from repro.core.strategy import MatchStrategy, _same_state
 from repro.exceptions import RepositoryError
 from repro.matchers.reuse.provider import StoredMapping
 from repro.matchers.reuse.schema_reuse import SchemaReuseMatcher
@@ -131,3 +134,34 @@ class TestRepositoryTransactions:
             repository.store_mapping(StoredMapping("A", "B", (("A.x", "B.y", 0.5),)))
             assert repository.mapping_count() == 1
             assert [m.rows for m in repository.stored_mappings()] == [(("A.x", "B.y", 0.5),)]
+
+
+class TestRepositoryStrategies:
+    """A stored strategy reloads into the same strategy, or is not stored."""
+
+    SPEC = "Name+Leaves(Average,Both,Thr(0.5),Average)"
+
+    @pytest.mark.parametrize(
+        "replaced",
+        [
+            {"aggregation": WeightedAggregation({"Name": 2.0, "Leaves": 1.0}, label="Average")},
+            {"selection": Threshold(0.1234567)},
+        ],
+        ids=["labelled-weighted", "threshold-beyond-six-digits"],
+    )
+    def test_a_strategy_that_would_reload_differently_is_refused(self, replaced):
+        strategy = MatchStrategy.parse(self.SPEC)
+        strategy = strategy.replaced(combination=strategy.combination.replaced(**replaced))
+        # Its document reloads, but as another combination that compares equal.
+        assert MatchStrategy.from_dict(strategy.to_dict()) == strategy
+        repository = Repository(":memory:")
+        with pytest.raises(RepositoryError, match="reloads as a different strategy"):
+            repository.store_strategy("tuned", strategy)
+        assert repository.strategy_names() == ()
+
+    def test_a_spec_form_strategy_stores_and_reloads(self):
+        repository = Repository(":memory:")
+        repository.store_strategy("tuned", self.SPEC)
+        loaded = repository.load_strategy("tuned")
+        assert loaded.to_spec() == self.SPEC
+        assert _same_state(loaded.combination, MatchStrategy.parse(self.SPEC).combination)
