@@ -32,6 +32,7 @@ when a repository is attached, the name of a stored strategy.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -510,12 +511,15 @@ def _command_search(arguments: argparse.Namespace) -> int:
         raise ComaError(f"no schema corpus at {arguments.corpus!r}")
     query = DEFAULT_IMPORTERS.import_file(arguments.query)
     with MatchSession(corpus=arguments.corpus) as session:
+        match_many = None
+        if arguments.processes is not None:
+            match_many = functools.partial(session.match_many, processes=arguments.processes)
         results = session.search(
             query,
             k=arguments.k,
             strategy=arguments.strategy,
             candidates=arguments.candidates,
-            processes=arguments.processes,
+            match_many=match_many,
         )
         corpus_size = len(session.corpus)
     rows = [

@@ -45,10 +45,10 @@ class AggregationStrategy(abc.ABC):
         return self.name
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, AggregationStrategy) and str(self) == str(other)
+        return type(other) is type(self) and vars(other) == vars(self)
 
     def __hash__(self) -> int:
-        return hash(str(self))
+        return hash(str(self))  # equal values print equal names
 
 
 def _require_layers(cube: SimilarityCube) -> np.ndarray:

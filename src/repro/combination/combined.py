@@ -113,10 +113,10 @@ class CombinedSimilarityStrategy(abc.ABC):
         return f"{type(self).__name__}()"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, CombinedSimilarityStrategy) and str(self) == str(other)
+        return type(other) is type(self) and vars(other) == vars(self)
 
     def __hash__(self) -> int:
-        return hash(str(self))
+        return hash(str(self))  # equal values print equal names
 
 
 def _side_maxima(indexes: np.ndarray, values: np.ndarray) -> List[float]:

@@ -137,10 +137,10 @@ class DirectionStrategy:
         return f"{type(self).__name__}()"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, DirectionStrategy) and str(self) == str(other)
+        return type(other) is type(self) and vars(other) == vars(self)
 
     def __hash__(self) -> int:
-        return hash(str(self))
+        return hash(str(self))  # equal values print equal names
 
 
 class LargeSmall(DirectionStrategy):

@@ -95,10 +95,10 @@ class SelectionStrategy(abc.ABC):
         return f"{type(self).__name__}({self.name!r})"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, SelectionStrategy) and str(self) == str(other)
+        return type(other) is type(self) and vars(other) == vars(self)
 
     def __hash__(self) -> int:
-        return hash(str(self))
+        return hash(str(self))  # equal values print equal names
 
     def combined_with(self, other: "SelectionStrategy") -> "CombinedSelection":
         """The selection keeping only candidates accepted by both strategies."""

@@ -127,35 +127,6 @@ class MatchStrategy:
         return strategy_from_dict(data, library=library)
 
 
-def _same_state(first: object, second: object) -> bool:
-    """Whether two objects have the same types and attribute values all the way down.
-
-    Combination strategies compare equal by name alone, which tells neither
-    ``WeightedAggregation(weights, label="Average")`` from ``Average`` nor
-    ``Thr(0.1234567)`` from the ``Thr(0.123457)`` its name prints.  A
-    strategy's wire form (the process pool's spec, the repository's
-    document) is valid only when it reloads into a combination of the same
-    state.
-
-    >>> from repro.combination.aggregation import WeightedAggregation
-    >>> combination = default_strategy().combination
-    >>> weighted = combination.replaced(
-    ...     aggregation=WeightedAggregation({"Name": 2.0}, label="Average"))
-    >>> weighted == combination, _same_state(weighted, combination)
-    (True, False)
-    """
-    if type(first) is not type(second):
-        return False
-    if isinstance(first, (list, tuple)):
-        return len(first) == len(second) and all(map(_same_state, first, second))
-    if hasattr(first, "__dict__"):
-        first, second = vars(first), vars(second)
-        return first.keys() == second.keys() and all(
-            _same_state(first[name], second[name]) for name in first
-        )
-    return first == second
-
-
 def default_strategy() -> MatchStrategy:
     """The paper's default match operation: ``All`` hybrid matchers, default combination."""
     return MatchStrategy(

@@ -50,7 +50,6 @@ import contextlib
 import multiprocessing
 import threading
 import time
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -60,6 +59,7 @@ from repro.core.strategy import MatchStrategy
 from repro.exceptions import PoolTimeoutError, ServiceError
 from repro.parallel import codec
 from repro.parallel.worker import worker_main
+from repro.repository.store import _DigestMemo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.match_operation import MatchOutcome
@@ -201,12 +201,9 @@ class ProcessSessionPool:
             raise ServiceError("match workers disagree on their configuration digest")
         self._config_digest = digests.pop()
         self._free = list(range(size))
-        #: Parent-side schema-digest memo (content digests are stable unless
-        #: a schema mutates; ``clear_caches`` drops the memo).
-        self._digests: "weakref.WeakKeyDictionary[Schema, str]" = (
-            weakref.WeakKeyDictionary()
-        )
-        self._digest_lock = threading.Lock()
+        #: Parent-side schema digests: a schema edited in place ships again
+        #: under its new digest.
+        self._digests = _DigestMemo()
         #: Parsed-strategy memo for specs coming back from worker defaults.
         self._spec_memo: Dict[str, MatchStrategy] = {}
 
@@ -507,17 +504,6 @@ class ProcessSessionPool:
 
     # -- schema shipping -------------------------------------------------------------
 
-    def _digest(self, schema: "Schema") -> str:
-        from repro.repository.store import schema_content_digest
-
-        with self._digest_lock:
-            digest = self._digests.get(schema)
-        if digest is None:
-            digest = schema_content_digest(schema)
-            with self._digest_lock:
-                self._digests[schema] = digest
-        return digest
-
     def _match_frame(
         self,
         worker: _Worker,
@@ -571,8 +557,8 @@ class ProcessSessionPool:
                     f"process-pool strategies must be MatchStrategy objects, "
                     f"spec strings or None, got {type(strategy).__name__}"
                 )
-            source_digest = self._digest(source)
-            target_digest = self._digest(target)
+            source_digest = self._digests.digest(source)
+            target_digest = self._digests.digest(target)
             payloads.setdefault(source_digest, codec.schema_payload(source))
             payloads.setdefault(target_digest, codec.schema_payload(target))
             pairs.append((source_digest, target_digest, spec))
@@ -830,8 +816,7 @@ class ProcessSessionPool:
                 pass
             finally:
                 self._release(acquired)
-        with self._digest_lock:
-            self._digests = weakref.WeakKeyDictionary()
+        self._digests.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProcessSessionPool(size={self.size})"

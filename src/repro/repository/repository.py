@@ -326,12 +326,12 @@ class Repository:
 
         Matcher references are stored by *name*: a strategy carrying
         pre-configured matcher instances reloads as library-default instances.
-        The combination must reload into the same state, type for type and
-        value for value; a strategy whose document would reload as another
+        The combination must reload into an equal one (its parts compare by
+        type and value); a strategy whose document would reload as another
         one (a labelled Weighted aggregation, a threshold with more digits
         than its name prints) raises :class:`RepositoryError`.
         """
-        from repro.core.strategy import MatchStrategy, _same_state
+        from repro.core.strategy import MatchStrategy
 
         if isinstance(strategy, str):
             strategy = MatchStrategy.parse(strategy)
@@ -349,7 +349,7 @@ class Repository:
                 f"strategy {name!r} cannot be stored: its serialised form does "
                 f"not reload ({error})"
             ) from error
-        if not _same_state(reloaded.combination, strategy.combination):
+        if reloaded.combination != strategy.combination:
             raise RepositoryError(
                 f"strategy {name!r} cannot be stored: its serialised form reloads "
                 f"as a different strategy ({reloaded.to_spec()})"

@@ -46,6 +46,7 @@ import queue
 import sqlite3
 import struct
 import threading
+import weakref
 import zlib
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -169,11 +170,56 @@ def schema_content_digest(schema: Schema) -> str:
     different processes -- digest identically, which is what lets a restarted
     service hit cubes stored by its predecessor.  The digest is recomputed
     from the current graph on every call (schemas are mutable); callers on a
-    hot path memoise it with a lifetime they control -- the session keeps a
-    per-instance cache dropped by ``clear_caches()``, so the documented
-    remedy after in-place mutation re-addresses schemas too.
+    hot path memoise it in a :class:`_DigestMemo`.
     """
     return _sha256([STORE_FORMAT_VERSION, schema_to_json(schema)])
+
+
+def _schema_fingerprint(schema: Schema) -> Tuple[int, int]:
+    """A cheap structural fingerprint validating a memoised digest.
+
+    It folds the path count with an xor over the root label and every
+    path's leaf content, read from live element attributes (not the lazily
+    cached name tuples), so a rename, a type drift or an added element
+    changes it at a fraction of the full digest's cost.
+    """
+    paths = schema.paths()
+    label = hash(schema.root.name)
+    for path in paths:
+        leaf = path.leaf
+        label ^= hash((leaf.name, leaf.kind.value, leaf.source_type, leaf.documentation))
+    return (len(paths), label)
+
+
+class _DigestMemo:
+    """Schema content digests memoised per schema object, safe across threads.
+
+    Each entry carries the schema's fingerprint at memo time, and a lookup
+    whose fingerprint differs recomputes: a schema edited in place gets its
+    new content address without anyone clearing the memo.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries: "weakref.WeakKeyDictionary[Schema, Tuple[Tuple[int, int], str]]" = (
+            weakref.WeakKeyDictionary()
+        )
+
+    def digest(self, schema: Schema) -> str:
+        """The content digest of ``schema`` as it is now."""
+        fingerprint = _schema_fingerprint(schema)
+        with self._lock:
+            entry = self._entries.get(schema)
+        if entry is not None and entry[0] == fingerprint:
+            return entry[1]
+        digest = schema_content_digest(schema)
+        with self._lock:
+            self._entries[schema] = (fingerprint, digest)
+        return digest
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
 
 
 def tokenizer_digest(tokenizer: NameTokenizer) -> str:

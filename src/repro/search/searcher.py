@@ -17,11 +17,11 @@ ordering.  Both stages are deterministic (ties break by schema name), so two
 searches over the same corpus return identical rankings -- the property the
 service layer relies on for byte-identical ``POST /search`` responses.
 
-Survivor matching accepts the same fan-out controls as
-:meth:`~repro.session.session.MatchSession.match_many` (``processes`` /
-``process_pool``) plus a ``match_many`` override hook, which is how the
-service layer routes survivor matching through its existing thread or
-process session pool instead of the searcher's own session.
+Survivor matching runs on the session's
+:meth:`~repro.session.session.MatchSession.match_many` unless a
+``match_many`` override is passed, which is how the service layer routes it
+through its thread or process pool, and ``coma search --processes`` through
+worker processes.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.search.corpus import CandidateScore, SchemaCorpus, schema_vocabulary
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.match_operation import MatchOutcome
-    from repro.parallel.pool import ProcessSessionPool
     from repro.session.session import MatchSession, StrategyLike
 
 #: ``match_many`` override signature: a batch of (source, target, strategy)
@@ -180,8 +179,6 @@ class CorpusSearcher:
         candidates: Optional[int] = None,
         exclude_self: bool = True,
         exclude_names: Sequence[str] = (),
-        processes: Optional[int] = None,
-        process_pool: Optional["ProcessSessionPool"] = None,
         match_many: Optional[MatchManyFn] = None,
     ) -> List[SearchResult]:
         """Find the best match targets for ``schema`` in the corpus.
@@ -213,15 +210,13 @@ class CorpusSearcher:
             Leave these registered schemas out of the ranking entirely
             (e.g. known near-copies of the query that would otherwise crowd
             the survivor pool).
-        processes / process_pool:
-            Fan survivor matching out over worker processes, exactly as in
-            :meth:`~repro.session.session.MatchSession.match_many`.
         match_many:
             Override the survivor-matching executor with any callable of the
             same shape (items of ``(source, target, strategy)`` in, outcomes
-            in order out).  The service layer passes its session pool's
-            ``match_many`` here so search shares the pool's warm sessions and
-            backend (thread or process).
+            in order out).  The service layer passes its pool's
+            ``match_many`` here, so survivors run on its backend (thread or
+            process) while the query's profile stays transient on this
+            session.
 
         Returns
         -------
@@ -250,17 +245,9 @@ class CorpusSearcher:
             items: List[Tuple[Schema, Schema, object]] = [
                 (schema, target, strategy) for target in survivors
             ]
-            if match_many is not None:
-                if processes is not None or process_pool is not None:
-                    raise SearchError(
-                        "pass either a match_many override or processes/"
-                        "process_pool, not both"
-                    )
-                outcomes = match_many(items)
-            else:
-                outcomes = self._session.match_many(
-                    items, processes=processes, process_pool=process_pool
-                )
+            if match_many is None:
+                match_many = self._session.match_many
+            outcomes = match_many(items)
         if len(outcomes) != len(ranked):
             raise SearchError(
                 f"survivor matching returned {len(outcomes)} outcomes for "

@@ -169,10 +169,8 @@ class JobManager:
     worker pool, so the thread and process backends serve jobs identically.
     """
 
-    def __init__(self, service: "MatchService",
-                 max_finished: int = MAX_FINISHED_JOBS):
+    def __init__(self, service: "MatchService"):
         self._service = service
-        self._max_finished = max_finished
         self._jobs: Dict[str, Job] = {}
         self._threads: Dict[str, threading.Thread] = {}
         self._lock = threading.Lock()
@@ -211,7 +209,7 @@ class JobManager:
     def _evict_finished(self) -> None:
         # caller holds self._lock
         finished = [job_id for job_id, job in self._jobs.items() if job.finished]
-        while len(finished) > self._max_finished:
+        while len(finished) > MAX_FINISHED_JOBS:
             evicted = finished.pop(0)
             self._jobs.pop(evicted, None)
             self._threads.pop(evicted, None)

@@ -60,8 +60,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.strategy import MatchStrategy
-from repro.exceptions import ComaError, FaultInjected, SearchError, ServiceError
-from repro.importers.registry import DEFAULT_IMPORTERS, ImporterRegistry
+from repro.exceptions import ComaError, FaultInjected, SearchError, ServiceError, SessionError
+from repro.importers.registry import DEFAULT_IMPORTERS
 from repro.model.schema import Schema
 from repro.service.jobs import JobEventStream, JobManager
 from repro.service.pool import SessionPool, _FifoSlots
@@ -80,13 +80,10 @@ DRAIN_TIMEOUT = 30.0
 #: Seconds between ``serve_forever()``'s shutdown checks: ``shutdown()`` returns
 #: within one poll.
 POLL_INTERVAL = 0.05
-#: How many distinct strategy spec strings a service keeps parsed (the oldest
-#: is dropped first).
-PARSED_SPECS_BOUND = 256
 
 
 class MatchService:
-    """The service core: schema registry, strategy registry and session pool.
+    """The service core: schema registry, the process's session and its pool.
 
     The service is transport-agnostic -- :meth:`handle_request` maps a
     ``(method, path, payload)`` triple to a ``(status, payload)`` pair, and
@@ -94,6 +91,12 @@ class MatchService:
     All registry state is guarded by one lock; match execution happens on the
     worker pool outside that lock, so slow matches do not serialise unrelated
     requests.
+
+    The service builds one :class:`~repro.session.session.MatchSession`, from
+    its repository, store, corpus and default strategy.  It profiles uploads,
+    ranks searches and holds the strategy registry with its parsed specs; on
+    the thread backend every match runs on it too, while process workers keep
+    sessions of their own.
 
     Parameters
     ----------
@@ -128,9 +131,6 @@ class MatchService:
         a schema another process removes from the file is gone here too.
         Survivor matching fans out over the configured backend.  See
         ``docs/search.md``.
-    importers:
-        The importer registry resolving upload formats (default: the
-        built-in relational / xsd / dict importers).
     default_strategy:
         The strategy spec worker sessions fall back to when a match request
         names none (default: the paper's default operation).
@@ -157,7 +157,6 @@ class MatchService:
         repository_path: Optional[str] = None,
         store_path: Optional[str] = None,
         corpus_path: Optional[str] = None,
-        importers: Optional[ImporterRegistry] = None,
         default_strategy: Optional[str] = None,
         fault_plan: Optional[object] = None,
     ):
@@ -194,49 +193,31 @@ class MatchService:
             from repro.repository.store import SimilarityStore
 
             self._store = SimilarityStore(store_path)
+        self._corpus = None
+        if corpus_path:
+            from repro.search.corpus import SchemaCorpus
+
+            self._corpus = SchemaCorpus(corpus_path)
+        self._session = MatchSession(
+            repository=self._repository, store=self._store, corpus=self._corpus,
+            strategy=default_strategy,
+        )
         if backend == "process":
-            from repro.matchers.registry import DEFAULT_LIBRARY
             from repro.parallel.pool import ProcessSessionPool
 
             # Workers open their own connections to the shared repository /
-            # store files; the parent-side handles above serve the strategy
-            # registry and the /stats occupancy numbers.
+            # store files; the parent's session serves the strategy registry
+            # and search ranking, its handles the /stats occupancy numbers.
             self._pool = ProcessSessionPool(
                 pool_size,
                 store_path=store_path,
                 repository_path=repository_path,
                 default_strategy=default_strategy,
             )
-            self._library = DEFAULT_LIBRARY
         else:
-            session = MatchSession(
-                repository=self._repository, store=self._store,
-                strategy=default_strategy,
-            )
-            self._pool = SessionPool(pool_size, session)
-            self._library = session.library
-        self._corpus = None
-        self._search_session = None
-        if corpus_path:
-            from repro.search.corpus import SchemaCorpus
-            from repro.search.searcher import CorpusSearcher
-
-            # The search session only *ranks* (profile cache + index); the
-            # expensive survivor matching is routed through the worker pool
-            # via the searcher's match_many override, so both backends fan
-            # out identically and results stay byte-identical to the
-            # in-process MatchSession.search path.
-            self._search_session = MatchSession()
-            self._corpus = SchemaCorpus(
-                corpus_path, tokenizer=self._search_session.tokenizer
-            )
-            self._searcher = CorpusSearcher(self._search_session, self._corpus)
-        self._importers = importers if importers is not None else DEFAULT_IMPORTERS
+            self._pool = SessionPool(pool_size, self._session)
         #: The schema registry of a service with no corpus.
         self._schemas: Dict[str, Schema] = {}
-        self._strategies: Dict[str, MatchStrategy] = {}
-        #: Spec string -> its parsed strategy, shared like the stored ones.
-        self._parsed_specs: Dict[str, MatchStrategy] = {}
         self._state_lock = threading.RLock()
         #: Serialises uploads and deletes over the corpus and the dict.
         self._registry_lock = threading.Lock()
@@ -313,21 +294,19 @@ class MatchService:
                 return replaced
             with self._corpus_guard():
                 replaced = self._corpus.has(schema.name)
-                with self._search_session.transient_profile(schema) as profile:
+                with self._session.transient_profile(schema) as profile:
                     self._corpus.add(schema, replace=True, profile=profile)
                 # Lookups answer with the corpus's copy of the schema, so the
-                # search session keeps the profile of that copy warm.
-                self._search_session.profile_for(self._corpus.load(schema.name))
+                # session keeps the profile of that copy warm.
+                self._session.profile_for(self._corpus.load(schema.name))
         return replaced
 
     def resolve_strategy(self, reference: StrategyLike) -> Optional[MatchStrategy]:
-        """Resolve a request's strategy reference at the service level.
+        """Resolve a request's strategy reference on the service's session.
 
-        ``None`` keeps the worker session's default.  A spec string (it
-        contains parentheses) is parsed against the library, once per
-        distinct string (up to :data:`PARSED_SPECS_BOUND` of them); any other
-        string is looked up in the service strategy registry, then the
-        repository.
+        ``None`` keeps the worker session's default.  A string with a
+        parenthesis is a spec (the session parses each distinct one once);
+        any other string is a stored strategy name.
 
         Raises
         ------
@@ -335,53 +314,34 @@ class MatchService:
             With status 404 for an unknown stored name, 400 for an invalid
             spec or reference type.
         """
-        if reference is None:
-            return None
-        if isinstance(reference, MatchStrategy):
+        if reference is None or isinstance(reference, MatchStrategy):
             return reference
         if not isinstance(reference, str):
             raise ServiceError(
                 f"'strategy' must be a spec string or a stored name, "
                 f"got {type(reference).__name__}", status=400,
             )
-        if "(" in reference:
-            strategy = self._parsed_specs.get(reference)
-            if strategy is None:
-                try:
-                    strategy = MatchStrategy.parse(reference, library=self._library)
-                except ComaError as error:
-                    raise ServiceError(f"invalid strategy spec: {error}", status=400)
-                with self._state_lock:
-                    if len(self._parsed_specs) >= PARSED_SPECS_BOUND:
-                        del self._parsed_specs[next(iter(self._parsed_specs))]
-                    strategy = self._parsed_specs.setdefault(reference, strategy)
-            return strategy
-        return self._stored_strategy(reference)
+        if "(" not in reference:
+            return self._stored_strategy(reference)
+        try:
+            return self._session.resolve_strategy(reference)
+        except ComaError as error:
+            raise ServiceError(f"invalid strategy spec: {error}", status=400)
 
     def _stored_strategy(self, name: str) -> MatchStrategy:
-        """A stored strategy by name: the registry, then the repository (else 404)."""
-        with self._state_lock:
-            strategy = self._strategies.get(name)
-        if strategy is None and self._repository is not None \
-                and self._repository.has_strategy(name):
-            strategy = self._repository.load_strategy(name, library=self._library)
-            with self._state_lock:
-                strategy = self._strategies.setdefault(name, strategy)
-        if strategy is None:
+        """A stored strategy by name (else 404)."""
+        try:
+            return self._session.load_strategy(name)
+        except SessionError:
             known = ", ".join(self.strategy_names()) or "none stored yet"
             raise ServiceError(
                 f"no stored strategy named {name!r}; stored strategies: {known}",
                 status=404,
             )
-        return strategy
 
     def strategy_names(self) -> Tuple[str, ...]:
-        """Sorted names of all stored strategies (registry + repository)."""
-        with self._state_lock:
-            names = set(self._strategies)
-        if self._repository is not None:
-            names.update(self._repository.strategy_names())
-        return tuple(sorted(names))
+        """Sorted names of all stored strategies (session + repository)."""
+        return self._session.strategy_names()
 
     # -- request dispatch ------------------------------------------------------
 
@@ -649,9 +609,9 @@ class MatchService:
         if not format_name:
             raise ServiceError(
                 f"schema uploads need a 'format'; known formats: "
-                f"{', '.join(self._importers.formats())}", status=400,
+                f"{', '.join(DEFAULT_IMPORTERS.formats())}", status=400,
             )
-        importer = self._importers.by_format(str(format_name))
+        importer = DEFAULT_IMPORTERS.by_format(str(format_name))
         schema = importer.import_text(text, str(name) if name else "schema")
         replaced = self.register_schema(schema)
         statistics = schema.statistics()
@@ -919,22 +879,22 @@ class MatchService:
     def run_search(self, validated: dict) -> dict:
         """Execute a :meth:`validate_search`-resolved request.
 
-        The cheap index ranking runs on the service's search session; the
-        full pipeline on the survivors fans out through the worker pool
-        (thread or process backend alike), so the ranked results are
-        byte-identical to an in-process ``MatchSession.search`` over the
-        same corpus.
+        The cheap index ranking runs on the service's session, which holds
+        the query's profile for the search only; the full pipeline on the
+        survivors runs through the worker pool (thread or process backend
+        alike), so the ranked results are byte-identical to an in-process
+        ``MatchSession.search`` over the same corpus.
         """
         corpus = self._require_corpus()
         name, k = validated["name"], validated["k"]
         min_similarity = validated["min_similarity"]
         with self._corpus_guard():
-            results = self._searcher.search(
+            results = self._session.search(
                 validated["schema"],
                 k=k,
                 strategy=validated["strategy"],
                 candidates=validated["candidates"],
-                match_many=self._survivor_matcher(validated["schema"]),
+                match_many=self._pool.match_many,
             )
         # A full search round trip is the recovery probe: the corpus served
         # its index again, so the degradation mark comes off.
@@ -956,34 +916,15 @@ class MatchService:
             "count": len(results),
         }
 
-    def _survivor_matcher(self, query: Schema):
-        """The ``match_many`` that matches a search's survivors against ``query``.
-
-        On the thread backend the session keeps the query's profile for the
-        batch only, unless it held it before
-        (:meth:`~repro.session.session.MatchSession.transient_profile`), so
-        a stream of searches does not evict the warm profiles of uploaded
-        schemas.  Process workers keep their own bounded profile caches.
-        """
-        if not isinstance(self._pool, SessionPool):
-            return self._pool.match_many
-
-        def match_many(items):
-            with self._pool.session() as session, session.transient_profile(query):
-                return session.match_many(items)
-
-        return match_many
-
     def _search(self, payload: dict) -> dict:
         """``POST /search``: top-K pruned corpus search for a registered schema."""
         return self.run_search(self.validate_search(payload))
 
     def _list_strategies(self) -> dict:
-        entries = []
-        for name in self.strategy_names():
-            strategy = self.resolve_strategy(name)
-            entries.append({"name": name, "spec": strategy.to_spec()})
-        return {"strategies": entries}
+        return {"strategies": [
+            {"name": name, "spec": self._stored_strategy(name).to_spec()}
+            for name in self.strategy_names()
+        ]}
 
     def _store_strategy(self, payload: dict) -> Tuple[int, dict]:
         if not isinstance(payload, dict):
@@ -1000,15 +941,12 @@ class MatchService:
         if not isinstance(spec, str) or not spec:
             raise ServiceError("stored strategies need a 'spec' string", status=400)
         try:
-            strategy = MatchStrategy.parse(spec, library=self._library).replaced(name=name)
+            strategy = MatchStrategy.parse(spec, library=self._session.library)
         except ComaError as error:
             raise ServiceError(f"invalid strategy spec: {error}", status=400)
         with self._state_lock:
-            replaced = name in self._strategies
-            if self._repository is not None:
-                replaced = replaced or self._repository.has_strategy(name)
-                self._repository.store_strategy(name, strategy)
-            self._strategies[name] = strategy
+            replaced = name in self.strategy_names()
+            strategy = self._session.save_strategy(name, strategy)
         return (200 if replaced else 201), {
             "name": name,
             "spec": strategy.to_spec(),
@@ -1022,11 +960,7 @@ class MatchService:
         return {"name": name, "spec": strategy.to_spec(), "document": strategy.to_dict()}
 
     def _delete_strategy(self, name: str) -> Tuple[int, dict]:
-        with self._state_lock:
-            removed = self._strategies.pop(name, None) is not None
-            if self._repository is not None:
-                removed = self._repository.delete_strategy(name) or removed
-        if not removed:
+        if not self._session.delete_strategy(name):
             raise ServiceError(f"no stored strategy named {name!r}", status=404)
         return 200, {"deleted": name}
 

@@ -15,9 +15,9 @@ across arbitrarily many operations:
 * :meth:`~MatchSession.evaluate` spins up an
   :class:`~repro.evaluation.campaign.EvaluationCampaign` whose per-task
   contexts share the session caches,
-* :meth:`~MatchSession.save_strategy` / :meth:`~MatchSession.load_strategy`
-  manage named declarative strategy specs, persisted through the repository
-  when one is attached.
+* :meth:`~MatchSession.save_strategy` / :meth:`~MatchSession.load_strategy` /
+  :meth:`~MatchSession.delete_strategy` manage named declarative strategy
+  specs, persisted through the repository when one is attached.
 
 Two cross-operation caches amortise work a fresh session redoes on every
 operation:
@@ -40,7 +40,7 @@ library matchers referenced by name).  Strategies naming reuse matchers or
 cube cache because their results depend on state outside the cube key.
 
 **Thread safety.**  A session may be shared by many threads -- that is how the
-:mod:`repro.service` layer serves every thread-backend request from one warm
+:mod:`repro.service` layer serves every request of its process from one warm
 session.  Cache *mutations* (inserts, trims, counter updates, in-flight
 marks, named strategy registration) take one reentrant lock, lookups are
 lock-free reads unless they count a hit, and the shared profile dict is a
@@ -58,7 +58,6 @@ import contextlib
 import ctypes
 import dataclasses
 import threading
-import weakref
 from typing import (
     Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
     TYPE_CHECKING,
@@ -70,7 +69,7 @@ from repro.auxiliary.synonyms import SynonymDictionary, default_purchase_order_s
 from repro.combination.cube import SimilarityCube
 from repro.core.match_operation import MatchOutcome, build_context, combine_cube
 from repro.core.processor import MatchProcessor
-from repro.core.strategy import MatchStrategy, _same_state, default_strategy
+from repro.core.strategy import MatchStrategy, default_strategy
 from repro.engine.engine import DEFAULT_ENGINE, MatchEngine
 from repro.engine.profiles import ForestProfile, PathSetProfile
 from repro.exceptions import CombinationError, SessionError, UnknownMatcherError
@@ -81,6 +80,7 @@ from repro.matchers.simple.user_feedback import UserFeedbackStore
 from repro.model.datatypes import DEFAULT_TYPE_COMPATIBILITY, TypeCompatibilityTable
 from repro.model.path import SchemaPath
 from repro.model.schema import Schema
+from repro.repository.store import _DigestMemo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.evaluation.campaign import EvaluationCampaign
@@ -111,6 +111,10 @@ _UNSET = object()
 #: Cells (source paths x concatenated target paths) one batched execution of
 #: match_many spans at most; a larger group is split between targets.
 _BATCH_CELLS = 1 << 18
+
+#: How many distinct strategy strings a session keeps parsed (the oldest is
+#: dropped first).
+PARSED_SPECS_BOUND = 256
 
 
 class _PathForest:
@@ -236,16 +240,11 @@ class MatchSession:
         executing matchers, computed cubes are written back asynchronously,
         and the session's name-token memo is seeded from (and flushed back
         to) the store's token artifacts.  A restarted process is then warm
-        from its first request.  Only cacheable executions (see
-        ``cache_cubes``) use the store, and only sessions on the *default*
-        matcher library consult it at all -- stored cubes are addressed by
-        matcher name, which is sound only when every process resolves those
-        names identically; a custom ``library`` silently bypasses the store.
-    cache_cubes:
-        Keep similarity cubes per (schema pair, matcher usage) so repeated
-        matches of a pair (e.g. under different combination strategies) skip
-        matcher execution.  Enabled by default.  Disabling this also
-        disables the persistent store path.
+        from its first request.  Only cacheable executions use the store,
+        and only sessions on the *default* matcher library consult it at
+        all -- stored cubes are addressed by matcher name, which is sound
+        only when every process resolves those names identically; a custom
+        ``library`` silently bypasses the store.
     max_cached_cubes / max_cached_profiles:
         Bounds on the two caches (oldest entries are evicted first), keeping a
         long-lived session's memory finite under a stream of distinct schema
@@ -287,7 +286,6 @@ class MatchSession:
         repository: Optional["Repository"] = None,
         store: "SimilarityStore | str | None" = None,
         corpus: "SchemaCorpus | str | None" = None,
-        cache_cubes: bool = True,
         max_cached_cubes: Optional[int] = DEFAULT_MAX_CACHED_CUBES,
         max_cached_profiles: Optional[int] = DEFAULT_MAX_CACHED_PROFILES,
     ):
@@ -304,7 +302,6 @@ class MatchSession:
         )
         self._feedback = feedback
         self._repository = repository
-        self._cache_cubes = bool(cache_cubes)
         for bound, label in ((max_cached_cubes, "max_cached_cubes"),
                              (max_cached_profiles, "max_cached_profiles")):
             if bound is not None and bound < 1:
@@ -339,13 +336,9 @@ class MatchSession:
         self._owns_store = False
         self._store_config: Optional[str] = None
         self._tokenizer_digest: Optional[str] = None
-        #: Per-session schema-digest memo.  Each entry carries the cheap
-        #: structural fingerprint of the schema at memo time: a lookup whose
-        #: recomputed fingerprint disagrees drops the entry, so in-place
-        #: mutation re-addresses the schema even without clear_caches().
-        self._schema_digest_cache: (
-            "weakref.WeakKeyDictionary[Schema, Tuple[Tuple[int, int], str]]"
-        ) = weakref.WeakKeyDictionary()
+        #: Schema content digests (the store's cube addresses); a schema
+        #: edited in place is re-addressed on its next lookup.
+        self._schema_digests = _DigestMemo()
         if store is not None:
             # Stored cubes are addressed by *matcher names*: that is only
             # sound when both the writing and the reading session resolve
@@ -373,6 +366,8 @@ class MatchSession:
                 self._owns_corpus = True
             self._corpus = corpus
         self._named_strategies: Dict[str, MatchStrategy] = {}
+        #: Strategy string -> its parsed strategy, shared by every caller.
+        self._spec_cache: Dict[str, MatchStrategy] = {}
         # resolve_strategy needs library / repository / named registry in place,
         # and accepts the same references (object, spec or stored name) here as
         # every other strategy entry point.
@@ -649,7 +644,10 @@ class MatchSession:
             ``None`` (the session default), a
             :class:`~repro.core.strategy.MatchStrategy` object, a stored
             strategy name, or a declarative spec string such as
-            ``"All(Average,Both,Thr(0.5)+Delta(0.02),Average)"``.
+            ``"All(Average,Both,Thr(0.5)+Delta(0.02),Average)"``.  Each
+            distinct spec string is parsed once (up to
+            :data:`PARSED_SPECS_BOUND` of them), and every caller shares
+            the parsed strategy.
 
         Returns
         -------
@@ -688,7 +686,14 @@ class MatchSession:
                 and self._repository.has_strategy(strategy)
             ):
                 return self.load_strategy(strategy)
-            return MatchStrategy.parse(strategy, library=self._library)
+            parsed = self._spec_cache.get(strategy)
+            if parsed is None:
+                parsed = MatchStrategy.parse(strategy, library=self._library)
+                with self._lock:
+                    if len(self._spec_cache) >= PARSED_SPECS_BOUND:
+                        del self._spec_cache[next(iter(self._spec_cache))]
+                    parsed = self._spec_cache.setdefault(strategy, parsed)
+            return parsed
         raise SessionError(
             f"strategies must be MatchStrategy objects, spec strings or stored "
             f"names, got {strategy!r}"
@@ -779,6 +784,27 @@ class MatchSession:
                 loaded = self._named_strategies.setdefault(name, loaded)
             return loaded
         raise SessionError(f"no strategy named {name!r} in this session or its repository")
+
+    def delete_strategy(self, name: str) -> bool:
+        """Forget a saved strategy, in the session and its repository.
+
+        Returns
+        -------
+        bool
+            Whether a strategy of that name existed in either.
+
+        Examples
+        --------
+        >>> session = MatchSession()
+        >>> _ = session.save_strategy("tuned", "All(Max,Both,Thr(0.6),Dice)")
+        >>> session.delete_strategy("tuned"), session.delete_strategy("tuned")
+        (True, False)
+        """
+        with self._lock:
+            removed = self._named_strategies.pop(name, None) is not None
+            if self._repository is not None:
+                removed = self._repository.delete_strategy(name) or removed
+        return removed
 
     def strategy_names(self) -> Tuple[str, ...]:
         """Names of all saved strategies (session-local and repository-persisted).
@@ -1012,12 +1038,12 @@ class MatchSession:
                 if prev_cube is None and store is not None:
                     from repro.repository.store import cube_store_key
 
-                    old_digest = self._schema_digest(old)
+                    old_digest = self._schema_digests.digest(old)
                     source_digest = (
-                        old_digest if side == "source" else self._schema_digest(fixed)
+                        old_digest if side == "source" else self._schema_digests.digest(fixed)
                     )
                     target_digest = (
-                        old_digest if side == "target" else self._schema_digest(fixed)
+                        old_digest if side == "target" else self._schema_digests.digest(fixed)
                     )
                     prev_cube = store.load_cube(
                         cube_store_key(
@@ -1042,7 +1068,7 @@ class MatchSession:
             # digest record what the stored cube was computed from.  If the
             # caller's ``old`` object disagrees, the cube cannot be spliced.
             if old_digest is None:
-                old_digest = self._schema_digest(old)
+                old_digest = self._schema_digests.digest(old)
             persisted = store.load_path_signatures(old_digest)
             if persisted is not None and persisted != old_digests.signatures:
                 return self._rematch_fallback(new_source, new_target, active, feedback), False
@@ -1103,10 +1129,10 @@ class MatchSession:
             )
             self._flush_new_tokens(store)
             if old_digest is None:
-                old_digest = self._schema_digest(old)
+                old_digest = self._schema_digests.digest(old)
             store.store_path_signatures_async(old_digest, list(old_digests.signatures))
             store.store_path_signatures_async(
-                self._schema_digest(new), list(new_digests.signatures)
+                self._schema_digests.digest(new), list(new_digests.signatures)
             )
         self._trim_caches()
         return self._outcome(cube, active, context), True
@@ -1386,8 +1412,6 @@ class MatchSession:
         strategy: StrategyLike = None,
         candidates: Optional[int] = None,
         exclude_self: bool = True,
-        processes: Optional[int] = None,
-        process_pool: Optional["ProcessSessionPool"] = None,
         match_many: Optional["MatchManyFn"] = None,
     ) -> List["SearchResult"]:
         """Find the best match targets for ``schema`` in the attached corpus.
@@ -1398,8 +1422,9 @@ class MatchSession:
         ``candidates`` (default ``max(4 * k, 16)``) survivors and re-ranks
         them by real schema similarity.  See
         :class:`~repro.search.searcher.CorpusSearcher` for parameter
-        details; ``processes`` / ``process_pool`` / ``match_many`` control
-        survivor fan-out exactly as in :meth:`match_many`.
+        details; ``match_many`` runs the survivors instead of this session's
+        :meth:`match_many` (for instance a partial of it with
+        ``processes=``).
 
         Returns
         -------
@@ -1429,8 +1454,6 @@ class MatchSession:
             strategy=strategy,
             candidates=candidates,
             exclude_self=exclude_self,
-            processes=processes,
-            process_pool=process_pool,
             match_many=match_many,
         )
 
@@ -1442,8 +1465,8 @@ class MatchSession:
         exactly: every matcher is referenced by name, none depends on state
         outside the wire (reuse matchers read mutable mapping stores,
         ``UserFeedback`` reads the feedback store), the session itself
-        carries no feedback overrides, and the spec parses back into the same
-        combination, type for type and value for value (a weighted
+        carries no feedback overrides, and the spec parses back into an equal
+        combination, whose parts compare by type and value (a weighted
         aggregation has no spec form, and a threshold's name rounds it to six
         digits).  This is deliberately the same criterion as cube
         cacheability plus the feedback, library and combination checks.
@@ -1457,7 +1480,7 @@ class MatchSession:
             parsed = MatchStrategy.parse(spec).combination
         except CombinationError:
             return None
-        return spec if _same_state(parsed, strategy.combination) else None
+        return spec if parsed == strategy.combination else None
 
     def _match_many_processes(
         self,
@@ -1659,8 +1682,6 @@ class MatchSession:
         self, source: Schema, target: Schema, strategy: MatchStrategy
     ) -> Optional[tuple]:
         """The cache key of a match execution, or ``None`` when not cacheable."""
-        if not self._cache_cubes:
-            return None
         usage = self._cacheable_usage(strategy)
         if usage is None:
             return None
@@ -1775,54 +1796,13 @@ class MatchSession:
         """``(store key, source digest, target digest)`` of one execution."""
         from repro.repository.store import cube_store_key
 
-        source_digest = self._schema_digest(context.source_schema)
-        target_digest = self._schema_digest(context.target_schema)
+        source_digest = self._schema_digests.digest(context.source_schema)
+        target_digest = self._schema_digests.digest(context.target_schema)
         return (
             cube_store_key(source_digest, target_digest, usage, self._store_config),
             source_digest,
             target_digest,
         )
-
-    @staticmethod
-    def _schema_fingerprint(schema: Schema) -> Tuple[int, int]:
-        """A cheap structural fingerprint validating the digest memo.
-
-        The memo is keyed by object identity, so an in-place mutation (a
-        rename, a type drift, an added element) would otherwise keep serving
-        the digest of the *old* content -- and with it the old stored cube.
-        The fingerprint folds the path count with an xor over the root label
-        and every path's leaf content; it reads live element attributes (not
-        the lazily cached name tuples), so it is recomputable per lookup at
-        a fraction of the full serialisation digest's cost.
-        """
-        paths = schema.paths()
-        label = hash(schema.root.name)
-        for path in paths:
-            leaf = path.leaf
-            label ^= hash(
-                (leaf.name, leaf.kind.value, leaf.source_type, leaf.documentation)
-            )
-        return (len(paths), label)
-
-    def _schema_digest(self, schema: Schema) -> str:
-        """The (session-memoised) content digest of a schema.
-
-        Each memo entry is validated against the current structural
-        fingerprint of the schema and dropped on mismatch, so mutating a
-        schema in place re-addresses it on the next lookup without an
-        explicit :meth:`clear_caches`.
-        """
-        from repro.repository.store import schema_content_digest
-
-        fingerprint = self._schema_fingerprint(schema)
-        with self._lock:
-            entry = self._schema_digest_cache.get(schema)
-        if entry is not None and entry[0] == fingerprint:
-            return entry[1]
-        digest = schema_content_digest(schema)
-        with self._lock:
-            self._schema_digest_cache[schema] = (fingerprint, digest)
-        return digest
 
     def _flush_new_tokens(self, store: "SimilarityStore") -> None:
         """Queue token-memo entries added since the last flush to ``store``.
@@ -1940,7 +1920,7 @@ class MatchSession:
             self._cube_cache.clear()
             self._token_memo.clear()
             self._token_watermark = 0
-            self._schema_digest_cache = weakref.WeakKeyDictionary()
+        self._schema_digests.clear()
         if self._store is not None:
             self._refresh_store_digests()
 

@@ -17,11 +17,13 @@ import weakref
 import pytest
 
 from repro.combination import DICE_COMBINED
+from repro.combination.aggregation import WeightedAggregation
 from repro.core.match_operation import build_context
 from repro.core.strategy import default_strategy
 from repro.datasets.figure1 import load_po1, load_po2
 from repro.datasets.generators import generate_pair
 from repro.engine.engine import MatchEngine
+from repro.exceptions import CombinationError
 from repro.matchers.base import _LAYER_MEMO, layer_memo
 from repro.matchers.hybrid.name import NameMatcher, NamePathMatcher
 from repro.matchers.hybrid.structural import ChildrenMatcher, LeavesMatcher
@@ -147,6 +149,20 @@ def test_memo_keys_follow_configuration():
     assert NamePathMatcher().memo_key() != NamePathMatcher(include_schema_root=True).memo_key()
     assert NameMatcher().memo_key() != NamePathMatcher().memo_key()
     assert LeavesMatcher().memo_key() is None
+
+
+def test_a_weighted_name_labelled_max_is_not_the_max_name():
+    weighted = NameMatcher(
+        aggregation=WeightedAggregation({"Trigram": 1.0, "Synonym": 1.0}, label="Max")
+    )
+    assert weighted.memo_key() != NameMatcher().memo_key()
+    po1, po2 = load_po1(), load_po2()
+    # Alone and after a default Name layer alike: the Max matrix is not its own.
+    for matchers in ([], [NameMatcher()]):
+        with pytest.raises(CombinationError, match="Weighted aggregation"):
+            MatchEngine().execute(
+                matchers + [TypeNameMatcher(name_matcher=weighted)], build_context(po1, po2)
+            )
 
 
 def test_nothing_from_the_memo_outlives_the_match(calls):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.datasets.figure1 import load_po1, load_po2
 from repro.exceptions import ServiceError
+from repro.model.element import ElementKind
 from repro.parallel import ProcessSessionPool, decode_frame, encode_frame
 from repro.parallel import codec
 from repro.parallel.codec import MAGIC
@@ -160,6 +161,21 @@ class TestSchemaCacheEviction:
             second = tiny.match(pairs[1].source, pairs[1].target)
         assert first.result.as_tuples() == outcomes[0].result.as_tuples()
         assert second.result.as_tuples() == outcomes[1].result.as_tuples()
+
+
+class TestSchemaEditedInPlace:
+    def test_an_edited_schema_ships_under_its_new_digest(self):
+        po1, po2 = load_po1(), load_po2()
+        with ProcessSessionPool(size=1) as pool:
+            pool.match(po1, po2)
+            po1.add_element("ShipToCity", parent=po1.find_element("ShipTo"),
+                            kind=ElementKind.COLUMN)
+            edited = pool.match(po1, po2)
+            batched = MatchSession().match_many([(po1, po2)], process_pool=pool)[0]
+        serial = MatchSession().match(po1, po2)
+        for outcome in (edited, batched):
+            assert outcome.result.as_tuples() == serial.result.as_tuples()
+            assert outcome.cube.as_array().tobytes() == serial.cube.as_array().tobytes()
 
 
 class TestStoreSeededWorkers:

@@ -25,6 +25,7 @@ from repro.model.digests import (
 from repro.model.element import ElementKind, LinkKind
 from repro.model.schema import Schema
 from repro.exceptions import SessionError
+from repro.repository.store import _schema_fingerprint
 from repro.session import MatchSession
 
 
@@ -530,15 +531,14 @@ class TestStaleDigestMemoRegression:
         )
 
     def test_fingerprint_tracks_renames_and_growth(self):
-        session = MatchSession()
         schema = load_po1()
-        first = session._schema_fingerprint(schema)
+        first = _schema_fingerprint(schema)
         schema.find_path("PO1.ShipTo.poNo").leaf.name = "renamed"
-        second = session._schema_fingerprint(schema)
+        second = _schema_fingerprint(schema)
         assert first != second
         schema.add_element("extra", parent=schema.find_element("ShipTo"),
                            kind=ElementKind.COLUMN)
-        assert session._schema_fingerprint(schema) != second
+        assert _schema_fingerprint(schema) != second
 
 
 class TestServiceRematch:

@@ -557,16 +557,31 @@ class TestSessionSearch:
 # -- service wiring ------------------------------------------------------------
 
 
-def _upload_paper_schemas(service):
+def _upload_paper_schemas(service, schemas=None):
     from repro.repository.serialization import schema_to_json
     import json as json_module
 
-    for name, schema in load_all_schemas().items():
+    if schemas is None:
+        schemas = load_all_schemas()
+    for name, schema in schemas.items():
         spec = json_module.loads(schema_to_json(schema))
         status, payload = service.handle_request(
             "POST", "/schemas", {"spec": spec, "name": name}
         )
         assert status in (200, 201), payload
+
+
+def _record_profile_builds(monkeypatch) -> list:
+    """Every PathSetProfile constructed from now on, in construction order."""
+    built = []
+    init = PathSetProfile.__init__
+
+    def recorded(profile, *args, **kwargs):
+        built.append(profile)
+        init(profile, *args, **kwargs)
+
+    monkeypatch.setattr(PathSetProfile, "__init__", recorded)
+    return built
 
 
 class TestServiceSearch:
@@ -599,18 +614,42 @@ class TestServiceSearch:
             ]
         assert served == expected  # exact float equality: byte-identical
 
-    def test_search_leaves_no_query_profile_in_the_shard(self):
+    def test_one_session_profiles_each_upload_once(self, monkeypatch):
+        """Uploads, /match and /search share the service's one session."""
+        from repro.service.server import MatchService
+
+        built = _record_profile_builds(monkeypatch)
+        service = MatchService(pool_size=1, corpus_path=":memory:")
+        try:
+            _upload_paper_schemas(service, {"PO1": load_po1(), "PO2": load_po2()})
+            # Each upload profiles the uploaded schema, then the corpus's copy.
+            assert len(built) == 4
+            for route, body in (
+                ("/match", {"source": "PO1", "target": "PO2"}),
+                ("/search", {"source": "PO1", "k": 1}),
+                ("/search", {"source": "PO2", "k": 1}),
+            ):
+                status, _ = service.handle_request("POST", route, body)
+                assert status == 200
+            assert len(built) == 4
+            assert service.pool.cache_info()["profiles"] == 2
+        finally:
+            service.close()
+
+    def test_search_leaves_no_query_profile_in_the_shard(self, monkeypatch):
         """The shard keeps the survivors' profiles, and the query's only if it had it."""
         from repro.service.server import MatchService
 
         service = MatchService(pool_size=1, corpus_path=":memory:")
         try:
             _upload_paper_schemas(service)
+            built = _record_profile_builds(monkeypatch)
             status, payload = service.handle_request(
                 "POST", "/search", {"source": "CIDX", "k": 4}
             )
             assert status == 200 and payload["count"] == 4
-            assert service.pool.cache_info()["profiles"] == 4
+            # The uploads warmed all five profiles, the query's among them.
+            assert service.pool.cache_info()["profiles"] == 5 and built == []
             status, _ = service.handle_request(
                 "POST", "/match", {"source": "CIDX", "target": "Excel"}
             )

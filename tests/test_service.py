@@ -11,8 +11,8 @@ import pytest
 from repro.datasets.figure1 import PO1_DDL, PO2_XSD, load_po1, load_po2
 from repro.exceptions import ServiceError
 from repro.service import MatchService, ServiceClient, SessionPool, create_server
-from repro.service import server as server_module
 from repro.session import MatchSession
+from repro.session import session as session_module
 
 #: Cacheable strategies exercising different combination tuples.
 SPECS = (
@@ -405,7 +405,7 @@ class TestServiceConcurrency:
 
 class TestSpecMemo:
     def test_each_distinct_spec_string_is_parsed_once(self, monkeypatch):
-        monkeypatch.setattr(server_module, "PARSED_SPECS_BOUND", 2)
+        monkeypatch.setattr(session_module, "PARSED_SPECS_BOUND", 2)
         service = MatchService(pool_size=1)
         try:
             first, second, third = (service.resolve_strategy(spec) for spec in SPECS)

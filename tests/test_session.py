@@ -317,11 +317,7 @@ class TestCubeCache:
         info = session.cache_info()
         assert info["cubes"] == 0 and info["cube_hits"] == 0
 
-    def test_cache_can_be_disabled_and_cleared(self, po1, po2):
-        session = MatchSession(cache_cubes=False)
-        session.match(po1, po2)
-        session.match(po1, po2)
-        assert session.cache_info()["cubes"] == 0
+    def test_cache_can_be_cleared(self, po1, po2):
         cached = MatchSession()
         cached.match(po1, po2)
         assert cached.cache_info()["cubes"] == 1

@@ -378,12 +378,6 @@ class TestSessionIntegration:
         assert console_main(["stats", "--store", str(bogus)]) == 1
         assert "cannot open similarity store" in capsys.readouterr().err
 
-    def test_store_disabled_with_cache_cubes_off(self, store_path):
-        session = MatchSession(store=store_path, cache_cubes=False)
-        session.match(load_po1(), load_po2())
-        info = session.cache_info()
-        assert info["store_hits"] == 0 and info["store_misses"] == 0
-
     def test_campaign_round_trip_byte_identical(self, store_path):
         """The Figure-8 all-pairs campaign: store-warm == store-less, exactly."""
         schemas = {}
