@@ -19,7 +19,7 @@ afterwards (Section 3).  The campaign does exactly that:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.combination.combined import AVERAGE_COMBINED, DICE_COMBINED
 from repro.combination.cube import SimilarityCube
@@ -27,7 +27,7 @@ from repro.combination.matrix import SimilarityMatrix
 from repro.combination.strategy import CombinationStrategy, default_combination
 from repro.core.match_operation import build_context, combine_cube
 from repro.datasets.gold_standard import MatchTask, load_all_tasks
-from repro.engine.engine import DEFAULT_ENGINE, MatchEngine
+from repro.engine.engine import DEFAULT_ENGINE
 from repro.evaluation.grid import SeriesSpec
 from repro.evaluation.metrics import AverageQuality, MatchQuality, average_quality, evaluate_mapping
 from repro.exceptions import EvaluationError
@@ -42,6 +42,9 @@ from repro.matchers.hybrid import (
 from repro.matchers.registry import EVALUATION_HYBRID_MATCHERS
 from repro.matchers.reuse import InMemoryMappingStore, SchemaReuseMatcher, StoredMapping
 from repro.model.mapping import MatchResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.session.session import MatchSession
 
 
 def _hybrid_matcher_factories():
@@ -116,14 +119,14 @@ class EvaluationCampaign:
         include_reuse: bool = True,
         hybrid_matchers: Sequence[str] = EVALUATION_HYBRID_MATCHERS,
         variants: Sequence[str] = ("Average", "Dice"),
-        engine: Optional[MatchEngine] = None,
-        context_factory: Optional[Callable[..., MatchContext]] = None,
+        session: Optional["MatchSession"] = None,
     ):
-        """``context_factory(source, target)`` overrides per-task context creation.
+        """``session`` runs the matchers on its engine and contexts.
 
-        A :class:`~repro.session.session.MatchSession` passes its own factory
-        so the campaign's matcher executions share the session's path-profile
-        caches; the default builds independent contexts as before.
+        With a :class:`~repro.session.session.MatchSession`, the campaign's
+        matcher executions share the session's path-profile caches; without
+        one, each task gets an independent default context on the default
+        engine.
         """
         self._tasks = list(tasks) if tasks is not None else load_all_tasks()
         if not self._tasks:
@@ -131,8 +134,8 @@ class EvaluationCampaign:
         self._include_reuse = include_reuse
         self._hybrid_names = tuple(hybrid_matchers)
         self._variants = tuple(variants)
-        self._engine = engine if engine is not None else DEFAULT_ENGINE
-        self._context_factory = context_factory if context_factory is not None else build_context
+        self._engine = session.engine if session is not None else DEFAULT_ENGINE
+        self._context_factory = session.context_for if session is not None else build_context
         self._workbenches: Dict[str, TaskWorkbench] = {}
         self._automatic_mappings: Dict[str, MatchResult] = {}
         self._manual_store = InMemoryMappingStore()

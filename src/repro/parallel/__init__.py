@@ -7,9 +7,11 @@ embarrassingly parallel across schema pairs, so this package adds a
 **process** execution backend:
 
 * :class:`~repro.parallel.pool.ProcessSessionPool` -- spawn-safe worker
-  processes, each owning a warm :class:`~repro.session.session.MatchSession`
-  (optionally seeded from a shared persistent
-  :class:`~repro.repository.store.SimilarityStore`);
+  processes matching for one :class:`~repro.session.session.MatchSession`
+  of the parent: each worker owns a warm session of its own over the
+  parent session's repository and persistent
+  :class:`~repro.repository.store.SimilarityStore` files, while the parent
+  session resolves strategies and runs the chunks kept in the parent;
 * :mod:`~repro.parallel.codec` -- the compact request/response wire format
   (schemas as loss-less JSON documents shipped once per worker, strategy
   specs as strings, similarity layers as raw ``float64`` buffers -- never

@@ -130,13 +130,13 @@ def decode_frame(data: bytes) -> Tuple[Dict[str, object], List[memoryview]]:
 def encode_outcomes(outcomes: Sequence["MatchOutcome"]) -> bytes:
     """Encode a batch of match outcomes as one ``outcomes`` frame.
 
-    Per outcome the header carries the matcher names, the cube shape, the
+    Per outcome the header carries the matcher names, the cube shape and the
     selected pairs as ``(row, column)`` indexes into the cube's path axes
-    (names may repeat on an axis, indexes do not) and the strategy spec
-    actually used; three raw ``float64`` buffers carry the cube stack, the
-    aggregated matrix and the correspondence similarities (with the combined
-    schema similarity appended as the final element), so every float
-    crosses the boundary bit-exactly.
+    (names may repeat on an axis, indexes do not); the parent already holds
+    the strategy it sent.  Three raw ``float64`` buffers carry the cube
+    stack, the aggregated matrix and the correspondence similarities (with
+    the combined schema similarity appended as the final element), so every
+    float crosses the boundary bit-exactly.
 
     The pairs are the result's cells
     (:meth:`~repro.model.mapping.MatchResult.cells`), as the match built
@@ -156,7 +156,6 @@ def encode_outcomes(outcomes: Sequence["MatchOutcome"]) -> bytes:
                 "matchers": list(outcome.cube.matcher_names),
                 "shape": list(stack.shape),
                 "pairs": [[row, column] for row, column in zip(rows, columns)],
-                "strategy": outcome.strategy.to_spec(),
                 "buffers": [len(buffers), len(buffers) + 1, len(buffers) + 2],
             }
         )

@@ -1,4 +1,4 @@
-"""The process session pool: N worker processes, each owning a warm session.
+"""The process session pool: N worker processes matching for one session.
 
 The thread-backed :class:`~repro.service.pool.SessionPool` keeps every match
 on one interpreter, so on a multi-core machine warm service throughput flat-
@@ -11,11 +11,12 @@ per worker by content digest, similarity layers returned as raw ``float64``
 buffers.  Results are **byte-identical** to the serial in-process path; the
 differential suite in ``tests/test_parallel_equivalence.py`` enforces it.
 
-Workers are spawned (never forked), so the pool is safe to create from a
-threaded server process.  When a persistent
-:class:`~repro.repository.store.SimilarityStore` path is configured, every
-worker opens its own connection to the shared file and starts warm from cubes
-any earlier process stored.
+The pool matches for the session it is built with: workers open their own
+connections to that session's repository and persistent
+:class:`~repro.repository.store.SimilarityStore` files (so they start warm
+from cubes any earlier process stored), and must run its match
+configuration.  Workers are spawned (never forked), so the pool is safe to
+create from a threaded server process.
 
 Scheduling: free workers live on a LIFO free-list behind a condition
 variable, an acquirer takes *any* free worker (the most recently released),
@@ -37,10 +38,10 @@ Failure handling (PR 9) layers three defences over that scheduling:
   :data:`RESPAWN_BACKOFF_CAP`) so a crash-looping worker cannot start a
   spawn storm;
 * **circuit breaker** -- :data:`BREAKER_THRESHOLD` *consecutive* worker
-  failures open the breaker: chunks route to an in-process fallback session
-  (built from the same worker options, so results stay byte-identical) and
-  every :data:`BREAKER_PROBE_EVERY`-th chunk probes the workers, closing
-  the breaker on the first success.  Counters for all of it surface through
+  failures open the breaker: chunks run on the pool's session (without
+  feedback, as in the workers, so results stay byte-identical) and every
+  :data:`BREAKER_PROBE_EVERY`-th chunk probes the workers, closing the
+  breaker on the first success.  Counters for all of it surface through
   :meth:`ProcessSessionPool.resilience_info` into ``/health``.
 """
 
@@ -51,23 +52,22 @@ import multiprocessing
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro import faults
-from repro.core.match_operation import build_context
-from repro.core.strategy import MatchStrategy
 from repro.exceptions import PoolTimeoutError, ServiceError
 from repro.parallel import codec
 from repro.parallel.worker import worker_main
 from repro.repository.store import _DigestMemo
+from repro.session.session import MatchSession
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.match_operation import MatchOutcome
+    from repro.core.strategy import MatchStrategy
     from repro.model.schema import Schema
 
-#: One fan-out item: ``(source, target, strategy)`` where the strategy is a
-#: spec string, a :class:`~repro.core.strategy.MatchStrategy`, or ``None``
-#: for the workers' default.
+#: One fan-out item: ``(source, target, strategy)`` where the strategy is any
+#: reference the pool's session resolves (``None``: the session's default).
 PoolRequest = Tuple["Schema", "Schema", object]
 
 #: Seconds to wait for a spawned worker's ready handshake before giving up.
@@ -119,28 +119,25 @@ class _WorkerTimedOut(Exception):
 
 
 class ProcessSessionPool:
-    """A fixed pool of spawned worker processes with warm match sessions.
+    """A fixed pool of spawned worker processes matching for one session.
 
     Parameters
     ----------
     size:
         The number of worker processes.  On an N-core machine, N workers let
         warm match throughput scale with the cores instead of the GIL.
-    store_path:
-        Optional persistent similarity store *file* shared by every worker
-        (each opens its own connection); workers then start warm from cubes
-        stored by any earlier process.
-    repository_path:
-        Optional SQLite repository file for repository-backed matchers in the
-        workers (opened per worker).
-    default_strategy:
-        The strategy spec workers fall back to when a request names none.
+    session:
+        The :class:`~repro.session.session.MatchSession` the pool matches
+        for (default: ``MatchSession()``; the pool never closes it).  Workers
+        open its repository and store files (not an in-memory store); it
+        resolves each request's strategy, builds each outcome's context and
+        runs the chunks kept in this process.
 
     Raises
     ------
     ServiceError
         If ``size`` is below 1, a worker fails its ready handshake, or the
-        workers disagree on their match-configuration digest.
+        workers' match-configuration digest differs from the session's.
 
     Examples
     --------
@@ -157,19 +154,18 @@ class ProcessSessionPool:
     def __init__(
         self,
         size: int = 2,
-        store_path: Optional[str] = None,
-        repository_path: Optional[str] = None,
-        default_strategy: Optional[str] = None,
+        session: Optional[MatchSession] = None,
         schema_cache_bound: Optional[int] = None,
         fault_plan: Optional[Dict[str, object]] = None,
     ):
         if size < 1:
             raise ServiceError(f"a process pool needs size >= 1, got {size}")
+        self._session = session if session is not None else MatchSession()
+        store, repository = self._session.store, self._session.repository
         self._context = multiprocessing.get_context("spawn")
         self._options: Dict[str, object] = {
-            "store_path": store_path,
-            "repository_path": repository_path,
-            "default_strategy": default_strategy,
+            "store_path": store.path if store is not None and store.path != ":memory:" else None,
+            "repository_path": repository.path if repository is not None else None,
             "schema_cache_bound": schema_cache_bound,
             # An explicit plan document, or None: _spawn() then ships the
             # plan armed in this process, so workers (and respawns) always
@@ -189,23 +185,23 @@ class ProcessSessionPool:
         self._breaker_trips = 0
         self._breaker_probes = 0
         self._routed_local = 0
-        self._fallback_session = None
-        self._fallback_lock = threading.Lock()
         # Start every process first, then collect the ready handshakes: the
         # expensive part of a spawn (interpreter boot + imports) overlaps
         # across workers instead of serialising.
         self._workers: List[_Worker] = [self._spawn() for _ in range(size)]
         digests = {self._handshake(worker) for worker in self._workers}
-        if len(digests) != 1:  # pragma: no cover - would need a racing config change
+        self._config_digest = self._session.config_digest()
+        if digests != {self._config_digest}:
             self.close()
-            raise ServiceError("match workers disagree on their configuration digest")
-        self._config_digest = digests.pop()
+            raise ServiceError(
+                "match workers run a different match configuration than the "
+                "pool's session (tokenizer, synonyms, type table or library "
+                "differ); their matches would not be byte-identical"
+            )
         self._free = list(range(size))
         #: Parent-side schema digests: a schema edited in place ships again
         #: under its new digest.
         self._digests = _DigestMemo()
-        #: Parsed-strategy memo for specs coming back from worker defaults.
-        self._spec_memo: Dict[str, MatchStrategy] = {}
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -274,12 +270,10 @@ class ProcessSessionPool:
 
     @property
     def config_digest(self) -> str:
-        """The workers' match-configuration content digest.
+        """The workers' match-configuration digest, equal to the session's.
 
-        Compare against :meth:`MatchSession.config_digest
-        <repro.session.session.MatchSession.config_digest>` before fanning a
-        session out: equal digests guarantee the workers resolve names,
-        tokens, synonyms and type compatibilities exactly like the parent.
+        Another session may fan out on this pool only when its
+        :meth:`~repro.session.session.MatchSession.config_digest` is equal.
         """
         return self._config_digest
 
@@ -311,12 +305,6 @@ class ProcessSessionPool:
             if worker.process.is_alive():  # pragma: no cover - unkillable via TERM
                 worker.process.kill()
                 worker.process.join(timeout=5.0)
-        with self._fallback_lock:
-            if self._fallback_session is not None:
-                from repro.parallel.worker import _close_session
-
-                _close_session(self._fallback_session)
-                self._fallback_session = None
 
     def __enter__(self) -> "ProcessSessionPool":
         return self
@@ -466,7 +454,7 @@ class ProcessSessionPool:
 
         While open, every :data:`BREAKER_PROBE_EVERY`-th chunk is a probe
         that goes to the workers (its success closes the breaker); the rest
-        run on the fallback session.  Count-based, hence deterministic.
+        run on the pool's session.  Count-based, hence deterministic.
         """
         with self._resilience_lock:
             if not self._breaker_open:
@@ -477,37 +465,19 @@ class ProcessSessionPool:
                 return False  # probe: try the workers
             return True
 
-    def _execute_local(
-        self,
-        items: Sequence[PoolRequest],
-        context_factory: Optional[Callable],
-    ) -> List["MatchOutcome"]:
-        """Run one chunk on the in-process fallback session (breaker open).
-
-        The session is built lazily from the *same* options the workers got
-        (:func:`repro.parallel.worker._build_session`), so configuration --
-        store, repository, default strategy -- and therefore results match
-        the worker path exactly.  One lock serialises fallback matches: the
-        breaker trades parallelism for availability, not correctness.
-        """
-        from repro.parallel.worker import _build_session
-
-        with self._fallback_lock:
-            if self._fallback_session is None:
-                self._fallback_session = _build_session(self._options)
-            session = self._fallback_session
-            outcomes: List["MatchOutcome"] = []
-            for source, target, strategy in items:
-                spec = strategy.to_spec() if isinstance(strategy, MatchStrategy) else strategy
-                outcomes.append(session.match(source, target, strategy=spec))
-        return outcomes
+    def _execute_local(self, items: Sequence[PoolRequest]) -> List["MatchOutcome"]:
+        """Run one chunk on the pool's session, without feedback as in a worker."""
+        return [
+            self._session.match(source, target, strategy=strategy, feedback=None)
+            for source, target, strategy in items
+        ]
 
     # -- schema shipping -------------------------------------------------------------
 
     def _match_frame(
         self,
         worker: _Worker,
-        pairs: Sequence[Tuple[str, str, Optional[str]]],
+        pairs: Sequence[Tuple[str, str, str]],
         payloads: Dict[str, bytes],
     ) -> bytes:
         """Build one ``match`` frame, shipping schemas the worker lacks."""
@@ -529,39 +499,26 @@ class ProcessSessionPool:
 
     def _execute_chunk(
         self,
-        items: Sequence[PoolRequest],
-        context_factory: Optional[Callable],
+        items: Sequence[Tuple["Schema", "Schema", "MatchStrategy"]],
         deadline: Optional[float] = None,
     ) -> List["MatchOutcome"]:
-        """Run one contiguous chunk of requests on one exclusively held worker.
+        """Run one contiguous chunk of resolved requests on one exclusively held worker.
 
         With the breaker open, the chunk (unless it is the periodic probe)
-        runs on the in-process fallback session instead; a chunk whose
-        worker dies twice also falls back locally, so one crash-looping
-        worker degrades throughput, never answers.
+        runs on the pool's session instead; a chunk whose worker dies twice
+        runs there too, so one crash-looping worker degrades throughput,
+        never answers.
         """
         if self._breaker_routes_local():
-            return self._execute_local(items, context_factory)
-        pairs: List[Tuple[str, str, Optional[str]]] = []
+            return self._execute_local(items)
+        pairs: List[Tuple[str, str, str]] = []
         payloads: Dict[str, bytes] = {}
-        strategies: List[Optional[MatchStrategy]] = []
         for source, target, strategy in items:
-            if isinstance(strategy, MatchStrategy):
-                spec: Optional[str] = strategy.to_spec()
-                strategies.append(strategy)
-            elif isinstance(strategy, str) or strategy is None:
-                spec = strategy
-                strategies.append(None)
-            else:
-                raise ServiceError(
-                    f"process-pool strategies must be MatchStrategy objects, "
-                    f"spec strings or None, got {type(strategy).__name__}"
-                )
             source_digest = self._digests.digest(source)
             target_digest = self._digests.digest(target)
             payloads.setdefault(source_digest, codec.schema_payload(source))
             payloads.setdefault(target_digest, codec.schema_payload(target))
-            pairs.append((source_digest, target_digest, spec))
+            pairs.append((source_digest, target_digest, strategy.to_spec()))
         index = self._acquire(deadline)
         release = True
         try:
@@ -581,23 +538,14 @@ class ProcessSessionPool:
             if release:
                 self._release(index)
         if header is None:
-            return self._execute_local(items, context_factory)
-        items_header = header["items"]
-        outcomes: List["MatchOutcome"] = []
-        factory = context_factory if context_factory is not None else build_context
-        for (source, target, _), strategy, item in zip(items, strategies, items_header):
-            if strategy is None:
-                spec = str(item["strategy"])
-                strategy = self._spec_memo.get(spec)
-                if strategy is None:
-                    strategy = MatchStrategy.parse(spec)
-                    self._spec_memo[spec] = strategy
-            outcomes.append(
-                codec.rebuild_outcome(
-                    item, buffers, source, target, strategy, factory(source, target)
-                )
+            return self._execute_local(items)
+        return [
+            codec.rebuild_outcome(
+                item, buffers, source, target, strategy,
+                self._session.context_for(source, target, feedback=None),
             )
-        return outcomes
+            for (source, target, strategy), item in zip(items, header["items"])
+        ]
 
     def _execute_on_worker(self, index, pairs, payloads, deadline=None):
         """Round-trip with the two recovery paths: re-ship and replay-once.
@@ -609,7 +557,7 @@ class ProcessSessionPool:
         replayed once on the fresh process (match execution has no effects
         outside the worker, so the replay cannot double-apply anything).  A
         second death propagates :class:`_WorkerDied` (the chunk then runs on
-        the fallback session); a watchdog kill propagates
+        the pool's session); a watchdog kill propagates
         :class:`_WorkerTimedOut` untouched -- never replayed.
         """
         worker = self._workers[index]
@@ -641,31 +589,25 @@ class ProcessSessionPool:
         source: "Schema",
         target: "Schema",
         strategy: object = None,
-        context_factory: Optional[Callable] = None,
         timeout: Optional[float] = None,
     ) -> "MatchOutcome":
         """Match one pair on some free worker; byte-identical to the serial path.
 
         ``timeout`` bounds the whole call in seconds; see :meth:`match_many`.
         """
-        deadline = None if timeout is None else time.monotonic() + float(timeout)
-        return self._execute_chunk(
-            [(source, target, strategy)], context_factory, deadline
-        )[0]
+        return self.match_many([(source, target, strategy)], timeout=timeout)[0]
 
     def match_many(
         self,
         items: Sequence[PoolRequest],
-        context_factory: Optional[Callable] = None,
         timeout: Optional[float] = None,
     ) -> List["MatchOutcome"]:
         """Fan a batch out across the workers, preserving request order.
 
+        Strategies resolve on the pool's session before any frame is sent.
         The batch is split into up to ``size`` contiguous chunks; each chunk
         acquires one worker for one framed round trip (so per-pair IPC cost
-        is amortised across the chunk).  ``context_factory(source, target)``
-        builds the context attached to each reassembled outcome (defaults to
-        a fresh default-resource context).
+        is amortised across the chunk).
 
         ``timeout`` (seconds) is an absolute deadline over the whole batch:
         a worker still holding a chunk at the deadline is SIGKILLed by the
@@ -674,12 +616,12 @@ class ProcessSessionPool:
         scheduling grace -- never a replay, never an unbounded wait.
         """
         deadline = None if timeout is None else time.monotonic() + float(timeout)
-        items = [self._normalized(item) for item in items]
+        items = [self._resolved(item) for item in items]
         if not items:
             return []
         chunk_count = min(self.size, len(items))
         if chunk_count == 1:
-            return self._execute_chunk(items, context_factory, deadline)
+            return self._execute_chunk(items, deadline)
         bounds = [
             (len(items) * part // chunk_count, len(items) * (part + 1) // chunk_count)
             for part in range(chunk_count)
@@ -687,24 +629,20 @@ class ProcessSessionPool:
         with ThreadPoolExecutor(max_workers=chunk_count) as executor:
             chunks = list(
                 executor.map(
-                    lambda span: self._execute_chunk(
-                        items[span[0]:span[1]], context_factory, deadline
-                    ),
+                    lambda span: self._execute_chunk(items[span[0]:span[1]], deadline),
                     bounds,
                 )
             )
         return [outcome for chunk in chunks for outcome in chunk]
 
-    @staticmethod
-    def _normalized(item) -> PoolRequest:
-        if len(item) == 2:
-            return (item[0], item[1], None)
-        if len(item) == 3:
-            return (item[0], item[1], item[2])
-        raise ServiceError(
-            f"process-pool requests must be (source, target[, strategy]) "
-            f"tuples, got a tuple of length {len(item)}"
-        )
+    def _resolved(self, item) -> Tuple["Schema", "Schema", "MatchStrategy"]:
+        if len(item) not in (2, 3):
+            raise ServiceError(
+                f"process-pool requests must be (source, target[, strategy]) "
+                f"tuples, got a tuple of length {len(item)}"
+            )
+        strategy = item[2] if len(item) == 3 else None
+        return (item[0], item[1], self._session.resolve_strategy(strategy))
 
     # -- statistics and maintenance ------------------------------------------------------
 

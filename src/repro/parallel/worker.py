@@ -8,13 +8,15 @@ pool works under the ``spawn`` start method -- the only one that is safe
 regardless of the parent's thread activity (``fork`` would duplicate the
 parent's locked session caches, HTTP server threads and sqlite handles).
 
-The worker owns a private warm :class:`~repro.session.session.MatchSession`;
-when the parent configured a persistent
-:class:`~repro.repository.store.SimilarityStore` path, the session opens its
-own connection to that shared file, so every worker starts warm from cubes
-any process stored before it (and contributes its own).  Schemas arrive once
-per worker as loss-less JSON documents and are cached by content digest;
-match requests then reference digests only.
+The worker owns a private warm :class:`~repro.session.session.MatchSession`
+with the default match configuration, which the pool checks against its
+parent session's.  When the parent session has a repository file or a
+persistent :class:`~repro.repository.store.SimilarityStore` file, the worker
+session opens its own connection to each, so every worker starts warm from
+cubes any process stored before it (and contributes its own).  Schemas
+arrive once per worker as loss-less JSON documents and are cached by content
+digest; match requests then reference digests only, each with the strategy
+spec the parent session resolved.
 
 Protocol (all frames via :mod:`repro.parallel.codec`):
 
@@ -36,47 +38,18 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro import faults
 from repro.exceptions import ComaError
 from repro.parallel import codec
+from repro.repository.repository import Repository
+from repro.session.session import MatchSession
 
 #: How many reconstructed schemas one worker keeps (oldest evicted first).  An
 #: evicted digest is simply re-shipped by the parent through the
 #: ``unknown-schema`` recovery round trip.
 SCHEMA_CACHE_BOUND = 256
-
-
-def _build_session(options: Dict[str, object]):
-    """The worker's warm session, built from spawn-safe primitive options."""
-    from repro.session.session import MatchSession
-
-    repository = None
-    repository_path = options.get("repository_path")
-    if repository_path:
-        from repro.repository.repository import Repository
-
-        repository = Repository(str(repository_path))
-    store = None
-    store_path = options.get("store_path")
-    if store_path:
-        from repro.repository.store import SimilarityStore
-
-        store = SimilarityStore(str(store_path))
-    return MatchSession(
-        repository=repository,
-        store=store,
-        strategy=options.get("default_strategy") or None,
-    )
-
-
-def _close_session(session) -> None:
-    """Close a session from :func:`_build_session`, then the store it was given."""
-    store = session.store
-    session.close()
-    if store is not None:
-        store.close()
 
 
 def _handle_match(
@@ -113,9 +86,7 @@ def _handle_match(
         target = schemas[str(pair["target"])]
         schemas.move_to_end(str(pair["source"]))
         schemas.move_to_end(str(pair["target"]))
-        outcomes.append(
-            session.match(source, target, strategy=pair.get("strategy") or None)
-        )
+        outcomes.append(session.match(source, target, strategy=pair["strategy"]))
     return codec.encode_outcomes(outcomes), len(outcomes)
 
 
@@ -130,7 +101,12 @@ def worker_main(connection, options: Dict[str, object]) -> None:
         # across the respawn, which is exactly what a crash-loop scenario
         # needs.
         faults.arm(faults.FaultPlan.from_dict(dict(plan_document)))
-    session = _build_session(options)
+    repository_path = options.get("repository_path")
+    # A store opened from its path is the session's own: close() closes it.
+    session = MatchSession(
+        repository=Repository(str(repository_path)) if repository_path else None,
+        store=options.get("store_path"),
+    )
     schemas: "OrderedDict[str, object]" = OrderedDict()
     bound = int(options.get("schema_cache_bound") or SCHEMA_CACHE_BOUND)
     requests = 0
@@ -138,8 +114,8 @@ def worker_main(connection, options: Dict[str, object]) -> None:
         codec.encode_frame(
             {
                 "kind": "ready",
-                # The parent refuses to fan out a session whose configuration
-                # digest differs (that would silently break byte-identity).
+                # The parent refuses workers whose configuration digest
+                # differs from its session's (that would break byte-identity).
                 "config_digest": session.config_digest(),
                 "pid": os.getpid(),
             }
@@ -189,5 +165,5 @@ def worker_main(connection, options: Dict[str, object]) -> None:
             except (BrokenPipeError, OSError):
                 break
     finally:
-        _close_session(session)
+        session.close()
         connection.close()

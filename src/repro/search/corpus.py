@@ -347,6 +347,12 @@ class SchemaCorpus:
     ) -> int:
         """Register a schema: index its vocabulary and store its document.
 
+        Later :meth:`load` calls of this handle answer with ``schema`` itself
+        (not a copy rebuilt from the document) until the stored row changes,
+        so the registered object must not be edited afterwards.  A
+        registration by another handle or process replaces the row, and the
+        next load rebuilds that one.
+
         Parameters
         ----------
         schema:
@@ -405,6 +411,7 @@ class SchemaCorpus:
                 )
                 schema_id = int(cursor.lastrowid)
                 term_ids = self._index_terms_locked(schema_id, entries)
+            self._cache_loaded_locked(schema_id, digest, schema)
             index = self._index_after_commit_locked()
             if index is not None:
                 if removed is not None:
@@ -594,10 +601,13 @@ class SchemaCorpus:
             schema_id, digest = int(row[0]), row[1]
         schema = schema_from_json(row[2])
         with self._lock:
-            self._loaded[schema_id] = (digest, schema)
-            while len(self._loaded) > self.MAX_LOADED_SCHEMAS:
-                self._loaded.pop(next(iter(self._loaded)))
+            self._cache_loaded_locked(schema_id, digest, schema)
         return schema
+
+    def _cache_loaded_locked(self, schema_id: int, digest: str, schema: Schema) -> None:
+        self._loaded[schema_id] = (digest, schema)
+        while len(self._loaded) > self.MAX_LOADED_SCHEMAS:
+            self._loaded.pop(next(iter(self._loaded)))
 
     def info(self) -> Dict[str, object]:
         """Occupancy statistics of the corpus."""

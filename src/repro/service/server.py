@@ -93,10 +93,11 @@ class MatchService:
     requests.
 
     The service builds one :class:`~repro.session.session.MatchSession`, from
-    its repository, store, corpus and default strategy.  It profiles uploads,
-    ranks searches and holds the strategy registry with its parsed specs; on
-    the thread backend every match runs on it too, while process workers keep
-    sessions of their own.
+    its repository, store and corpus.  It profiles uploads, ranks searches
+    and holds the strategy registry with its parsed specs; on the thread
+    backend every match runs on it too, and the process backend's pool
+    matches for it: its workers open the session's files, and it runs the
+    chunks the pool keeps in this process.
 
     Parameters
     ----------
@@ -113,8 +114,8 @@ class MatchService:
         ``docs/service.md`` for the selection guide.
     repository_path:
         Optional SQLite file backing the strategy registry (and the reuse
-        matchers of every worker session); strategies stored through the
-        service are visible to other sessions over the same file.
+        matchers of the session and every worker session); strategies stored
+        through the service are visible to other sessions over the same file.
     store_path:
         Optional persistent similarity store
         (:class:`~repro.repository.store.SimilarityStore`) shared by every
@@ -131,9 +132,6 @@ class MatchService:
         a schema another process removes from the file is gone here too.
         Survivor matching fans out over the configured backend.  See
         ``docs/search.md``.
-    default_strategy:
-        The strategy spec worker sessions fall back to when a match request
-        names none (default: the paper's default operation).
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` (or its ``to_dict()``
         document) armed process-wide for chaos runs.  Process-backend
@@ -157,7 +155,6 @@ class MatchService:
         repository_path: Optional[str] = None,
         store_path: Optional[str] = None,
         corpus_path: Optional[str] = None,
-        default_strategy: Optional[str] = None,
         fault_plan: Optional[object] = None,
     ):
         if backend not in ("thread", "process"):
@@ -200,20 +197,11 @@ class MatchService:
             self._corpus = SchemaCorpus(corpus_path)
         self._session = MatchSession(
             repository=self._repository, store=self._store, corpus=self._corpus,
-            strategy=default_strategy,
         )
         if backend == "process":
             from repro.parallel.pool import ProcessSessionPool
 
-            # Workers open their own connections to the shared repository /
-            # store files; the parent's session serves the strategy registry
-            # and search ranking, its handles the /stats occupancy numbers.
-            self._pool = ProcessSessionPool(
-                pool_size,
-                store_path=store_path,
-                repository_path=repository_path,
-                default_strategy=default_strategy,
-            )
+            self._pool = ProcessSessionPool(pool_size, self._session)
         else:
             self._pool = SessionPool(pool_size, self._session)
         #: The schema registry of a service with no corpus.
@@ -294,17 +282,15 @@ class MatchService:
                 return replaced
             with self._corpus_guard():
                 replaced = self._corpus.has(schema.name)
-                with self._session.transient_profile(schema) as profile:
-                    self._corpus.add(schema, replace=True, profile=profile)
-                # Lookups answer with the corpus's copy of the schema, so the
-                # session keeps the profile of that copy warm.
-                self._session.profile_for(self._corpus.load(schema.name))
+                # Lookups answer with the registered object, whose profile
+                # the session keeps warm.
+                self._session.register(schema)
         return replaced
 
     def resolve_strategy(self, reference: StrategyLike) -> Optional[MatchStrategy]:
         """Resolve a request's strategy reference on the service's session.
 
-        ``None`` keeps the worker session's default.  A string with a
+        ``None`` keeps the session's default.  A string with a
         parenthesis is a spec (the session parses each distinct one once);
         any other string is a stored strategy name.
 

@@ -461,9 +461,9 @@ class MatchSession:
         the type-compatibility table and the matcher library registrations --
         every input a similarity cube depends on besides the schemas.  Two
         sessions (in any two processes) with equal digests produce
-        byte-identical cubes for identical schemas, which is what the
-        process fan-out (:meth:`match_many` with ``processes=``) checks
-        before dispatching work to its workers.
+        byte-identical cubes for identical schemas, which is what a
+        :class:`~repro.parallel.pool.ProcessSessionPool` checks of its
+        workers before it matches for the session.
 
         Examples
         --------
@@ -1197,13 +1197,17 @@ class MatchSession:
         strategy:
             The batch-level default strategy reference.
         processes:
-            Fan the batch out over this many spawned worker processes (the
-            pool lives for this one call; prefer ``process_pool`` when
-            issuing several batches).  Workers share the session's
-            persistent store file, when one is attached.
+            Fan the batch out over a
+            :class:`~repro.parallel.pool.ProcessSessionPool` of this many
+            spawned worker processes, built for this session (the pool lives
+            for this one call; prefer ``process_pool`` when issuing several
+            batches).  Workers share the session's repository and persistent
+            store files, when they are attached.
         process_pool:
             An existing :class:`~repro.parallel.pool.ProcessSessionPool` to
-            dispatch on (kept open afterwards).
+            dispatch on (kept open afterwards).  A pool built for another
+            session with an equal configuration digest is accepted; the
+            outcomes it returns carry contexts of that session.
         timeout:
             Deadline in seconds over the process-pool dispatch: a wedged
             worker is SIGKILLed by the pool's watchdog and the call raises
@@ -1220,9 +1224,13 @@ class MatchSession:
         ------
         SessionError
             If a request tuple has a length other than 2 or 3, if both
-            ``processes`` and ``process_pool`` are given, or if the session's
-            configuration digest differs from the workers' (fanning out would
-            silently break byte-identity).
+            ``processes`` and ``process_pool`` are given, or if
+            ``process_pool`` matches for a session whose configuration digest
+            differs from this one's (fanning out would silently break
+            byte-identity).
+        ServiceError
+            If the ``processes`` workers would run another match
+            configuration than this session's.
 
         Examples
         --------
@@ -1496,25 +1504,17 @@ class MatchSession:
             raise SessionError("pass either processes=N or process_pool=..., not both")
         owned = None
         if process_pool is None:
-            store_path = None
-            if self._store is not None and self._store.path != ":memory:":
-                store_path = self._store.path
-            repository_path = (
-                self._repository.path if self._repository is not None else None
-            )
-            owned = process_pool = ProcessSessionPool(
-                processes,
-                store_path=store_path,
-                repository_path=repository_path,
+            owned = process_pool = ProcessSessionPool(processes, self)
+        elif process_pool.config_digest != self.config_digest():
+            # A pool built for this session checked its workers at
+            # construction; one built for another session is checked here.
+            raise SessionError(
+                "the process pool's workers run a different match "
+                "configuration than this session (tokenizer, synonyms, "
+                "type table or library differ); fanning out would not be "
+                "byte-identical to the serial path"
             )
         try:
-            if process_pool.config_digest != self.config_digest():
-                raise SessionError(
-                    "the process pool's workers run a different match "
-                    "configuration than this session (tokenizer, synonyms, "
-                    "type table or library differ); fanning out would not be "
-                    "byte-identical to the serial path"
-                )
             resolved = [
                 self.resolve_strategy(item_strategy) for _, _, item_strategy in items
             ]
@@ -1530,7 +1530,6 @@ class MatchSession:
                 remote.append(index)
             remote_outcomes = process_pool.match_many(
                 [(items[i][0], items[i][1], resolved[i]) for i in remote],
-                context_factory=self.context_for,
                 timeout=timeout,
             )
             for index, outcome in zip(remote, remote_outcomes):
@@ -1624,16 +1623,16 @@ class MatchSession:
     def evaluate(self, tasks: Optional[Sequence] = None, **kwargs) -> "EvaluationCampaign":
         """An :class:`~repro.evaluation.campaign.EvaluationCampaign` on this session.
 
-        Per-task contexts are built through :meth:`context_for`, so the
-        campaign's matcher executions share the session's profile cache.
+        The campaign runs on the session's engine and builds per-task
+        contexts through :meth:`context_for`, so its matcher executions
+        share the session's profile cache.
 
         Parameters
         ----------
         tasks:
             The evaluation tasks (default: the bundled gold-standard tasks).
         **kwargs:
-            Forwarded to the campaign constructor; ``engine`` and
-            ``context_factory`` default to the session's.
+            Forwarded to the campaign constructor.
 
         Returns
         -------
@@ -1649,9 +1648,7 @@ class MatchSession:
         """
         from repro.evaluation.campaign import EvaluationCampaign
 
-        kwargs.setdefault("engine", self._engine)
-        kwargs.setdefault("context_factory", self.context_for)
-        return EvaluationCampaign(tasks=tasks, **kwargs)
+        return EvaluationCampaign(tasks=tasks, session=self, **kwargs)
 
     # -- cube execution and caches ---------------------------------------------
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.datasets.figure1 import load_po1, load_po2
-from repro.exceptions import ServiceError
+from repro.exceptions import ServiceError, StrategyError
+from repro.linguistic.tokenizer import NameTokenizer
 from repro.model.element import ElementKind
 from repro.parallel import ProcessSessionPool, decode_frame, encode_frame
 from repro.parallel import codec
@@ -71,9 +75,21 @@ class TestPoolMechanics:
         with pytest.raises(ServiceError):
             ProcessSessionPool(size=0)
 
-    def test_remote_errors_surface_as_service_errors(self, pool):
-        with pytest.raises(ServiceError) as excinfo:
+    def test_unknown_matchers_fail_in_the_parent(self, pool, monkeypatch):
+        monkeypatch.setattr(pool, "_roundtrip", lambda *args, **kwargs: pytest.fail(
+            "a frame was sent for a strategy the session cannot resolve"
+        ))
+        with pytest.raises(StrategyError, match="NoSuchMatcher"):
             pool.match(load_po1(), load_po2(), strategy="NoSuchMatcher(Max,Both,Thr(0.5),Dice)")
+
+    def test_remote_errors_surface_as_service_errors(self):
+        plan = faults.FaultPlan(
+            [faults.FaultRule(point="worker.match", action="raise", nth=1)],
+            name="worker-raise-once",
+        )
+        with ProcessSessionPool(size=1, fault_plan=plan.to_dict()) as lone:
+            with pytest.raises(ServiceError) as excinfo:
+                lone.match(load_po1(), load_po2())
         assert "worker" in str(excinfo.value)
 
     def test_request_tuple_validation(self, pool):
@@ -134,6 +150,26 @@ class TestPoolMechanics:
             pool.match(load_po1(), load_po2())
 
 
+class TestPoolSession:
+    def test_a_session_with_another_configuration_is_refused(self):
+        before = set(multiprocessing.active_children())
+        session = MatchSession(tokenizer=NameTokenizer(expand_abbreviations=False))
+        with pytest.raises(ServiceError, match="configuration"):
+            ProcessSessionPool(1, session)
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_requests_without_a_strategy_run_the_sessions_default(self):
+        a, b = load_po1(), load_po2()
+        session = MatchSession(strategy="Name+Leaves(Max,Both,MaxN(1),Dice)")
+        with ProcessSessionPool(1, session) as pool:
+            remote = pool.match(a, b)
+        local = session.match(a, b)
+        assert remote.strategy is session.default_strategy
+        assert remote.result.as_tuples() == local.result.as_tuples()
+        assert remote.cube.as_array().tobytes() == local.cube.as_array().tobytes()
+        assert remote.context.tokenizer is session.tokenizer
+
+
 class TestSchemaCacheEviction:
     def test_tiny_worker_cache_survives_chunks_larger_than_the_bound(self):
         from repro.datasets.generators import generate_pair
@@ -183,11 +219,13 @@ class TestStoreSeededWorkers:
         store_path = str(tmp_path / "store.db")
         a, b = load_po1(), load_po2()
         # First pool computes and persists; second pool starts warm.
-        with ProcessSessionPool(size=1, store_path=store_path) as warm_up:
+        with MatchSession(store=store_path) as session, \
+                ProcessSessionPool(1, session) as warm_up:
             first = warm_up.match(a, b)
             info = warm_up.cache_info()
             assert info["store_misses"] >= 1
-        with ProcessSessionPool(size=1, store_path=store_path) as warm:
+        with MatchSession(store=store_path) as session, \
+                ProcessSessionPool(1, session) as warm:
             second = warm.match(a, b)
             assert warm.cache_info()["store_hits"] >= 1
         assert first.cube.as_array().tobytes() == second.cube.as_array().tobytes()

@@ -170,6 +170,57 @@ class TestWorkerCrashLoopPlan:
         finally:
             pool.close()
 
+    def test_the_service_keeps_chunks_on_its_one_session(self, tmp_path, monkeypatch):
+        """Chunks kept in the service process run on the service's session."""
+        def service(backend, **options):
+            return MatchService(
+                backend=backend, pool_size=1,
+                store_path=str(tmp_path / f"{backend}-store.db"),
+                repository_path=str(tmp_path / f"{backend}-repository.db"),
+                **options,
+            )
+
+        def match(service):
+            status, body = service.handle_request(
+                "POST", "/match", {"source": "PO1", "target": "PO2"}
+            )
+            assert status == 200
+            return body
+
+        def count_inits(cls):
+            built = []
+            original = cls.__init__
+
+            def init(self, *args, **kwargs):
+                built.append(self)
+                original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+            return built
+
+        reference = service("thread")
+        try:
+            for schema in (load_po1(), load_po2()):
+                reference.register_schema(schema)
+            expected = [match(reference) for _ in range(4)]
+        finally:
+            reference.close()
+        crashing = service("process", fault_plan=catalog_plan("worker-crash-loop"))
+        try:
+            for schema in (load_po1(), load_po2()):
+                crashing.register_schema(schema)
+            sessions, stores = count_inits(MatchSession), count_inits(SimilarityStore)
+            start = time.monotonic()
+            bodies = [match(crashing) for _ in range(4)]
+            elapsed = time.monotonic() - start
+            breaker = crashing.component_health()["pool"]["breaker"]
+        finally:
+            crashing.close()
+        assert (len(sessions), len(stores)) == (0, 0)
+        assert breaker["routed_local"] >= 1
+        assert bodies == expected
+        assert elapsed < OPERATION_BOUND_SECONDS
+
 
 class TestCorpusIndexLossPlan:
     def test_search_degrades_to_a_typed_503_and_recovers(self):

@@ -622,8 +622,9 @@ class TestServiceSearch:
         service = MatchService(pool_size=1, corpus_path=":memory:")
         try:
             _upload_paper_schemas(service, {"PO1": load_po1(), "PO2": load_po2()})
-            # Each upload profiles the uploaded schema, then the corpus's copy.
-            assert len(built) == 4
+            # Each upload profiles the uploaded schema, which lookups then
+            # answer with.
+            assert len(built) == 2
             for route, body in (
                 ("/match", {"source": "PO1", "target": "PO2"}),
                 ("/search", {"source": "PO1", "k": 1}),
@@ -631,7 +632,7 @@ class TestServiceSearch:
             ):
                 status, _ = service.handle_request("POST", route, body)
                 assert status == 200
-            assert len(built) == 4
+            assert len(built) == 2
             assert service.pool.cache_info()["profiles"] == 2
         finally:
             service.close()
