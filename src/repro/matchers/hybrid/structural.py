@@ -25,22 +25,30 @@ whose cell is a segmented maximum over the other set
 batches (:func:`_set_similarities`): one gather of their component blocks,
 segmented row and column maxima for Max1 in both directions, and Average or
 Dice over the mutual bests.  Children fills its cells level by level, by
-height, so every level reads finished child pairs; Leaves needs one level.
-Only the requested rows and columns are evaluated, plus their descendants
-for Children, so a partial execution costs what it asks for and its cells
-equal those of a full one bit for bit.
+height, so every level reads finished child pairs.  Level 1 is the paths
+of height 1, whose children are their leaves, so its cells (between two
+such paths, or one and a leaf) are the same for both matchers: they are
+computed once per engine execution, over child sets, through the layer
+memo (:func:`_level_one`), and Children and Leaves both start from that
+array.  Leaves fills every taller path in one more pass, over leaf sets,
+which hold only leaves.  Only the requested rows and columns are
+evaluated, plus their descendants for Children, so a partial execution
+costs what it asks for and its cells equal those of a full one bit for
+bit; there the two matchers evaluate different rows, and each computes its
+own level 1.
 
 Traced on generated pairs of 15-108 paths per side (the benchmark's
 ``cold_match`` workload, 2-vCPU x86 host), the per-pair Python recursion
 this kernel replaced spent 57 (Children) + 44 (Leaves) ms of a ~126 ms cold
-default match in its own code.  The kernel spends 2.0 + 1.1 ms of a ~18 ms
-match, Children's share including both sides' path trees.  The leaf matrix
-it reads is the TypeName layer itself, shared through the engine's layer
-memo (:meth:`~repro.matchers.base.Matcher.compute_shared`).  Since Name and
-NamePath share one token matrix, a traced ``cold_match`` (seed 3, same
-host, p50 5.9 ms) spends 1.45 ms in Children, 0.87 in Leaves, 0.79 in
-token-set similarity, 0.66 in profiles and 0.43 in string kernels: this
-kernel is now the largest layer of a cold match.
+default match in its own code.  The leaf matrix the kernel reads is the
+TypeName layer itself, shared through the engine's layer memo
+(:meth:`~repro.matchers.base.Matcher.compute_shared`).  Every inner path of
+those pairs has height 1, so Leaves reads the whole level-1 array that
+Children computed: a traced ``cold_match`` (seed 3, same host, p50 3.5-3.7
+ms) spends 1.0-1.1 ms in Children, including both sides' path trees, and
+0.11 in Leaves, against 0.55-0.68 before the pass was shared; 0.52-0.56 in
+token-set similarity and 0.39-0.43 in profiles.  Children is the largest
+layer of a cold match.
 
 Examples
 --------
@@ -62,7 +70,7 @@ True
 from __future__ import annotations
 
 from itertools import chain
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,7 +82,7 @@ from repro.combination.combined import (
 )
 from repro.combination.matrix import SimilarityMatrix
 from repro.exceptions import MatcherError
-from repro.matchers.base import MatchContext, Matcher
+from repro.matchers.base import MatchContext, Matcher, memoised
 from repro.matchers.hybrid.type_name import TypeNameMatcher
 from repro.model.path import SchemaPath
 
@@ -205,6 +213,71 @@ def _set_similarity_block(values, source, target, row_sets, column_sets, combine
     return result.reshape(rows, columns)
 
 
+class _Axis(NamedTuple):
+    """One side of a kernel pass: its tree, component sets and evaluated paths."""
+
+    tree: PathTree
+    sets: ComponentSets
+    leaves: np.ndarray  #: the evaluated leaf paths
+    inner: np.ndarray  #: the evaluated inner paths
+    levels: np.ndarray  #: the level of each path of ``inner``
+
+    @classmethod
+    def of(cls, tree: PathTree, sets: ComponentSets, levels: np.ndarray, paths: np.ndarray):
+        leaf = tree.leaf[paths]
+        inner = paths[~leaf]
+        return cls(tree, sets, paths[leaf], inner, levels[inner])
+
+
+def _fill_level(
+    values: np.ndarray, level: int, source: _Axis, target: _Axis,
+    combined: CombinedSimilarityStrategy,
+) -> None:
+    """Fill the cells of ``level``'s inner paths against leaves and inner paths up to ``level``.
+
+    Every cell filled reads only leaf x leaf cells and cells of lower levels.
+    """
+    level_rows = source.inner[source.levels == level]
+    level_columns = target.inner[target.levels == level]
+    if len(source.leaves) and len(level_columns):
+        values[np.ix_(source.leaves, level_columns)] = _singleton_similarities(
+            values, source.leaves, level_columns, target.sets, combined
+        )
+    if len(level_rows) and len(target.leaves):
+        values[np.ix_(level_rows, target.leaves)] = _singleton_similarities(
+            values.T, target.leaves, level_rows, source.sets, combined
+        ).T
+    for pair_rows, pair_columns in (
+        (level_rows, target.inner[target.levels <= level]),
+        (source.inner[source.levels < level], level_columns),
+    ):
+        if len(pair_rows) and len(pair_columns):
+            values[np.ix_(pair_rows, pair_columns)] = _set_similarities(
+                values, pair_rows, pair_columns, source.tree, target.tree,
+                source.sets, target.sets, combined,
+            )
+
+
+def _level_one(
+    leaf_matrix: SimilarityMatrix, source: PathTree, target: PathTree,
+    rows: np.ndarray, columns: np.ndarray, combined: CombinedSimilarityStrategy,
+) -> np.ndarray:
+    """The leaf matrix with level 1 filled over ``rows x columns``, read-only.
+
+    Level 1 is the paths of height 1, whose children are their leaves, so
+    Children and Leaves both start from this array.
+    """
+    values = np.array(leaf_matrix.values)
+    _fill_level(
+        values, 1,
+        _Axis.of(source, source.children, source.height, rows),
+        _Axis.of(target, target.children, target.height, columns),
+        combined,
+    )
+    values.flags.writeable = False
+    return values
+
+
 class _StructuralMatcherBase(Matcher):
     """Shared implementation of the Children and Leaves matchers."""
 
@@ -282,10 +355,11 @@ class _StructuralMatcherBase(Matcher):
         """Batch variant: the leaf matrix comes through the layer memo.
 
         Within one engine execution the default TypeName leaf matrix is the
-        TypeName layer itself, and both sides' path trees come from the
-        shared path-set profiles, so Children and Leaves add only the
-        kernel: 2.0 and 1.1 ms of a ~18 ms cold default match on the
-        benchmark's generated pairs (see the module docstring).
+        TypeName layer itself, both sides' path trees come from the shared
+        path-set profiles, and Children and Leaves share the level-1 pass,
+        so they add only the kernel: about 1.0 and 0.11 ms of a ~3.6 ms
+        cold default match on the benchmark's generated pairs (see the
+        module docstring).
         """
         leaf_matrix = self._leaf_matcher.compute_shared(
             context.source_schema.paths(), context.target_schema.paths(), context
@@ -301,39 +375,30 @@ class _StructuralMatcherBase(Matcher):
     ) -> SimilarityMatrix:
         source = context.profiles(leaf_matrix.source_paths).path_tree()
         target = context.profiles(leaf_matrix.target_paths).path_tree()
-        source_sets, target_sets = self._component_sets(source), self._component_sets(target)
         requested_rows = source.index_of(source_paths)
         requested_columns = target.index_of(target_paths)
         rows = self._needed(source, np.unique(requested_rows))
         columns = self._needed(target, np.unique(requested_columns))
-        leaf_rows, inner_rows = rows[source.leaf[rows]], rows[~source.leaf[rows]]
-        leaf_columns, inner_columns = columns[target.leaf[columns]], columns[~target.leaf[columns]]
-        row_levels = self._levels(source)[inner_rows]
-        column_levels = self._levels(target)[inner_columns]
-        # Leaf x leaf cells are the leaf matrix; every other cell of a level
-        # reads only cells of lower levels.
-        values = np.array(leaf_matrix.values)
-        top = int(max(row_levels.max(initial=0), column_levels.max(initial=0)))
-        for level in range(1, top + 1):
-            level_rows = inner_rows[row_levels == level]
-            level_columns = inner_columns[column_levels == level]
-            if len(leaf_rows) and len(level_columns):
-                values[np.ix_(leaf_rows, level_columns)] = _singleton_similarities(
-                    values, leaf_rows, level_columns, target_sets, self._combined
-                )
-            if len(level_rows) and len(leaf_columns):
-                values[np.ix_(level_rows, leaf_columns)] = _singleton_similarities(
-                    values.T, leaf_columns, level_rows, source_sets, self._combined
-                ).T
-            for pair_rows, pair_columns in (
-                (level_rows, inner_columns[column_levels <= level]),
-                (inner_rows[row_levels < level], level_columns),
-            ):
-                if len(pair_rows) and len(pair_columns):
-                    values[np.ix_(pair_rows, pair_columns)] = _set_similarities(
-                        values, pair_rows, pair_columns, source, target,
-                        source_sets, target_sets, self._combined,
-                    )
+        # Leaf x leaf cells are the leaf matrix, and every other cell of a
+        # level reads only cells of lower levels.  Level 1 does not depend on
+        # the matcher, so it is computed once per execution for each leaf
+        # matrix, strategy and evaluated rows and columns.  The entry holds
+        # the leaf matrix, so its id is not reused while the memo lives.
+        combined = self._combined
+        values, _ = memoised(
+            context,
+            ("level one", id(leaf_matrix), combined, rows.tobytes(), columns.tobytes()),
+            lambda: (
+                _level_one(leaf_matrix, source, target, rows, columns, combined), leaf_matrix
+            ),
+        )
+        source_axis = _Axis.of(source, self._component_sets(source), self._levels(source), rows)
+        target_axis = _Axis.of(target, self._component_sets(target), self._levels(target), columns)
+        top = int(max(source_axis.levels.max(initial=0), target_axis.levels.max(initial=0)))
+        if top > 1:
+            values = np.array(values)
+            for level in range(2, top + 1):
+                _fill_level(values, level, source_axis, target_axis, combined)
         return SimilarityMatrix(
             source_paths, target_paths, values[np.ix_(requested_rows, requested_columns)]
         )
@@ -363,4 +428,5 @@ class LeavesMatcher(_StructuralMatcherBase):
         return tree.leaves
 
     def _levels(self, tree: PathTree) -> np.ndarray:
-        return tree.height.clip(max=1)
+        # Taller paths' leaf sets hold only leaves: one pass after level 1.
+        return tree.height.clip(max=2)

@@ -72,7 +72,7 @@ from repro.core.processor import MatchProcessor
 from repro.core.strategy import MatchStrategy, default_strategy
 from repro.engine.engine import DEFAULT_ENGINE, MatchEngine
 from repro.engine.profiles import ForestProfile, PathSetProfile
-from repro.exceptions import CombinationError, SessionError, UnknownMatcherError
+from repro.exceptions import CombinationError, ServiceError, SessionError, UnknownMatcherError
 from repro.linguistic.tokenizer import NameTokenizer
 from repro.matchers.base import MatchContext
 from repro.matchers.registry import DEFAULT_LIBRARY, MatcherLibrary
@@ -1199,10 +1199,11 @@ class MatchSession:
         processes:
             Fan the batch out over a
             :class:`~repro.parallel.pool.ProcessSessionPool` of this many
-            spawned worker processes, built for this session (the pool lives
-            for this one call; prefer ``process_pool`` when issuing several
-            batches).  Workers share the session's repository and persistent
-            store files, when they are attached.
+            spawned worker processes, built for this session once some
+            request is to be sent (the pool lives for this one call; prefer
+            ``process_pool`` when issuing several batches).  Workers share the
+            session's repository and persistent store files, when they are
+            attached.
         process_pool:
             An existing :class:`~repro.parallel.pool.ProcessSessionPool` to
             dispatch on (kept open afterwards).  A pool built for another
@@ -1229,8 +1230,9 @@ class MatchSession:
             differs from this one's (fanning out would silently break
             byte-identity).
         ServiceError
-            If the ``processes`` workers would run another match
-            configuration than this session's.
+            If ``processes`` is below 1, or if, once a request is sent, the
+            ``processes`` workers would run another match configuration than
+            this session's.
 
         Examples
         --------
@@ -1502,11 +1504,10 @@ class MatchSession:
 
         if processes is not None and process_pool is not None:
             raise SessionError("pass either processes=N or process_pool=..., not both")
-        owned = None
-        if process_pool is None:
-            owned = process_pool = ProcessSessionPool(processes, self)
-        elif process_pool.config_digest != self.config_digest():
-            # A pool built for this session checked its workers at
+        if process_pool is None and processes < 1:
+            raise ServiceError(f"a process pool needs size >= 1, got {processes}")
+        if process_pool is not None and process_pool.config_digest != self.config_digest():
+            # A pool built for this session checks its workers at
             # construction; one built for another session is checked here.
             raise SessionError(
                 "the process pool's workers run a different match "
@@ -1514,24 +1515,26 @@ class MatchSession:
                 "type table or library differ); fanning out would not be "
                 "byte-identical to the serial path"
             )
-        try:
-            resolved = [
-                self.resolve_strategy(item_strategy) for _, _, item_strategy in items
-            ]
-            outcomes: List[Optional[MatchOutcome]] = [None] * len(items)
-            remote: List[int] = []
-            for index, ((source, target, _), active) in enumerate(zip(items, resolved)):
-                spec = self._process_spec(active)
-                key = (
-                    self._cube_key(source, target, active) if spec is not None else None
+        resolved = [self.resolve_strategy(item_strategy) for _, _, item_strategy in items]
+        outcomes: List[Optional[MatchOutcome]] = [None] * len(items)
+        remote: List[int] = []
+        for index, ((source, target, _), active) in enumerate(zip(items, resolved)):
+            spec = self._process_spec(active)
+            key = self._cube_key(source, target, active) if spec is not None else None
+            if spec is None or (key is not None and key in self._cube_cache):
+                continue  # runs locally (not wire-able, or already cached)
+            remote.append(index)
+        if remote:
+            # An owned pool is spawned only for a batch that sends something.
+            pool = process_pool if process_pool is not None else ProcessSessionPool(processes, self)
+            try:
+                remote_outcomes = pool.match_many(
+                    [(items[i][0], items[i][1], resolved[i]) for i in remote],
+                    timeout=timeout,
                 )
-                if spec is None or (key is not None and key in self._cube_cache):
-                    continue  # runs locally (not wire-able, or already cached)
-                remote.append(index)
-            remote_outcomes = process_pool.match_many(
-                [(items[i][0], items[i][1], resolved[i]) for i in remote],
-                timeout=timeout,
-            )
+            finally:
+                if pool is not process_pool:
+                    pool.close()
             for index, outcome in zip(remote, remote_outcomes):
                 key = self._cube_key(items[index][0], items[index][1], resolved[index])
                 if key is not None:
@@ -1543,13 +1546,10 @@ class MatchSession:
                         self._cube_cache.setdefault(key, outcome.cube)
                     self._trim_caches()
                 outcomes[index] = outcome
-            for index, (source, target, _) in enumerate(items):
-                if outcomes[index] is None:
-                    outcomes[index] = self.match(source, target, strategy=resolved[index])
-            return outcomes  # type: ignore[return-value]
-        finally:
-            if owned is not None:
-                owned.close()
+        for index, (source, target, _) in enumerate(items):
+            if outcomes[index] is None:
+                outcomes[index] = self.match(source, target, strategy=resolved[index])
+        return outcomes  # type: ignore[return-value]
 
     def schema_similarity(
         self, source: Schema, target: Schema, strategy: StrategyLike = None

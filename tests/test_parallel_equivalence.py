@@ -27,8 +27,9 @@ from repro.combination.stable_marriage import StableMarriageDirection
 from repro.core.strategy import MatchStrategy
 from repro.datasets.figure1 import load_po1, load_po2
 from repro.datasets.generators import generate_pair
-from repro.exceptions import SessionError
+from repro.exceptions import ServiceError, SessionError
 from repro.matchers.registry import DEFAULT_LIBRARY
+from repro.matchers.simple.user_feedback import UserFeedbackStore
 from repro.model.builder import SchemaBuilder
 from repro.parallel import ProcessSessionPool
 from repro.session import MatchSession
@@ -240,6 +241,32 @@ class TestSessionFanOut:
             session.match_many(
                 [(pair.source, pair.target)], process_pool=process_pool
             )
+
+    def test_a_batch_that_sends_nothing_spawns_no_workers(self, monkeypatch):
+        built = []
+        original = ProcessSessionPool.__init__
+
+        def counting(pool, *args, **kwargs):
+            built.append(pool)
+            original(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessSessionPool, "__init__", counting)
+        po1, po2 = load_po1(), load_po2()
+        requests = [(po1, po2), (po2, po1)]
+        # A feedback store keeps every request local; so do cached cubes.
+        feedback, cached = MatchSession(feedback=UserFeedbackStore()), MatchSession()
+        cached.match_many(requests)
+        batches = [session.match_many(requests, processes=2) for session in (feedback, cached)]
+        assert built == []
+        for outcomes in batches:
+            for (source, target), outcome in zip(requests, outcomes):
+                assert_byte_identical(MatchSession().match(source, target), outcome, "local batch")
+        with pytest.raises(ServiceError):
+            cached.match_many(requests, processes=0)
+        # One request to send builds the one pool.
+        pair = generate_pair(sections=2, fields_per_section=2, seed=5)
+        cached.match_many([*requests, (pair.source, pair.target)], processes=2)
+        assert len(built) == 1
 
     def test_processes_and_pool_are_mutually_exclusive(self, process_pool):
         pair = generate_pair(sections=2, fields_per_section=2, seed=4)

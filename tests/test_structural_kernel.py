@@ -5,12 +5,14 @@ recursion: component sets per pair, a ``k x l`` component matrix, Both +
 Max1 through ``select_pairs`` (or a singleton shortcut), then Average or Dice.
 That code is kept below as the oracle.  The kernel must agree with it bit for
 bit -- including pairs whose kept cells have equal names on both sides, which
-both add in axis order -- and a partial execution must return the same bits
-as a full one.
+both add in axis order -- a partial execution must return the same bits
+as a full one, and Children and Leaves sharing one execution's level-1 pass
+must return the bits each computes alone.
 """
 
 from __future__ import annotations
 
+import collections
 import random
 from typing import Dict, Tuple
 
@@ -27,8 +29,10 @@ from repro.combination import (
 )
 from repro.combination.strategy import default_combination
 from repro.core.match_operation import build_context, combine_cube
+from repro.core.strategy import default_strategy
 from repro.datasets.figure1 import load_po1, load_po2
 from repro.datasets.generators import generate_pair
+from repro.datasets.purchase_orders import load_all_schemas
 from repro.engine.engine import MatchEngine
 from repro.exceptions import MatcherError
 from repro.matchers.base import Matcher, layer_memo
@@ -369,3 +373,111 @@ class TestPartialLocality:
             full = matcher.compute_batch(po1.paths(), po2.paths(), context).values
             part = matcher.compute_batch([ship_to], po2.paths()[::-1], context).values
             assert part.tobytes() == full[row:row + 1, ::-1].tobytes()
+
+
+# -- one level-1 pass per execution ---------------------------------------------
+#
+# A path of height 1 has only leaf children, so its child set is its leaf set
+# and every cell between such paths, or between one and a leaf, is the same
+# for Children and Leaves.  One full execution computes those cells once.
+
+
+def _mixed_height_pairs():
+    """PO1/PO2 both ways, the 20 ordered gold pairs and ten tie-heavy pairs.
+
+    Each pair holds leaves, paths of height 1 and taller paths.
+    """
+    po1, po2 = load_po1(), load_po2()
+    gold = list(load_all_schemas().values())
+    rng = random.Random(4)
+    ties = [(_tie_schema(rng, f"S{index}"), _tie_schema(rng, f"T{index}")) for index in range(10)]
+    return [(po1, po2), (po2, po1), *((a, b) for a in gold for b in gold if a is not b), *ties]
+
+
+@pytest.fixture()
+def level_one_passes(monkeypatch):
+    """The combined strategies of the level-1 passes run."""
+    passes = []
+    original = structural._level_one
+
+    def counting(leaf_matrix, source, target, rows, columns, combined):
+        passes.append(combined)
+        return original(leaf_matrix, source, target, rows, columns, combined)
+
+    monkeypatch.setattr(structural, "_level_one", counting)
+    return passes
+
+
+class TestSharedLevelOne:
+    @pytest.mark.parametrize("combined, every", [
+        pytest.param(AVERAGE_COMBINED, 1, id="Average"),
+        pytest.param(DICE_COMBINED, 2, id="Dice"),  # counts, so every other pair
+    ])
+    def test_both_matchers_in_one_memo_match_the_oracle(self, combined, every):
+        for source, target in _mixed_height_pairs()[::every]:
+            assert_kernel_matches_oracle(
+                [_make(ChildrenMatcher, combined), _make(LeavesMatcher, combined)], source, target
+            )
+
+    @pytest.mark.parametrize("combined", [AVERAGE_COMBINED, DICE_COMBINED], ids=["Average", "Dice"])
+    @pytest.mark.parametrize("order", [
+        pytest.param((ChildrenMatcher, LeavesMatcher), id="Children-first"),
+        pytest.param((LeavesMatcher, ChildrenMatcher), id="Leaves-first"),
+    ])
+    def test_shared_layers_equal_layers_computed_alone(self, combined, order):
+        # Whichever matcher runs first computes the pass the other reads.
+        for source, target in _mixed_height_pairs():
+            matchers = [_make(matcher_type, combined) for matcher_type in order]
+            shared = MatchEngine().execute(matchers, build_context(source, target))
+            for matcher in matchers:
+                alone = matcher.compute_batch(
+                    source.paths(), target.paths(), build_context(source, target)
+                )
+                assert shared.layer(matcher.name).values.tobytes() == alone.values.tobytes()
+
+    def test_one_default_execution_scores_each_level_one_cell_once(self, monkeypatch):
+        scored = collections.Counter()
+        original = structural._set_similarities
+
+        def recording(values, rows, columns, source, target, *rest):
+            scored.update(
+                (row, column)
+                for row in rows[source.height[rows] == 1].tolist()
+                for column in columns[target.height[columns] == 1].tolist()
+            )
+            return original(values, rows, columns, source, target, *rest)
+
+        monkeypatch.setattr(structural, "_set_similarities", recording)
+        po1, po2 = load_po1(), load_po2()
+        cube = MatchEngine().execute(
+            default_strategy().resolve_matchers(None), build_context(po1, po2)
+        )
+        assert {"Children", "Leaves"} <= set(cube.matcher_names)
+        assert scored and set(scored.values()) == {1}
+
+    def test_one_default_execution_runs_one_pass(self, level_one_passes):
+        po1, po2 = load_po1(), load_po2()
+        MatchEngine().execute(default_strategy().resolve_matchers(None), build_context(po1, po2))
+        assert level_one_passes == [AVERAGE_COMBINED]
+
+    @pytest.mark.parametrize("matchers", [
+        pytest.param(lambda: [ChildrenMatcher(), _make(LeavesMatcher, DICE_COMBINED)],
+                     id="Children-Average+Leaves-Dice"),
+        pytest.param(lambda: [ChildrenMatcher(), LeavesMatcher(leaf_matcher=NameMatcher())],
+                     id="Children+Leaves-Name-leaf"),
+    ])
+    def test_other_configurations_run_their_own_pass(self, level_one_passes, matchers):
+        po1, po2 = load_po1(), load_po2()
+        MatchEngine().execute(matchers(), build_context(po1, po2))
+        assert len(level_one_passes) == 2
+        assert_kernel_matches_oracle(matchers(), po1, po2)
+
+    def test_partial_and_pairwise_executions_share_nothing(self, level_one_passes):
+        # A partial execution evaluates Children's descendants too, and the
+        # pairwise reference computes a fresh leaf matrix per matcher.
+        po1, po2 = load_po1(), load_po2()
+        matchers = [ChildrenMatcher(), LeavesMatcher()]
+        context = build_context(po1, po2)
+        MatchEngine().execute_partial(matchers, context, source_rows=po1.paths()[:2])
+        MatchEngine(use_batch=False).execute(matchers, context)
+        assert len(level_one_passes) == 4
